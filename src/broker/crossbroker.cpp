@@ -111,7 +111,7 @@ void CrossBroker::handle_agent_register(AgentId agent_id) {
   auto it = agent_info_.find(agent_id);
   if (it == agent_info_.end()) return;
   AgentInfo& info = it->second;
-  supervise_agent(info);
+  info.supervised = true;
   if (info.on_ready) {
     auto ready = std::move(info.on_ready);
     info.on_ready = nullptr;
@@ -207,9 +207,6 @@ Expected<JobId, SubmitError> CrossBroker::submit(jdl::JobDescription description
   const obs::LabelSet job_labels{
       {"type", std::string{jdl::to_string(desc.category())}},
       {"flavor", std::string{jdl::to_string(desc.flavor())}}};
-  trace(id, "submitted",
-        jdl::to_string(desc.category()) + " " + jdl::to_string(desc.flavor()) +
-            " x" + std::to_string(desc.node_number()));
   tracev(id, obs::TraceEventKind::kSubmitted,
          jdl::to_string(desc.category()) + " " + jdl::to_string(desc.flavor()) +
              " x" + std::to_string(desc.node_number()),
@@ -353,11 +350,6 @@ double CrossBroker::application_factor(const ManagedJob& job) const {
   return application_factor_batch();
 }
 
-void CrossBroker::trace(JobId job, const std::string& kind,
-                        const std::string& detail) {
-  if (trace_ != nullptr) trace_->record(sim_.now(), job, kind, detail);
-}
-
 void CrossBroker::tracev(JobId job, obs::TraceEventKind kind, std::string detail,
                          obs::LabelSet attrs) {
   if (obs_ != nullptr) {
@@ -437,7 +429,6 @@ obs::TraceEventKind trace_kind_for(JobState state) {
 void CrossBroker::set_state(ManagedJob& job, JobState state) {
   if (job.record.state == state) return;
   job.record.state = state;
-  trace(job.record.id, "state", to_string(state));
   tracev(job.record.id, trace_kind_for(state), to_string(state));
   if (obs_ != nullptr) {
     obs_->metrics.gauge("broker.queue_depth")
@@ -779,9 +770,6 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                             config_.match_lease_ttl, capacity);
         if (!lease) {
           job->record.last_error = lease.error();
-          trace(id, "lease", "conflict at site " +
-                                 std::to_string(placement.site.value()) + ": " +
-                                 lease.error().message);
           tracev(id, obs::TraceEventKind::kLeaseRevoked, lease.error().message,
                  obs::LabelSet{{"site", std::to_string(placement.site.value())}});
           count("broker.lease_conflicts",
@@ -858,10 +846,6 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                 job->record.timestamps.submitted)
                    .to_seconds());
   for (const auto& sub : job->record.subjobs) {
-    trace(id, "match",
-          "rank " + std::to_string(sub.rank) + " -> site " +
-              std::to_string(sub.site.value()) +
-              (sub.agent ? " (interactive-vm)" : ""));
     tracev(id, obs::TraceEventKind::kMatched,
            "rank " + std::to_string(sub.rank) + " -> site " +
                std::to_string(sub.site.value()),
@@ -1331,9 +1315,6 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
   const AgentId agent_id = agent.id();
   const JobId carrier = job_ids_.next();
   agent.set_carrier_job_id(carrier);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " submitted to site " +
-            std::to_string(site_id.value()));
   tracev(JobId::none(), obs::TraceEventKind::kAgentDeployed,
          "agent " + std::to_string(agent_id.value()) + " -> site " +
              std::to_string(site_id.value()),
@@ -1380,10 +1361,7 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
   request.on_complete = [this, agent_id] {
     // Manual finish: the agent left the machine voluntarily.
     const auto info_it = agent_info_.find(agent_id);
-    if (info_it != agent_info_.end()) {
-      unsupervise_agent(info_it->second);
-      agent_info_.erase(info_it);
-    }
+    if (info_it != agent_info_.end()) agent_info_.erase(info_it);
     agents_.remove(agent_id);
   };
 
@@ -1466,67 +1444,19 @@ int CrossBroker::advertised_interactive_vms(SiteId site) {
 
 // ---------------------------------------------------------- heartbeats ----
 
-void CrossBroker::supervise_agent(AgentInfo& info) {
-  // Bucket at `now`: the agent becomes due at the next tick, exactly when
-  // the old full scan would first have visited it.
-  const SimTime now = sim_.now();
-  if (config_.enable_agent_heartbeats && !info.hb_due) {
-    info.hb_due = now;
-    hb_buckets_[now].insert(info.id);
+std::vector<AgentId> CrossBroker::supervised_agents() const {
+  std::vector<AgentId> ids;
+  for (const auto& [id, info] : agent_info_) {
+    if (info.supervised) ids.push_back(id);
   }
-  if (config_.enable_liveness_probes && !info.lv_due) {
-    info.lv_due = now;
-    lv_buckets_[now].insert(info.id);
-  }
-}
-
-void CrossBroker::unsupervise_agent(AgentInfo& info) {
-  if (info.hb_due) {
-    const auto it = hb_buckets_.find(*info.hb_due);
-    if (it != hb_buckets_.end()) {
-      it->second.erase(info.id);
-      if (it->second.empty()) hb_buckets_.erase(it);
-    }
-    info.hb_due.reset();
-  }
-  if (info.lv_due) {
-    const auto it = lv_buckets_.find(*info.lv_due);
-    if (it != lv_buckets_.end()) {
-      it->second.erase(info.id);
-      if (it->second.empty()) lv_buckets_.erase(it);
-    }
-    info.lv_due.reset();
-  }
-}
-
-std::vector<AgentId> CrossBroker::extract_due_agents(
-    std::map<SimTime, std::set<AgentId>>& buckets) {
-  const SimTime now = sim_.now();
-  std::vector<AgentId> due;
-  std::size_t merged = 0;
-  while (!buckets.empty() && buckets.begin()->first <= now) {
-    const auto& ids = buckets.begin()->second;
-    due.insert(due.end(), ids.begin(), ids.end());
-    buckets.erase(buckets.begin());
-    ++merged;
-  }
-  // Each bucket is already in ascending AgentId order; only a multi-bucket
-  // merge needs a sort to restore the old full scan's visit order.
-  if (merged > 1) std::sort(due.begin(), due.end());
-  return due;
+  return ids;
 }
 
 void CrossBroker::heartbeat_tick() {
-  const SimTime now = sim_.now();
-  for (const AgentId agent_id : extract_due_agents(hb_buckets_)) {
+  for (const AgentId agent_id : supervised_agents()) {
     const auto it = agent_info_.find(agent_id);
     if (it == agent_info_.end()) continue;
     AgentInfo& info = it->second;
-    // Re-bucket first (the old scan revisited every agent each interval
-    // whatever the outcome); the visit body may unsupervise via dismissal.
-    const SimTime next = now + config_.agent_heartbeat_interval;
-    info.hb_due = next;
-    hb_buckets_[next].insert(agent_id);
     glidein::GlideinAgent* agent = agents_.find(agent_id);
     if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
       continue;
@@ -1564,14 +1494,10 @@ void CrossBroker::heartbeat_tick() {
 }
 
 void CrossBroker::liveness_tick() {
-  const SimTime now = sim_.now();
-  for (const AgentId agent_id : extract_due_agents(lv_buckets_)) {
+  for (const AgentId agent_id : supervised_agents()) {
     const auto it = agent_info_.find(agent_id);
     if (it == agent_info_.end()) continue;
     AgentInfo& info = it->second;
-    const SimTime next = now + config_.liveness_probe_interval;
-    info.lv_due = next;
-    lv_buckets_[next].insert(agent_id);
     glidein::GlideinAgent* agent = agents_.find(agent_id);
     if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
       continue;
@@ -1650,9 +1576,6 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
   const std::string cause =
       by_liveness ? std::to_string(info.missed_echoes) + " missed liveness echoes"
                   : std::to_string(info.missed_heartbeats) + " missed heartbeats";
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " suspected after " +
-            cause);
   log_warn(kLog, "agent ", agent_id.value(), " suspected (", cause, ")");
   tracev(JobId::none(), obs::TraceEventKind::kAgentSuspected,
          "agent " + std::to_string(agent_id.value()) + " after " + cause,
@@ -1676,9 +1599,6 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
   for (const JobId id : revoked) {
     ManagedJob* job = find_job(id);
     if (job == nullptr || is_terminal(job->record.state)) continue;
-    trace(id, "lease",
-          "revoked: reserved agent " + std::to_string(agent_id.value()) +
-              " missed heartbeats");
     tracev(id, obs::TraceEventKind::kLeaseRevoked,
            "reserved agent " + std::to_string(agent_id.value()) +
                " missed heartbeats",
@@ -1698,9 +1618,6 @@ void CrossBroker::restore_agent(AgentId agent_id) {
   it->second.missed_echoes = 0;
   it->second.suspected_since.reset();
   site_health_.note_restored(it->second.site);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) +
-            " re-registered after partition healed");
   log_info(kLog, "agent ", agent_id.value(), " re-registered");
   tracev(JobId::none(), obs::TraceEventKind::kAgentRestored,
          "agent " + std::to_string(agent_id.value()) + " re-registered",
@@ -1767,9 +1684,6 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // partition. The resulting score pushes the site past the exclusion
     // threshold so the resubmitted job's replacement agent avoids it.
     site_health_.note_eviction(info.site);
-    trace(job_id, "evicted",
-          "agent " + std::to_string(agent_id.value()) +
-              " suspected past running_job_grace");
     tracev(job_id, obs::TraceEventKind::kJobEvicted,
            "agent " + std::to_string(agent_id.value()) +
                " suspected past running_job_grace",
@@ -1799,13 +1713,9 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
 void CrossBroker::handle_agent_death(AgentId agent_id) {
   const auto it = agent_info_.find(agent_id);
   if (it == agent_info_.end()) return;
-  unsupervise_agent(it->second);
   const AgentInfo info = it->second;
   agent_info_.erase(it);
   agents_.remove(agent_id);
-  trace(JobId::none(), "agent",
-        "agent " + std::to_string(agent_id.value()) + " died on site " +
-            std::to_string(info.site.value()));
   log_warn(kLog, "agent ", agent_id.value(), " died on site ", info.site.value());
   tracev(JobId::none(), obs::TraceEventKind::kAgentDied,
          "agent " + std::to_string(agent_id.value()),
@@ -2013,9 +1923,6 @@ void CrossBroker::resubmit_job(JobId id) {
       backoff = config_.resubmit_backoff_max;
     }
   }
-  trace(id, "resubmit",
-        "attempt " + std::to_string(job->record.resubmissions) + " (backoff " +
-            std::to_string(backoff.count_micros() / 1000) + " ms)");
   tracev(id, obs::TraceEventKind::kResubmitted,
          "attempt " + std::to_string(job->record.resubmissions),
          obs::LabelSet{

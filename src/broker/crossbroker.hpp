@@ -22,13 +22,11 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "broker/fair_share.hpp"
 #include "broker/job_record.hpp"
-#include "broker/job_trace.hpp"
 #include "broker/submit_error.hpp"
 #include "gsi/credential.hpp"
 #include "broker/lease_manager.hpp"
@@ -190,10 +188,6 @@ public:
   /// is submitted through the normal batch path.
   void preload_agent(SiteId site);
 
-  /// Attaches a Logging-&-Bookkeeping trace; the broker records every
-  /// decision into it. Must outlive the broker (or be detached with nullptr).
-  void set_trace(JobTrace* trace) { trace_ = trace; }
-
   /// Attaches the observability bundle: lifecycle transitions go to its
   /// JobTracer as typed events and the hot paths update its MetricsRegistry
   /// (match latency, lease revocations, resubmission backoff, heartbeat
@@ -265,11 +259,9 @@ private:
     /// When the current suspicion began; guards the eviction timer against
     /// suspect -> restore -> suspect races.
     std::optional<SimTime> suspected_since;
-    /// Deadline-bucket membership for the supervision channels (absent:
-    /// not bucketed). Ticks visit only agents whose deadline elapsed
-    /// instead of scanning every known agent.
-    std::optional<SimTime> hb_due;
-    std::optional<SimTime> lv_due;
+    /// Set when the agent's AgentRegister arrives: from then on every
+    /// heartbeat and liveness tick visits it, until it leaves agent_info_.
+    bool supervised = false;
     /// Fired (once) when the agent's AgentRegister message arrives.
     std::function<void(AgentInfo&)> on_ready;
     /// Free slots minus reservations: what a new placement may still take.
@@ -340,15 +332,10 @@ private:
   void handle_agent_register(AgentId agent_id);
 
   // -- heartbeat + liveness supervision --------------------------------------
-  /// Enters the (running) agent into the supervision deadline buckets, due
-  /// at the next tick of each enabled channel.
-  void supervise_agent(AgentInfo& info);
-  /// Drops the agent from the supervision buckets (death / voluntary exit).
-  void unsupervise_agent(AgentInfo& info);
-  /// Pops every bucket due at or before now and returns the merged ids in
-  /// ascending order (the old full scan's visit order).
-  std::vector<AgentId> extract_due_agents(
-      std::map<SimTime, std::set<AgentId>>& buckets);
+  /// The supervised agents in ascending id order, snapshotted at the start
+  /// of a tick: an agent registering during the tick waits for the next
+  /// one, and the visit body may erase entries from agent_info_.
+  [[nodiscard]] std::vector<AgentId> supervised_agents() const;
   void heartbeat_tick();
   void liveness_tick();
   void send_liveness_probe(AgentId agent_id, AgentInfo& info,
@@ -384,7 +371,6 @@ private:
   glidein::AgentRegistry agents_;
   SiteHealth site_health_;
 
-  void trace(JobId job, const std::string& kind, const std::string& detail);
   /// Typed lifecycle event into the attached obs::JobTracer (no-op without).
   void tracev(JobId job, obs::TraceEventKind kind, std::string detail,
               obs::LabelSet attrs = {});
@@ -412,7 +398,6 @@ private:
       std::map<SiteId, obs::CounterHandle>& cache, const char* name,
       SiteId site);
 
-  JobTrace* trace_ = nullptr;
   obs::Observability* obs_ = nullptr;
   const gsi::Certificate* trust_anchor_ = nullptr;
   std::vector<gsi::Credential> broker_credentials_;
@@ -423,11 +408,6 @@ private:
   std::map<SiteId, lrms::Site*> sites_;
   std::map<JobId, std::unique_ptr<ManagedJob>> jobs_;
   std::map<AgentId, AgentInfo> agent_info_;
-  /// Supervision deadline buckets: tick time -> agents due then. A std::set
-  /// per bucket keeps extraction in ascending AgentId order — the exact
-  /// order the old full scans visited agents in.
-  std::map<SimTime, std::set<AgentId>> hb_buckets_;
-  std::map<SimTime, std::set<AgentId>> lv_buckets_;
   std::deque<JobId> waiting_batch_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<SubJobId> subjob_ids_;

@@ -25,28 +25,6 @@ GlideinAgent* AgentRegistry::find_by_carrier(JobId job) {
   return nullptr;
 }
 
-GlideinAgent* AgentRegistry::find_free_interactive_vm() {
-  for (auto& [id, agent] : agents_) {
-    if (agent->interactive_vm_free()) return agent.get();
-  }
-  return nullptr;
-}
-
-GlideinAgent* AgentRegistry::find_free_interactive_vm(SiteId site) {
-  for (auto& [id, agent] : agents_) {
-    if (agent->site() == site && agent->interactive_vm_free()) return agent.get();
-  }
-  return nullptr;
-}
-
-int AgentRegistry::free_interactive_vms(SiteId site) const {
-  int n = 0;
-  for (const auto& [id, agent] : agents_) {
-    if (agent->site() == site) n += agent->free_interactive_slots();
-  }
-  return n;
-}
-
 int AgentRegistry::running_agents() const {
   int n = 0;
   for (const auto& [id, agent] : agents_) {

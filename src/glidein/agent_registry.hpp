@@ -26,12 +26,6 @@ public:
   /// The agent whose carrier LRMS job is `job`, if any.
   [[nodiscard]] GlideinAgent* find_by_carrier(JobId job);
 
-  /// A running agent with a free interactive-vm, preferring the given site
-  /// ordering; nullptr if none exists anywhere.
-  [[nodiscard]] GlideinAgent* find_free_interactive_vm();
-  [[nodiscard]] GlideinAgent* find_free_interactive_vm(SiteId site);
-
-  [[nodiscard]] int free_interactive_vms(SiteId site) const;
   [[nodiscard]] int total_agents() const { return static_cast<int>(agents_.size()); }
   [[nodiscard]] int running_agents() const;
 

@@ -1,7 +1,7 @@
 // cg::Grid — the facade over the whole stack. One object that owns the
-// simulated testbed (sites, information system, network, CrossBroker), the
-// observability bundle (metrics registry + job tracer), and the legacy
-// Logging-&-Bookkeeping trace, wired together so every submission is
+// simulated testbed (sites, information system, network, CrossBroker) and
+// the observability bundle (metrics registry + job tracer, the per-job
+// Logging-&-Bookkeeping record), wired together so every submission is
 // instrumented without per-caller plumbing.
 //
 //   cg::Grid grid;
@@ -135,10 +135,6 @@ public:
   [[nodiscard]] std::string export_chrome_trace() const {
     return obs_.tracer.to_chrome_trace();
   }
-  /// The legacy string-kind Logging-&-Bookkeeping trace (kept for tools that
-  /// grep it; new code should prefer tracer()).
-  [[nodiscard]] broker::JobTrace& trace_log() { return trace_log_; }
-
   /// A GridConsoleConfig-compatible pointer for stream-layer wiring.
   [[nodiscard]] obs::Observability* obs_ptr() { return &obs_; }
 
@@ -161,7 +157,6 @@ private:
   friend class JobHandle;
 
   obs::Observability obs_;  ///< declared first: outlives the scenario's broker
-  broker::JobTrace trace_log_;
   broker::GridScenario scenario_;
 };
 

@@ -72,7 +72,6 @@ const SiteRecord::MachineView& SiteRecord::machine_view() const {
     view->static_info = static_info;
     view->dynamic_info = dynamic_info;
     view->slots = make_slots(static_info, dynamic_info);
-    view->ad = to_classad();
     cached_view_ = std::move(view);
   }
   return *cached_view_;

@@ -57,7 +57,6 @@ struct SiteRecord {
     SiteStaticInfo static_info;    ///< inputs the view was built from
     SiteDynamicInfo dynamic_info;
     jdl::SlotValues slots;         ///< attribute values in layout order
-    jdl::ClassAd ad;               ///< equivalent ClassAd (legacy path/tests)
   };
 
   SiteStaticInfo static_info;
@@ -65,8 +64,9 @@ struct SiteRecord {
   /// When the dynamic half was sampled (publication timestamp).
   SimTime sampled_at;
 
-  /// Machine ad used by the matchmaker (`other.*` in job Requirements).
-  /// Always builds a fresh ad; the fast path uses machine_view() instead.
+  /// Machine ad for the legacy matchmaker path (`other.*` in job
+  /// Requirements). Always builds a fresh ad; the fast path evaluates
+  /// against machine_view().slots instead.
   [[nodiscard]] jdl::ClassAd to_classad() const;
 
   /// Cached machine view; rebuilt lazily when the record's fields no longer

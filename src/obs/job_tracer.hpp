@@ -1,9 +1,10 @@
 // Structured per-job lifecycle tracing: every transition a job makes through
 // the grid (submitted -> matched -> leased -> dispatched -> started ->
 // streaming -> resubmitted/suspected -> done) is recorded as a *typed* event
-// with its virtual timestamp. This replaces the string-kind JobTrace as the
-// machine surface: exports are JSON-lines for tooling and Chrome
-// `trace_event` format for flame-graph viewing (chrome://tracing, Perfetto).
+// with its virtual timestamp. It is the grid's one job trace, the analogue
+// of the DataGrid Logging & Bookkeeping record: exports are JSON-lines for
+// tooling and Chrome `trace_event` format for flame-graph viewing
+// (chrome://tracing, Perfetto).
 //
 // Determinism contract: events are appended in simulation order and exports
 // contain nothing but virtual time and recorded fields, so two same-seed

@@ -24,14 +24,6 @@ FlushBuffer::FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
   if (!on_flush_) throw std::invalid_argument{"null flush callback"};
 }
 
-FlushBuffer::FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
-                         StringFlushFn on_flush)
-    : FlushBuffer{sim, config,
-                  on_flush ? FlushFn{[fn = std::move(on_flush)](ChunkRef data) {
-                    fn(data.to_string());
-                  }}
-                           : FlushFn{}} {}
-
 FlushBuffer::~FlushBuffer() {
   if (chunk_ != nullptr) detail::chunk_unref(chunk_);
 }

@@ -14,8 +14,7 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
-#include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
@@ -42,13 +41,8 @@ enum class FlushReason { kCapacity, kNewline, kTimeout, kExplicit };
 class FlushBuffer {
 public:
   using FlushFn = util::InplaceFunction<void(ChunkRef), 48>;
-  /// Compatibility shim: consumers that want an owned std::string per flush
-  /// (tests, example sinks). Each flush materializes one string copy.
-  using StringFlushFn = std::function<void(std::string data)>;
 
   FlushBuffer(sim::Simulation& sim, FlushBufferConfig config, FlushFn on_flush);
-  FlushBuffer(sim::Simulation& sim, FlushBufferConfig config,
-              StringFlushFn on_flush);
   ~FlushBuffer();
   FlushBuffer(const FlushBuffer&) = delete;
   FlushBuffer& operator=(const FlushBuffer&) = delete;

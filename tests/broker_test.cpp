@@ -4,6 +4,11 @@
 // recovery, and MPI co-allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
 
@@ -616,9 +621,10 @@ TEST_F(BrokerFixture, SiteFailureKillsJobAndBrokerRecoversElsewhere) {
 }
 
 TEST_F(BrokerFixture, TraceRecordsTheFullLifecycle) {
+  obs::Observability obs;
   GridScenario grid{default_config()};
-  JobTrace trace;
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
+  const obs::JobTracer& trace = obs.tracer;
   Outcome outcome;
   const JobId id = grid.broker().submit(
       parse_job("Executable = \"sim\";"), UserId{1}, lrms::Workload::cpu(30_s),
@@ -626,33 +632,32 @@ TEST_F(BrokerFixture, TraceRecordsTheFullLifecycle) {
   grid.sim().run();
   ASSERT_TRUE(outcome.completed);
 
-  // One submission event, a match per subjob, and a completed state.
-  EXPECT_EQ(trace.count("submitted"), 1u);
-  EXPECT_GE(trace.count("match"), 1u);
-  EXPECT_GE(trace.count("agent"), 1u);  // the carrying glide-in
-  const auto states = trace.of_kind("state");
-  ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back().detail, "completed");
+  // One submission event, a match per subjob, and the carrying glide-in.
+  EXPECT_EQ(trace.count(obs::TraceEventKind::kSubmitted), 1u);
+  EXPECT_GE(trace.count(obs::TraceEventKind::kMatched), 1u);
+  EXPECT_GE(trace.count(obs::TraceEventKind::kAgentDeployed), 1u);
   // Events are time-ordered.
   for (std::size_t i = 1; i < trace.events().size(); ++i) {
     EXPECT_LE(trace.events()[i - 1].when, trace.events()[i].when);
   }
-  // Per-job filtering works.
+  // Per-job filtering works, and the job's trail ends with its completion.
   const auto mine = trace.for_job(id);
-  EXPECT_FALSE(mine.empty());
+  ASSERT_FALSE(mine.empty());
   for (const auto& event : mine) EXPECT_EQ(event.job, id);
-  // Renderings contain the job id and parse as CSV.
-  EXPECT_NE(trace.render().find("job-"), std::string::npos);
-  EXPECT_NE(trace.to_csv().find("when_s,job,kind,detail"), std::string::npos);
+  EXPECT_EQ(mine.back().kind, obs::TraceEventKind::kCompleted);
+  EXPECT_EQ(mine.back().detail, "completed");
+  // The rendering names the job.
+  EXPECT_NE(trace.render().find("job-" + std::to_string(id.value())),
+            std::string::npos);
 }
 
 TEST_F(BrokerFixture, TraceRecordsResubmissions) {
   GridScenarioConfig config = default_config();
   config.sites = 2;
   config.nodes_per_site = 1;
+  obs::Observability obs;
   GridScenario grid{config};
-  JobTrace trace;
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
 
   Outcome outcome;
   const JobId id = grid.broker().submit(
@@ -665,7 +670,96 @@ TEST_F(BrokerFixture, TraceRecordsResubmissions) {
     if (grid.site(i).id() == first_site) grid.take_site_offline(i);
   }
   grid.sim().run_until(SimTime::from_seconds(2000));
-  EXPECT_GE(trace.count("resubmit"), 1u);
+  EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kResubmitted), 1u);
+}
+
+TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
+  // Both supervision channels tick every interval and must visit each agent
+  // whose AgentRegister arrived before the tick, and no other: an agent is
+  // first probed by the first tick after it registers, and a dismissed
+  // agent is never probed again. Agents are preloaded at staggered times so
+  // they register between ticks; the one that runs a job is dismissed.
+  const GridScenarioConfig config = default_config();
+  const Duration interval = config.broker.agent_heartbeat_interval;
+  ASSERT_EQ(config.broker.liveness_probe_interval, interval);
+  obs::Observability obs;
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+  broker.set_observability(&obs);
+  const auto heartbeats = [&] {
+    return obs.metrics.counter("net.msg.sent", {{"type", "Heartbeat"}}).value();
+  };
+  const auto liveness_probes = [&] {
+    return obs.metrics.counter("broker.liveness_probes").value();
+  };
+  const auto registrations = [&] {
+    return obs.metrics.counter("net.msg.delivered", {{"type", "AgentRegister"}})
+        .value();
+  };
+
+  // Agents are created, and so register, in preload order.
+  std::vector<AgentId> agents;
+  const std::array<SimTime, 3> preload_at{SimTime::from_seconds(12),
+                                          SimTime::from_seconds(33),
+                                          SimTime::from_seconds(51)};
+  for (std::size_t i = 0; i < preload_at.size(); ++i) {
+    grid.sim().schedule_at(preload_at[i], [&, i] {
+      broker.preload_agent(grid.site(i).id());
+      agents.push_back(broker.agents().agents().back()->id());
+    });
+  }
+  Outcome outcome;
+  JobId job;
+  grid.sim().schedule_at(SimTime::from_seconds(75), [&] {
+    job = broker
+              .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                                "MachineAccess = \"shared\";"),
+                      UserId{1}, lrms::Workload::cpu(20_s),
+                      GridScenario::ui_endpoint(), watch(outcome))
+              .value();
+  });
+
+  std::map<AgentId, std::uint64_t> ticks_visited;
+  std::vector<std::size_t> visited_per_tick;
+  for (int k = 1; k <= 15; ++k) {
+    const SimTime tick_at = SimTime::zero() + interval * k;
+    grid.sim().run_until(tick_at - Duration::micros(1));
+    // Every probe of the earlier ticks has been echoed by now: an agent has
+    // processed exactly one probe per tick since its registration.
+    for (glidein::GlideinAgent* agent : broker.agents().agents()) {
+      EXPECT_EQ(agent->last_echoed_probe(), ticks_visited[agent->id()])
+          << "agent " << agent->id().value() << " before tick " << k;
+    }
+    // The tick must visit every registered agent that is still deployed.
+    const std::uint64_t registered = registrations();
+    ASSERT_LE(registered, agents.size());
+    std::vector<AgentId> expected;
+    for (std::size_t i = 0; i < registered; ++i) {
+      if (broker.agents().find(agents[i]) != nullptr) expected.push_back(agents[i]);
+    }
+    const std::uint64_t heartbeats_before = heartbeats();
+    const std::uint64_t probes_before = liveness_probes();
+    grid.sim().run_until(tick_at);
+    ASSERT_EQ(registrations(), registered) << "registration at tick " << k;
+    EXPECT_EQ(heartbeats() - heartbeats_before, expected.size()) << "tick " << k;
+    EXPECT_EQ(liveness_probes() - probes_before, expected.size()) << "tick " << k;
+    for (const AgentId id : expected) ++ticks_visited[id];
+    visited_per_tick.push_back(expected.size());
+  }
+
+  // The staggered registrations and the dismissal all happened between
+  // ticks: the visited set grew one agent at a time, then shrank by one.
+  ASSERT_TRUE(outcome.completed);
+  ASSERT_EQ(agents.size(), 3u);
+  const AgentId dismissed = *broker.record(job)->subjobs.front().agent;
+  EXPECT_EQ(broker.agents().find(dismissed), nullptr);
+  EXPECT_EQ(broker.agents().total_agents(), 2);
+  for (const std::size_t n : {0u, 1u, 2u, 3u}) {
+    EXPECT_NE(std::find(visited_per_tick.begin(), visited_per_tick.end(), n),
+              visited_per_tick.end())
+        << "no tick visited " << n << " agents";
+  }
+  EXPECT_EQ(visited_per_tick.back(), 2u);
 }
 
 TEST_F(BrokerFixture, BspWorkloadGatedBySlowestRank) {

@@ -16,7 +16,6 @@
 
 #include "broker/fault_bridge.hpp"
 #include "broker/grid_scenario.hpp"
-#include "broker/job_trace.hpp"
 #include "interpose/interactive_session.hpp"
 #include "sim/fault.hpp"
 #include "stream/grid_console.hpp"
@@ -164,11 +163,12 @@ struct AgentCrashRun {
 /// Timing-free projection of the trace: the sequence of decisions the broker
 /// took, without the virtual timestamps. The matchmaker fast path must make
 /// byte-identical decisions; only its internal latencies may differ.
-std::string decision_digest(const broker::JobTrace& trace) {
+std::string decision_digest(const obs::JobTracer& trace) {
   std::string out;
-  for (const broker::TraceEvent& event : trace.events()) {
-    out += std::to_string(event.job.value()) + "|" + event.kind + "|" +
-           event.detail + "\n";
+  for (const obs::JobTraceEvent& event : trace.events()) {
+    out += std::to_string(event.job.value()) + "|" +
+           std::string{obs::to_string(event.kind)} + "|" + event.detail + "|" +
+           event.attrs.to_string() + "\n";
   }
   return out;
 }
@@ -179,14 +179,14 @@ std::string decision_digest(const broker::JobTrace& trace) {
 /// time by the FaultBridge. Recovery is opt-in via
 /// resubmit_interactive_on_agent_death.
 AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
-  broker::JobTrace trace;
   broker::GridScenarioConfig config;
   config.sites = 3;
   config.nodes_per_site = 2;
   config.broker.resubmit_interactive_on_agent_death = true;
   config.broker.matchmaker.use_fast_path = use_fast_path;
+  obs::Observability obs;
   broker::GridScenario grid{config};
-  grid.broker().set_trace(&trace);
+  grid.broker().set_observability(&obs);
 
   Outcome batch;
   (void)grid.broker().submit(parse_job("Executable = \"sim\";"), UserId{1},
@@ -216,16 +216,14 @@ AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
   result.interactive_completed = inter.completed;
   const broker::JobRecord* record = grid.broker().record(inter_id);
   result.interactive_resubmissions = record->resubmissions;
-  for (const broker::TraceEvent& event : trace.of_kind("resubmit")) {
-    if (event.job == inter_id) {
-      result.resubmit_at = event.when;
-      break;
-    }
+  if (const obs::JobTraceEvent* resubmit =
+          obs.tracer.first(inter_id, obs::TraceEventKind::kResubmitted)) {
+    result.resubmit_at = resubmit->when;
   }
   std::ostringstream digest;
-  digest << trace.to_csv() << "events=" << grid.sim().processed_events();
+  digest << obs.tracer.to_jsonl() << "events=" << grid.sim().processed_events();
   result.digest = digest.str();
-  result.decisions = decision_digest(trace);
+  result.decisions = decision_digest(obs.tracer);
   return result;
 }
 

@@ -4,6 +4,8 @@
 // end in virtual time.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "broker/grid_scenario.hpp"
 #include "util/stats.hpp"
 #include "stream/grid_console.hpp"
@@ -231,11 +233,11 @@ TEST(IntegrationTest, GrandTourEverySubsystemTogether) {
   config.customize_site = [](int index, lrms::SiteConfig& site) {
     site.cpu_speed = index == 0 ? 1.0 : 0.8;  // heterogeneous
   };
+  obs::Observability obs;
   broker::GridScenario grid{config};
+  grid.broker().set_observability(&obs);
   grid.register_user(UserId{1}, "batch-owner");
   grid.register_user(UserId{2}, "physicist");
-  broker::JobTrace trace;
-  grid.broker().set_trace(&trace);
 
   // Saturate with batch work (agents appear on all four nodes).
   int batch_completed = 0;
@@ -308,9 +310,9 @@ TEST(IntegrationTest, GrandTourEverySubsystemTogether) {
   grid.sim().run_until(SimTime::from_seconds(40000));
   EXPECT_EQ(batch_completed, 4);
   // ...and the trace recorded the whole story.
-  EXPECT_GE(trace.count("submitted"), 5u);
-  EXPECT_GE(trace.count("agent"), 4u);
-  EXPECT_GE(trace.count("match"), 8u);
+  EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kSubmitted), 5u);
+  EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kAgentDeployed), 4u);
+  EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kMatched), 8u);
 }
 
 }  // namespace

@@ -293,12 +293,17 @@ protected:
     return c;
   }
 
+  /// A flush callback that stores each flushed segment as a string.
+  FlushBuffer::FlushFn collect() {
+    return [this](ChunkRef data) { flushes.push_back(data.to_string()); };
+  }
+
   sim::Simulation sim;
   std::vector<std::string> flushes;
 };
 
 TEST_F(FlushBufferFixture, NewlineTriggersImmediateFlush) {
-  FlushBuffer buf{sim, small_config(), [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, small_config(), collect()};
   buf.append("hello\nworld");
   ASSERT_EQ(flushes.size(), 1u);
   EXPECT_EQ(flushes[0], "hello\n");
@@ -308,7 +313,7 @@ TEST_F(FlushBufferFixture, NewlineTriggersImmediateFlush) {
 TEST_F(FlushBufferFixture, CapacityTriggersFlush) {
   FlushBufferConfig config = small_config();
   config.flush_on_newline = false;
-  FlushBuffer buf{sim, config, [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, config, collect()};
   buf.append(std::string(40, 'x'));
   ASSERT_EQ(flushes.size(), 2u);
   EXPECT_EQ(flushes[0].size(), 16u);
@@ -317,7 +322,7 @@ TEST_F(FlushBufferFixture, CapacityTriggersFlush) {
 }
 
 TEST_F(FlushBufferFixture, TimeoutTriggersFlush) {
-  FlushBuffer buf{sim, small_config(), [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, small_config(), collect()};
   buf.append("abc");
   EXPECT_TRUE(flushes.empty());
   sim.run();
@@ -327,7 +332,7 @@ TEST_F(FlushBufferFixture, TimeoutTriggersFlush) {
 }
 
 TEST_F(FlushBufferFixture, TimeoutMeasuredFromFirstUnflushedByte) {
-  FlushBuffer buf{sim, small_config(), [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, small_config(), collect()};
   buf.append("a");
   sim.schedule(50_ms, [&] { buf.append("b"); });  // must NOT reset the clock
   sim.run();
@@ -337,7 +342,7 @@ TEST_F(FlushBufferFixture, TimeoutMeasuredFromFirstUnflushedByte) {
 }
 
 TEST_F(FlushBufferFixture, ManualFlushAndEmptyFlushNoop) {
-  FlushBuffer buf{sim, small_config(), [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, small_config(), collect()};
   buf.flush();  // nothing buffered
   EXPECT_TRUE(flushes.empty());
   buf.append("xy");
@@ -358,7 +363,7 @@ TEST_F(FlushBufferFixture, OversizeAppendFlushesOncePerCapacityInOnePass) {
   for (std::size_t i = 0; i < input.size(); ++i) {
     input[i] = static_cast<char>('a' + i % 26);  // position-dependent bytes
   }
-  FlushBuffer buf{sim, config, [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, config, collect()};
   buf.append(input);
   ASSERT_EQ(flushes.size(), 10u);
   EXPECT_EQ(buf.flush_count(FlushReason::kCapacity), 10u);
@@ -385,7 +390,7 @@ TEST_F(FlushBufferFixture, OversizeAppendWithNewlinesReassembles) {
     input += "line " + std::to_string(i) + "\n";  // 7-8 bytes, newline flush
     input += std::string(20, static_cast<char>('A' + i));  // capacity flush
   }
-  FlushBuffer buf{sim, config, [&](std::string d) { flushes.push_back(d); }};
+  FlushBuffer buf{sim, config, collect()};
   buf.append(input);
   buf.flush();
   std::string reassembled;
@@ -398,7 +403,7 @@ TEST_F(FlushBufferFixture, OversizeAppendWithNewlinesReassembles) {
 TEST_F(FlushBufferFixture, Validation) {
   FlushBufferConfig zero;
   zero.capacity = 0;
-  EXPECT_THROW(FlushBuffer(sim, zero, [](std::string) {}), std::invalid_argument);
+  EXPECT_THROW(FlushBuffer(sim, zero, collect()), std::invalid_argument);
   EXPECT_THROW(FlushBuffer(sim, small_config(), FlushBuffer::FlushFn{}),
                std::invalid_argument);
 }
