@@ -1,20 +1,24 @@
-// Matchmaking scale benchmark: runs the same deterministic workload through
-// the legacy path (per-site ClassAd rebuild + AST interpretation over every
-// published record) and the fast path (cached machine views, compiled
-// Requirements/Rank, free-CPU + health index pruning, fused filter+select),
-// asserts both produce byte-identical decision digests — with SiteHealth
-// scoring active and nontrivial throughout — and reports throughput.
+// Matchmaking scale benchmark: runs a deterministic workload through the
+// broker's discovery and selection path (cached index replies, cached
+// machine views, compiled Requirements/Rank, fused filter+select) with
+// SiteHealth scoring active and nontrivial throughout, folds every decision
+// into an FNV-1a digest, and reports throughput. Each grid size's digest and
+// matched count are pinned constants, measured when the ClassAd interpreter
+// still ran beside the compiled path and both made these exact decisions;
+// any drift is a decision change and fails the run.
 //
 // Usage:
 //   match_scale                 full sweep (sites {100,1000,10000} x jobs)
-//   match_scale --smoke         smallest grid only; exit 1 on divergence
+//   match_scale --smoke         smallest grid only
 //   match_scale --json <path>   also write machine-readable results
+// Exit status 1 when any row's digest or matched count differs from its pin.
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,7 +44,7 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 /// Deterministic site population: mixed arches, node counts, memory sizes
 /// and free-CPU levels (including full sites), all pure functions of the
-/// site index so both paths see the identical grid.
+/// site index.
 infosys::SiteRecord make_site(std::uint64_t i) {
   infosys::SiteRecord r;
   r.static_info.id = SiteId{i};
@@ -88,37 +92,24 @@ struct RunResult {
   std::size_t matched = 0;
 };
 
-/// Runs `jobs` matchmaking rounds against `n_sites` published sites through
-/// one path. Every decision (including "no match") folds into the digest;
-/// matched jobs acquire a lease (with deterministic release churn) so the
-/// free-CPU index sees deltas of both signs mid-run, and every 16th job a
+/// Runs `jobs` matchmaking rounds against `n_sites` published sites. Every
+/// decision (including "no match") folds into the digest; matched jobs
+/// acquire a lease (with deterministic release churn) so the matchmaker's
+/// lease shadowing sees deltas of both signs mid-run, and every 16th job a
 /// site republishes with shifted load to exercise cache invalidation.
 /// SiteHealth runs hot the whole time: a deterministic pre-seeded spread of
 /// hard-excluded, penalized, and tie-biased sites plus in-loop miss/reward
-/// churn, identical on both paths — the digest assertion therefore covers
-/// suspicion-aware placement (including the fast path's index pruning).
-RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
+/// churn, so the digest covers suspicion-aware placement.
+RunResult run(std::size_t n_sites, std::size_t jobs) {
   sim::Simulation sim;
   infosys::InformationSystemConfig icfg;
   icfg.index_query_latency = Duration::millis(1);
   icfg.default_site_query_latency = Duration::millis(1);
   infosys::InformationSystem is{sim, icfg};
   LeaseManager leases{sim};
-  leases.set_observer(
-      [&is](SiteId site, int delta) { is.apply_lease_delta(site, delta); });
   SiteHealth health{sim};
-  MatchmakerConfig mc;
-  mc.use_fast_path = fast;
-  Matchmaker mm{mc};
+  Matchmaker mm;
   mm.set_site_health(&health);
-  is.set_health_provider(
-      [&health](SiteId site, SimTime delivery_time) {
-        return health.hard_excluded_at(site, delivery_time);
-      },
-      [&health](SiteId site, SimTime delivery_time) {
-        return health.exclusion_ends_after(site, delivery_time);
-      },
-      [&health] { return health.exclusion_epoch(); });
   Rng rng{kSeed};
 
   for (std::uint64_t i = 1; i <= n_sites; ++i) {
@@ -147,27 +138,15 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
     const int needed = needed_cpus(j);
     std::optional<Candidate> picked;
     bool delivered = false;
-    if (fast) {
-      is.query_index_matching(
-          needed,
-          [&, compiled = mm.compile(desc)](
-              std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
-                  records) {
-            picked = mm.match_one(*compiled, CandidateSource{*records}, leases,
-                                  needed, rng);
-            delivered = true;
-          });
-    } else {
-      is.query_index([&](std::vector<infosys::SiteRecord> records) {
-        const auto candidates = mm.filter(desc, records, leases, needed);
-        if (const auto site = mm.select(candidates, rng)) {
-          for (const auto& c : candidates) {
-            if (c.site == *site) picked = c;
-          }
-        }
-        delivered = true;
-      });
-    }
+    is.query_index_matching(
+        needed,
+        [&, compiled = mm.compile(desc)](
+            std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
+                records) {
+          picked = mm.match_one(*compiled, CandidateSource{*records}, leases,
+                                needed, rng);
+          delivered = true;
+        });
     sim.run_until(sim.now() + Duration::millis(2));
     if (!delivered) {
       std::cerr << "index query never delivered\n";
@@ -186,16 +165,15 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
         active.pop_front();
       }
     }
-    // Health churn between rounds (both paths see the same sequence at the
-    // same virtual times): fresh evidence against a rotating site, rewards
-    // on some matched sites.
+    // Health churn between rounds: fresh evidence against a rotating site,
+    // rewards on some matched sites.
     if (j % 4 == 0) {
       health.note_liveness_miss(SiteId{1 + (j * 13) % n_sites});
     }
     if (picked && j % 8 == 3) health.note_completion(picked->site);
     if (j % 16 == 15) {
       // Republish one site with shifted load: invalidates its cached
-      // machine view and moves it in the free-CPU index.
+      // machine view and every cached index reply.
       auto churned = make_site(1 + (j * 31) % n_sites);
       churned.dynamic_info.free_cpus =
           (churned.dynamic_info.free_cpus + static_cast<int>(j)) %
@@ -208,18 +186,39 @@ RunResult run_path(std::size_t n_sites, std::size_t jobs, bool fast) {
   return out;
 }
 
+/// A pinned grid size: the digest and matched count its decisions fold to.
+struct Pin {
+  std::size_t sites;
+  std::size_t jobs;
+  std::uint64_t digest;
+  std::size_t matched;
+};
+
+constexpr Pin kSmokePins[] = {{100, 16, 0xe0b130b0a9b9721cULL, 16}};
+constexpr Pin kSweepPins[] = {
+    {100, 128, 0x1e5e3af64527f8a8ULL, 128},
+    {1000, 128, 0x1859cc0a669119c0ULL, 128},
+    {10000, 64, 0xb5bbb9fcef207a75ULL, 64},
+};
+
 struct Row {
-  std::size_t sites = 0;
-  std::size_t jobs = 0;
-  RunResult legacy;
-  RunResult fast;
-  [[nodiscard]] bool digests_match() const {
-    return legacy.digest == fast.digest && legacy.matched == fast.matched;
+  Pin pin;
+  RunResult result;
+  [[nodiscard]] bool digest_match() const {
+    return result.digest == pin.digest && result.matched == pin.matched;
   }
-  [[nodiscard]] double speedup() const {
-    return fast.seconds > 0.0 ? legacy.seconds / fast.seconds : 0.0;
+  [[nodiscard]] double jobs_per_sec() const {
+    return result.seconds > 0.0
+               ? static_cast<double>(pin.jobs) / result.seconds
+               : 0.0;
   }
 };
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream out;
+  out << "0x" << std::hex << v;
+  return out.str();
+}
 
 void write_json(const std::string& path, const std::vector<Row>& rows) {
   std::ofstream f{path};
@@ -227,16 +226,12 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
     << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    f << "    {\"sites\": " << r.sites << ", \"jobs\": " << r.jobs
-      << ", \"matched\": " << r.legacy.matched
-      << ", \"legacy_seconds\": " << r.legacy.seconds
-      << ", \"fast_seconds\": " << r.fast.seconds
-      << ", \"legacy_jobs_per_sec\": "
-      << static_cast<double>(r.jobs) / r.legacy.seconds
-      << ", \"fast_jobs_per_sec\": "
-      << static_cast<double>(r.jobs) / r.fast.seconds
-      << ", \"speedup\": " << r.speedup() << ", \"digest_match\": "
-      << (r.digests_match() ? "true" : "false") << "}"
+    f << "    {\"sites\": " << r.pin.sites << ", \"jobs\": " << r.pin.jobs
+      << ", \"matched\": " << r.result.matched
+      << ", \"seconds\": " << r.result.seconds
+      << ", \"jobs_per_sec\": " << r.jobs_per_sec() << ", \"digest\": \""
+      << hex(r.result.digest) << "\", \"digest_match\": "
+      << (r.digest_match() ? "true" : "false") << "}"
       << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   f << "  ]\n}\n";
@@ -259,46 +254,40 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::pair<std::size_t, std::size_t>> combos;
+  std::vector<Pin> pins;
   if (smoke) {
-    combos = {{100, 16}};
+    pins.assign(std::begin(kSmokePins), std::end(kSmokePins));
   } else {
-    combos = {{100, 128}, {1000, 128}, {10000, 64}};
+    pins.assign(std::begin(kSweepPins), std::end(kSweepPins));
   }
 
-  std::cout << "== match_scale: legacy vs fast matchmaking ==\n";
+  std::cout << "== match_scale: compiled matchmaking vs pinned decisions ==\n";
   std::vector<Row> rows;
   bool diverged = false;
-  for (const auto& [sites, jobs] : combos) {
-    Row row;
-    row.sites = sites;
-    row.jobs = jobs;
-    row.legacy = run_path(sites, jobs, /*fast=*/false);
-    row.fast = run_path(sites, jobs, /*fast=*/true);
-    if (!row.digests_match()) {
+  for (const Pin& pin : pins) {
+    Row row{pin, run(pin.sites, pin.jobs)};
+    if (!row.digest_match()) {
       diverged = true;
-      std::cerr << "[FAIL] decision divergence at " << sites << " sites: legacy="
-                << std::hex << row.legacy.digest << " fast=" << row.fast.digest
-                << std::dec << " (matched " << row.legacy.matched << " vs "
-                << row.fast.matched << ")\n";
+      std::cerr << "[FAIL] decision drift at " << pin.sites << " sites x "
+                << pin.jobs << " jobs: digest " << hex(row.result.digest)
+                << " (pinned " << hex(pin.digest) << "), matched "
+                << row.result.matched << " (pinned " << pin.matched << ")\n";
     }
     rows.push_back(row);
   }
 
-  cg::TablePrinter table{{"Sites", "Jobs", "Matched", "Legacy s", "Fast s",
-                          "Speedup", "Digest"}};
+  cg::TablePrinter table{
+      {"Sites", "Jobs", "Matched", "Seconds", "Jobs/s", "Digest"}};
   for (const Row& r : rows) {
-    table.add_row({std::to_string(r.sites), std::to_string(r.jobs),
-                   std::to_string(r.legacy.matched),
-                   cg::fmt_fixed(r.legacy.seconds, 4),
-                   cg::fmt_fixed(r.fast.seconds, 4),
-                   cg::fmt_fixed(r.speedup(), 1) + "x",
-                   r.digests_match() ? "match" : "DIVERGED"});
+    table.add_row({std::to_string(r.pin.sites), std::to_string(r.pin.jobs),
+                   std::to_string(r.result.matched),
+                   cg::fmt_fixed(r.result.seconds, 4),
+                   cg::fmt_fixed(r.jobs_per_sec(), 0),
+                   r.digest_match() ? "pinned" : "DRIFTED"});
   }
   std::cout << table.render() << "\n";
   if (!json_path.empty()) write_json(json_path, rows);
-  std::cout << (diverged
-                    ? "[MISS] fast path diverged from legacy decisions\n"
-                    : "[ok]   identical decisions on both paths\n");
+  std::cout << (diverged ? "[MISS] decisions drifted from the pinned digests\n"
+                         : "[ok]   every decision digest matches its pin\n");
   return diverged ? 1 : 0;
 }

@@ -1,7 +1,7 @@
-// CandidateSource: a non-owning view unifying the two record-container
-// shapes matchmaking scans — owned SiteRecord vectors (fresh per-site
-// queries, legacy index replies) and shared IndexSnapshot pointer vectors
-// (fast-path index replies). The matchmaker's coarse filter and fused
+// CandidateSource: a non-owning view unifying the record-container shapes
+// matchmaking scans — owned SiteRecord vectors (fresh per-site queries),
+// shared IndexSnapshot pointer vectors (index replies), and raw-pointer
+// vectors screened from a snapshot. The matchmaker's coarse filter and fused
 // match run over this one view, so site-health consultation and every other
 // per-record policy lives in exactly one implementation instead of a
 // template instantiated per container shape.

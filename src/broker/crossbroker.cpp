@@ -44,35 +44,14 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
       site_health_{sim, config.site_health} {
   fair_share_.start();
   // Suspicion-aware placement: every matchmaking pass consults the health
-  // scores, and the free-CPU index prunes hard-excluded sites from matching
-  // queries using the decay-only projection to delivery time (the pruned
-  // and unpruned discovery paths stay decision-identical; see SiteHealth).
+  // scores, the coarse pass over the index reply included.
   matchmaker_.set_site_health(&site_health_);
-  // The horizon + epoch feeds let the index cache matching replies: the
-  // excluded-site set is provably unchanged while no site entered exclusion
-  // (epoch) and no pruned site could have decayed out (horizon).
-  infosys_.set_health_provider(
-      [this](SiteId site, SimTime delivery_time) {
-        return site_health_.hard_excluded_at(site, delivery_time);
-      },
-      [this](SiteId site, SimTime delivery_time) {
-        return site_health_.exclusion_ends_after(site, delivery_time);
-      },
-      [this] { return site_health_.exclusion_epoch(); });
-  // Keep the information system's free-CPU index lease-aware: every
-  // acquire/release/expiry adjusts the indexed effective count, so the
-  // fast-path discovery prunes against live lease state.
-  leases_.set_observer([this](SiteId site, int cpu_delta) {
-    infosys_.apply_lease_delta(site, cpu_delta);
-  });
-  // Machine-ad cache invalidations (republish, unregister, lease deltas)
-  // surface as a counter; no-op until observability is attached. This fires
-  // on every publication and lease delta, so it dispatches to pre-bound
-  // per-reason handles instead of building a label set per event.
+  // Machine-ad cache invalidations (republish, unregister) surface as a
+  // counter; no-op until observability is attached. This fires on every
+  // publication, so it dispatches to pre-bound per-reason handles instead of
+  // building a label set per event.
   infosys_.set_invalidation_listener([this](SiteId, const char* reason) {
-    if (std::strcmp(reason, "lease") == 0) {
-      metrics_.invalidations_lease.inc();
-    } else if (std::strcmp(reason, "republish") == 0) {
+    if (std::strcmp(reason, "republish") == 0) {
       metrics_.invalidations_republish.inc();
     } else {
       metrics_.invalidations_unregister.inc();
@@ -95,7 +74,6 @@ CrossBroker::~CrossBroker() {
   // that capture `this`.
   bus_.unbind(endpoint_);
   infosys_.set_invalidation_listener(nullptr);
-  infosys_.set_health_provider(nullptr);
 }
 
 void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
@@ -383,8 +361,7 @@ void CrossBroker::set_observability(obs::Observability* obs) {
       "broker.match.cache_invalidations", obs::LabelSet{{"reason", "republish"}});
   metrics_.invalidations_unregister = m.counter_handle(
       "broker.match.cache_invalidations", obs::LabelSet{{"reason", "unregister"}});
-  metrics_.invalidations_lease = m.counter_handle(
-      "broker.match.cache_invalidations", obs::LabelSet{{"reason", "lease"}});
+  metrics_.queue_depth = m.gauge_handle("broker.queue_depth");
   metrics_.leases_acquired = m.counter_handle("broker.leases_acquired");
   metrics_.lease_revocations = m.counter_handle("broker.lease_revocations");
   metrics_.liveness_probes = m.counter_handle("broker.liveness_probes");
@@ -430,10 +407,7 @@ void CrossBroker::set_state(ManagedJob& job, JobState state) {
   if (job.record.state == state) return;
   job.record.state = state;
   tracev(job.record.id, trace_kind_for(state), to_string(state));
-  if (obs_ != nullptr) {
-    obs_->metrics.gauge("broker.queue_depth")
-        .set(static_cast<double>(waiting_batch_.size()));
-  }
+  metrics_.queue_depth.set(static_cast<double>(waiting_batch_.size()));
   if (job.callbacks.on_state_change) job.callbacks.on_state_change(job.record);
 }
 
@@ -502,58 +476,18 @@ void CrossBroker::begin_discovery(JobId id) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
   set_state(*job, JobState::kDiscovery);
-  if (config_.matchmaker.use_fast_path) {
-    // The free-CPU index prunes sites that cannot possibly fit the job;
-    // the pruning bound is lease-independent, so the surviving set equals
-    // what the full snapshot would yield after begin_selection's filters.
-    infosys_.query_index_matching(
-        needed_cpus_per_site(job->record.description),
-        [this, id](
-            std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
-                records) {
-          ManagedJob* j = find_job(id);
-          if (j == nullptr || is_terminal(j->record.state)) return;
-          j->record.timestamps.discovery_done = sim_.now();
-          begin_selection(id, std::move(records));
-        });
-  } else {
-    infosys_.query_index([this, id](std::vector<infosys::SiteRecord> records) {
-      ManagedJob* j = find_job(id);
-      if (j == nullptr || is_terminal(j->record.state)) return;
-      j->record.timestamps.discovery_done = sim_.now();
-      begin_selection(id, std::move(records));
-    });
-  }
-}
-
-void CrossBroker::begin_selection(JobId id, std::vector<infosys::SiteRecord> stale) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr || is_terminal(job->record.state)) return;
-  set_state(*job, JobState::kSelection);
-
-  // First filter on the (possibly stale) index data, excluding sites the job
-  // already failed on.
-  const int needed = needed_cpus_per_site(job->record.description);
-  std::vector<infosys::SiteRecord> considered;
-  for (auto& r : stale) {
-    const SiteId sid = r.static_info.id;
-    if (std::find(job->excluded_sites.begin(), job->excluded_sites.end(), sid) !=
-        job->excluded_sites.end()) {
-      continue;
-    }
-    if (sites_.contains(sid)) considered.push_back(std::move(r));
-  }
-  const bool fast = config_.matchmaker.use_fast_path;
-  if (fast && job->compiled_match == nullptr) {
-    job->compiled_match = matchmaker_.compile(job->record.description);
-  }
-  // Coarse pass on the (possibly stale) records: only the surviving site
-  // ids matter here — rank is deferred to the fresh data below.
-  continue_selection(
-      id, matchmaker_.filter_sites(
-              job->record.description,
-              fast ? job->compiled_match.get() : nullptr,
-              CandidateSource{considered}, leases_, needed));
+  // The index replies with the published records whose published free CPUs
+  // cover the job; leases and site health are applied at selection.
+  infosys_.query_index_matching(
+      needed_cpus_per_site(job->record.description),
+      [this, id](
+          std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
+              records) {
+        ManagedJob* j = find_job(id);
+        if (j == nullptr || is_terminal(j->record.state)) return;
+        j->record.timestamps.discovery_done = sim_.now();
+        begin_selection(id, std::move(records));
+      });
 }
 
 void CrossBroker::begin_selection(
@@ -563,10 +497,11 @@ void CrossBroker::begin_selection(
   if (job == nullptr || is_terminal(job->record.state)) return;
   set_state(*job, JobState::kSelection);
 
+  // First filter on the (possibly stale) index data, excluding sites the job
+  // already failed on. Screen by raw pointer: the shared snapshot (held
+  // alive by `stale` for the duration of this call) is the owner, so no
+  // shared_ptr refcount traffic per considered record.
   const int needed = needed_cpus_per_site(job->record.description);
-  // Screen by raw pointer: the shared snapshot (held alive by `stale` for
-  // the duration of this call) is the owner, so no shared_ptr refcount
-  // traffic per considered record.
   std::vector<const infosys::SiteRecord*> considered;
   considered.reserve(stale->size());
   for (const auto& r : *stale) {
@@ -580,9 +515,10 @@ void CrossBroker::begin_selection(
   if (job->compiled_match == nullptr) {
     job->compiled_match = matchmaker_.compile(job->record.description);
   }
+  // Coarse pass on the (possibly stale) records: only the surviving site
+  // ids matter here — rank is deferred to the fresh data below.
   continue_selection(
-      id, matchmaker_.filter_sites(job->record.description,
-                                   job->compiled_match.get(),
+      id, matchmaker_.filter_sites(*job->compiled_match,
                                    CandidateSource{considered}, leases_,
                                    needed));
 }
@@ -615,25 +551,20 @@ void CrossBroker::continue_selection(JobId id, std::vector<SiteId> coarse) {
       const auto& d = j->record.description;
       const bool shared_interactive =
           d.is_interactive() && d.machine_access() == jdl::MachineAccess::kShared;
-      if (j->compiled_match != nullptr && !shared_interactive &&
-          d.flavor() == jdl::JobFlavor::kSequential) {
-        // Fast path, sequential, no VM placement possible in place_job:
-        // fuse filter+select in one streaming pass. Shared-mode jobs keep
-        // the two-step form because place_job may cover them with
-        // interactive VMs without ever consulting the candidates (and
-        // without consuming the tie-breaking rng).
+      if (!shared_interactive && d.flavor() == jdl::JobFlavor::kSequential) {
+        // Sequential, no VM placement possible in place_job: fuse
+        // filter+select in one streaming pass. Shared-mode jobs keep the
+        // two-step form because place_job may cover them with interactive
+        // VMs without ever consulting the candidates (and without consuming
+        // the tie-breaking rng).
         place_job(id, {},
                   matchmaker_.match_one(*j->compiled_match,
                                         CandidateSource{*fresh}, leases_, cpus,
                                         rng_));
         return;
       }
-      std::vector<Candidate> final_candidates =
-          j->compiled_match != nullptr
-              ? matchmaker_.filter_compiled(*j->compiled_match, *fresh, leases_,
-                                            cpus)
-              : matchmaker_.filter(j->record.description, *fresh, leases_, cpus);
-      place_job(id, std::move(final_candidates));
+      place_job(id, matchmaker_.filter_compiled(*j->compiled_match, *fresh,
+                                                leases_, cpus));
     });
   }
 }
@@ -719,8 +650,9 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
     Expected<mpijob::AllocationPlan> plan{sequential_plan};
     if (desc.flavor() == jdl::JobFlavor::kSequential) {
       // Sequential placement honours the job's Rank expression and the
-      // randomized tie-breaking policy via the matchmaker. The fast path
-      // already fused that decision into `preselected`.
+      // randomized tie-breaking policy via the matchmaker. Outside shared
+      // mode, continue_selection already fused that decision into
+      // `preselected`.
       const auto site = preselected.has_value()
                             ? std::optional<SiteId>{preselected->site}
                             : matchmaker_.select(candidates, rng_);

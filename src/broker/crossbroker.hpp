@@ -227,8 +227,8 @@ private:
     int subjobs_completed = 0;
     bool queue_timer_armed = false;
     bool staging_out = false;  ///< OutputSandbox transfer in progress
-    /// Requirements/Rank compiled once per job, reused across scheduling
-    /// attempts and resubmissions (fast path only).
+    /// Requirements/Rank compiled once per job at its first selection,
+    /// reused across scheduling attempts and resubmissions.
     std::shared_ptr<const jdl::CompiledMatch> compiled_match;
     /// Runtime barrier coordination for BSP workloads (multi-rank only).
     std::unique_ptr<mpijob::RuntimeBarrierCoordinator> barrier_coordinator;
@@ -276,18 +276,17 @@ private:
   // -- pipeline ------------------------------------------------------------
   void schedule_job(JobId id);
   void begin_discovery(JobId id);
-  void begin_selection(JobId id, std::vector<infosys::SiteRecord> stale_records);
-  /// Fast-path variant: the shared index snapshot is scanned in place —
-  /// neither the records nor their shared_ptrs are copied.
+  /// Coarse pass over the index reply: the shared snapshot is scanned in
+  /// place — neither the records nor their shared_ptrs are copied.
   void begin_selection(
       JobId id,
       std::shared_ptr<const infosys::InformationSystem::IndexSnapshot> stale);
-  /// Common tail of both begin_selection overloads: fresh per-site queries
-  /// over the coarse survivors, then the final filter + placement.
+  /// Fresh per-site queries over the coarse survivors, then the final
+  /// filter + placement.
   void continue_selection(JobId id, std::vector<SiteId> coarse);
-  /// `preselected` carries the fused filter+select decision of the fast
-  /// path for sequential jobs; absent, the sequential branch selects from
-  /// `fresh_candidates` itself (legacy path, or no match -> no resources).
+  /// `preselected` carries the fused filter+select decision for sequential
+  /// jobs outside shared mode; absent, the sequential branch selects from
+  /// `fresh_candidates` itself (shared mode, or no match -> no resources).
   void place_job(JobId id, std::vector<Candidate> fresh_candidates,
                  std::optional<Candidate> preselected = std::nullopt);
   void handle_no_resources(JobId id);
@@ -384,10 +383,10 @@ private:
   struct BrokerMetrics {
     obs::CounterHandle invalidations_republish;
     obs::CounterHandle invalidations_unregister;
-    obs::CounterHandle invalidations_lease;
     obs::CounterHandle leases_acquired;
     obs::CounterHandle lease_revocations;
     obs::CounterHandle liveness_probes;
+    obs::GaugeHandle queue_depth;
     /// Indexed by PlacementKind (the histogram's "placement" label).
     std::array<obs::HistogramHandle, 5> match_latency;
     std::map<SiteId, obs::CounterHandle> heartbeat_misses;

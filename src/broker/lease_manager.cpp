@@ -56,7 +56,6 @@ void LeaseManager::account(SiteId site, int cpu_delta) {
   const auto it = by_site_.try_emplace(site, 0).first;
   it->second += cpu_delta;
   if (it->second <= 0) by_site_.erase(it);
-  notify(site, cpu_delta);
 }
 
 }  // namespace cg::broker

@@ -5,7 +5,6 @@
 // or are released when the match either commits or fails.
 #pragma once
 
-#include <functional>
 #include <map>
 
 #include "sim/simulation.hpp"
@@ -38,25 +37,14 @@ public:
   [[nodiscard]] int leased_cpus(SiteId site) const;
   [[nodiscard]] std::size_t active_leases() const { return leases_.size(); }
 
-  /// Observer fired on every change to a site's leased-CPU total: positive
-  /// delta on acquire, negative on release and on expiry. The broker wires
-  /// this to the information system's free-CPU index so matchmaking pruning
-  /// tracks leases incrementally. Single observer; nullptr detaches.
-  using LeaseObserver = std::function<void(SiteId, int cpu_delta)>;
-  void set_observer(LeaseObserver observer) { observer_ = std::move(observer); }
-
 private:
-  void notify(SiteId site, int cpu_delta) {
-    if (observer_) observer_(site, cpu_delta);
-  }
-
   struct Lease {
     SiteId site;
     int cpus;
     sim::EventHandle expiry;
   };
 
-  /// Applies a delta to the per-site aggregate and notifies the observer.
+  /// Applies a delta to the per-site aggregate.
   void account(SiteId site, int cpu_delta);
 
   sim::Simulation& sim_;
@@ -64,7 +52,6 @@ private:
   std::map<LeaseId, Lease> leases_;
   /// Leased CPUs per site (entries removed when they reach zero).
   std::map<SiteId, int> by_site_;
-  LeaseObserver observer_;
 };
 
 }  // namespace cg::broker

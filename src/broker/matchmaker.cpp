@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "jdl/eval.hpp"
-
 namespace cg::broker {
 
 namespace {
@@ -36,30 +34,7 @@ double Matchmaker::health_penalty(SiteId site) const {
 std::vector<Candidate> Matchmaker::filter(
     const jdl::JobDescription& job, const std::vector<infosys::SiteRecord>& records,
     const LeaseManager& leases, int needed_cpus) const {
-  if (config_.use_fast_path) {
-    return filter_compiled(*compile(job), records, leases, needed_cpus);
-  }
-  std::vector<Candidate> out;
-  out.reserve(records.size());
-  std::size_t excluded = 0;
-  for (const auto& record : records) {
-    const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
-    if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
-
-    jdl::ClassAd machine = record.to_classad();
-    machine.set_int("FreeCPUs", effective);  // leases shadow the raw count
-    if (!jdl::symmetric_match(job.ad(), machine)) continue;
-
-    Candidate c;
-    c.site = record.static_info.id;
-    c.effective_free_cpus = effective;
-    c.rank = rank_of(job, machine) - health_penalty(c.site);
-    out.push_back(c);
-  }
-  note_scan("fresh", records.size(), 0, 0, excluded, !out.empty());
-  return out;
+  return filter_compiled(*compile(job), records, leases, needed_cpus);
 }
 
 std::vector<Candidate> Matchmaker::filter_compiled(
@@ -98,10 +73,10 @@ std::vector<Candidate> Matchmaker::filter_compiled(
 }
 
 std::vector<SiteId> Matchmaker::filter_sites(
-    const jdl::JobDescription& job, const jdl::CompiledMatch* compiled,
-    CandidateSource records, const LeaseManager& leases, int needed_cpus) const {
+    const jdl::CompiledMatch& compiled, CandidateSource records,
+    const LeaseManager& leases, int needed_cpus) const {
   std::vector<SiteId> out;
-  if (compiled != nullptr && compiled->never_matches()) {
+  if (compiled.never_matches()) {
     note_scan("coarse", 0, 0, 0);
     return out;
   }
@@ -115,15 +90,9 @@ std::vector<SiteId> Matchmaker::filter_sites(
         record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
     if (effective < needed_cpus) continue;
     if (health_excluded(record.static_info.id, excluded)) continue;
-    if (compiled != nullptr) {
-      record.cache_primed() ? ++hits : ++misses;
-      if (!compiled->matches(slot_context(record.machine_view(), effective))) {
-        continue;
-      }
-    } else {
-      jdl::ClassAd machine = record.to_classad();
-      machine.set_int("FreeCPUs", effective);
-      if (!jdl::symmetric_match(job.ad(), machine)) continue;
+    record.cache_primed() ? ++hits : ++misses;
+    if (!compiled.matches(slot_context(record.machine_view(), effective))) {
+      continue;
     }
     out.push_back(record.static_info.id);
   }
@@ -187,22 +156,6 @@ std::optional<Candidate> Matchmaker::match_one(
   const Candidate& chosen =
       config_.randomize_ties ? ties[rng.pick_index(ties.size())] : ties.front();
   return chosen;
-}
-
-double Matchmaker::rank_of(const jdl::JobDescription& job,
-                           const jdl::ClassAd& machine) const {
-  const jdl::ExprPtr rank_expr = job.rank();
-  if (rank_expr) {
-    jdl::EvalContext ctx;
-    ctx.self = &job.ad();
-    ctx.other = &machine;
-    const jdl::Value v = jdl::evaluate(*rank_expr, ctx);
-    if (v.is_number()) return v.as_number();
-    return 0.0;  // non-numeric rank: neutral
-  }
-  // Default rank: prefer emptier sites.
-  const auto free = machine.get_int("FreeCPUs");
-  return free ? static_cast<double>(*free) : 0.0;
 }
 
 std::optional<SiteId> Matchmaker::select(const std::vector<Candidate>& candidates,

@@ -4,18 +4,16 @@
 // candidates — the paper's "randomized selection of resources ... used to
 // generate different answers when there are multiple resource choices".
 //
-// Two equivalent evaluation paths (MatchmakerConfig::use_fast_path):
-//  * legacy: rebuild each site's ClassAd and re-walk the job's ASTs per
-//    site (the reference implementation, kept for A/B testing);
-//  * fast: evaluate the job's CompiledMatch against each record's cached
-//    slot values — no ClassAd construction, no map lookups, constant
-//    conjuncts decided once per job. Same-seed runs of both paths must
-//    produce identical decisions; tests diff their trace digests.
+// Every pass evaluates the job's CompiledMatch against each record's cached
+// slot values — no ClassAd construction, no map lookups, constant conjuncts
+// decided once per job. The ClassAd interpreter (jdl::symmetric_match over
+// SiteRecord::to_classad()) stays the reference semantics: the tests compare
+// every compiled decision against it, and bench/match_scale pins the
+// decision digests.
 //
 // Suspicion-aware placement: with a SiteHealth attached (set_site_health),
 // hard-excluded sites are skipped by every pass and each surviving
-// candidate's rank is reduced by the site's health penalty — identically on
-// both paths, so decision digests stay byte-identical with scoring active.
+// candidate's rank is reduced by the site's health penalty.
 #pragma once
 
 #include <memory>
@@ -49,10 +47,6 @@ struct MatchmakerConfig {
   /// When false, the first tied candidate wins deterministically (the
   /// baseline the randomized-selection ablation compares against).
   bool randomize_ties = true;
-  /// Compiled-expression fast path (cached machine views, slot-indexed
-  /// evaluation, fused filter+select). Off = the legacy per-site ClassAd
-  /// interpretation. Both produce identical decisions for the same seed.
-  bool use_fast_path = true;
 };
 
 class Matchmaker {
@@ -66,8 +60,8 @@ public:
       const jdl::JobDescription& job, const std::vector<infosys::SiteRecord>& records,
       const LeaseManager& leases, int needed_cpus) const;
 
-  /// filter() against an already-compiled job (fast path; avoids
-  /// recompiling per scheduling attempt).
+  /// filter() against an already-compiled job (avoids recompiling per
+  /// scheduling attempt).
   [[nodiscard]] std::vector<Candidate> filter_compiled(
       const jdl::CompiledMatch& compiled,
       const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
@@ -75,13 +69,11 @@ public:
 
   /// The coarse (discovery-time) pass: which sites survive Requirements +
   /// capacity. Rank is not evaluated — the broker only needs the site list
-  /// to issue fresh queries. `compiled` selects the fast path; nullptr
-  /// interprets the ASTs like the legacy filter. The one implementation
-  /// scans any CandidateSource (record vectors and index snapshots alike).
+  /// to issue fresh queries. Scans any CandidateSource (record vectors and
+  /// index snapshots alike).
   [[nodiscard]] std::vector<SiteId> filter_sites(
-      const jdl::JobDescription& job, const jdl::CompiledMatch* compiled,
-      CandidateSource records, const LeaseManager& leases,
-      int needed_cpus) const;
+      const jdl::CompiledMatch& compiled, CandidateSource records,
+      const LeaseManager& leases, int needed_cpus) const;
 
   /// Compiles a job's Requirements/Rank against the machine slot layout.
   /// The result is immutable and shared across scheduling attempts.
@@ -91,8 +83,8 @@ public:
   /// Fused filter+select in one streaming pass: tracks the running best
   /// rank and the tie set instead of materializing every candidate.
   /// Consumes the rng exactly as filter()+select() would (one pick when at
-  /// least one candidate survives and randomize_ties is on), so fast and
-  /// legacy paths stay in rng lockstep.
+  /// least one candidate survives and randomize_ties is on), so the two
+  /// forms stay in rng lockstep.
   [[nodiscard]] std::optional<Candidate> match_one(
       const jdl::CompiledMatch& compiled, CandidateSource records,
       const LeaseManager& leases, int needed_cpus, Rng& rng) const;
@@ -100,12 +92,6 @@ public:
   /// Picks one site from non-empty candidates: best rank, random among ties.
   [[nodiscard]] std::optional<SiteId> select(const std::vector<Candidate>& candidates,
                                              Rng& rng) const;
-
-  /// Computes the job's rank for a machine ad (default: FreeCPUs). Health
-  /// penalties are not applied here — callers that consult this directly
-  /// see the raw expression value.
-  [[nodiscard]] double rank_of(const jdl::JobDescription& job,
-                               const jdl::ClassAd& machine) const;
 
   /// Attaches the metrics registry the scan/cache counters are written to
   /// (nullptr detaches; observation is optional). Binds per-pass handle

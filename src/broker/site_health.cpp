@@ -25,35 +25,18 @@ double SiteHealth::score_of(double suspicion) const {
   return std::pow(0.5, suspicion);
 }
 
-SimTime SiteHealth::exclusion_ends_after(SiteId site, SimTime when) const {
-  const double s = suspicion_at(site, when);
-  if (s < config_.exclusion_threshold) return when;
-  // s * 0.5^(dt / h) < threshold  <=>  dt > h * log2(s / threshold).
-  // Truncation rounds the exit *earlier*, which is the conservative side for
-  // cache-validity horizons built on this bound.
-  const double halves = std::log2(s / config_.exclusion_threshold);
-  const auto dt_us = static_cast<std::int64_t>(
-      halves * static_cast<double>(config_.half_life.count_micros()));
-  return when + Duration::micros(dt_us);
-}
-
 void SiteHealth::apply(SiteId site, double delta) {
   if (!config_.enabled) return;
   const SimTime now = sim_.now();
   const double current = suspicion_at(site, now);
   if (delta < 0.0) {
     if (current == 0.0) return;  // nothing to reward away
-    // Reward gating (pruning invariant, see header): while the site is
-    // hard-excluded, only decay may lower its suspicion. Dropping the reward
-    // keeps in-flight index prunes a lower bound on exclusion at delivery.
+    // Reward gating (see header): while the site is hard-excluded, only
+    // decay may lower its suspicion.
     if (current >= config_.exclusion_threshold) return;
   }
   const double next =
       std::clamp(current + delta, 0.0, config_.max_suspicion);
-  if (current < config_.exclusion_threshold &&
-      next >= config_.exclusion_threshold) {
-    ++exclusion_epoch_;  // a site crossed into exclusion: cached prunes stale
-  }
   if (next < kSuspicionFloor) {
     entries_.erase(site);
   } else {

@@ -11,23 +11,17 @@
 // Determinism contract: all timestamps are virtual (sim.now()), every update
 // is driven by simulation events, and queries are pure functions of
 // (recorded score, recorded time, query time) — same-seed runs see identical
-// health state at identical virtual times, which is what keeps the fast and
-// legacy matchmaking paths decision-digest identical with scoring active.
+// health state at identical virtual times, so placement decisions and the
+// typed trace repeat byte for byte with scoring active.
 //
-// Pruning invariant (relied on by InformationSystem::query_index_matching,
-// which prunes at *call* time for a reply delivered one index latency
-// later): between an update and a query, suspicion only changes by decay or
-// by penalties — rewards (completion, restoration) are dropped while the
-// decayed score is at or above the exclusion threshold. Decay is monotone
-// decreasing, penalties only raise the score, so `hard_excluded_at(site,
-// delivery_time)` computed at call time is a *lower bound* on exclusion at
-// delivery time: a pruned site would also have been excluded by the
-// matchmaker, and the pruned reply stays decision-identical with the
-// unpruned one.
+// Reward gating: rewards (completion, restoration) are dropped while the
+// decayed score is at or above the exclusion threshold, so a hard exclusion
+// window ends by decay alone. Its length is set by the penalties that opened
+// it (log2(suspicion / threshold) half-lives); jobs that still complete on
+// the site, or an agent restored there, cannot readmit it early.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -79,7 +73,7 @@ public:
   void note_restored(SiteId site) { apply(site, -config_.restore_reward); }
   void note_completion(SiteId site) { apply(site, -config_.completion_reward); }
 
-  // -- queries (pure; consulted by Matchmaker and the free-CPU index) ------
+  // -- queries (pure; consulted by Matchmaker and CrossBroker) -------------
   /// Decayed suspicion at now(); 0 for untracked (healthy) sites.
   [[nodiscard]] double suspicion(SiteId site) const {
     return suspicion_at(site, sim_.now());
@@ -89,34 +83,12 @@ public:
     return score_of(suspicion(site));
   }
   [[nodiscard]] bool hard_excluded(SiteId site) const {
-    return hard_excluded_at(site, sim_.now());
+    return config_.enabled && suspicion(site) >= config_.exclusion_threshold;
   }
-  /// Decay-only projection: would the site still be hard-excluded at `when`
-  /// (>= now) if no further evidence arrived? Used by the index to prune
-  /// replies that will be delivered in the future (see header comment).
-  [[nodiscard]] bool hard_excluded_at(SiteId site, SimTime when) const {
-    return config_.enabled &&
-           suspicion_at(site, when) >= config_.exclusion_threshold;
-  }
-  /// Subtracted from a candidate's rank by both matchmaking paths.
+  /// Subtracted from a candidate's rank by every matchmaking pass.
   [[nodiscard]] double rank_penalty(SiteId site) const {
     return config_.rank_penalty_weight * suspicion(site);
   }
-
-  /// Bumped every time a site *crosses into* hard exclusion. Exits happen
-  /// only by decay (rewards are gated while excluded — see header), so a
-  /// cached "which sites are excluded" answer stays exact while the epoch is
-  /// unchanged and the earliest decay-only exit has not been reached. The
-  /// information-system snapshot cache keys on this.
-  [[nodiscard]] std::uint64_t exclusion_epoch() const {
-    return exclusion_epoch_;
-  }
-
-  /// Decay-only projection of when a site hard-excluded at `when` stops
-  /// being excluded: when + half_life * log2(suspicion / threshold),
-  /// rounded down (conservative — never later than the true exit). Returns
-  /// `when` itself for sites not excluded at `when`.
-  [[nodiscard]] SimTime exclusion_ends_after(SiteId site, SimTime when) const;
 
   /// Attaches the registry the broker.site.health gauge is published to
   /// (nullptr detaches; observation is optional).
@@ -141,7 +113,6 @@ private:
   SiteHealthConfig config_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::map<SiteId, Entry> entries_;
-  std::uint64_t exclusion_epoch_ = 0;
 };
 
 }  // namespace cg::broker

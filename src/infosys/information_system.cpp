@@ -16,18 +16,10 @@ void InformationSystem::register_site(const SiteStaticInfo& info,
                                       std::optional<Duration> site_query_latency) {
   if (!info.id.valid()) throw std::invalid_argument{"register_site: invalid id"};
   if (!provider) throw std::invalid_argument{"register_site: null provider"};
-  // Re-registration resets the entry; drop any stale index membership first
-  // so the index never points at an entry whose index_key was wiped.
-  if (const auto old = sites_.find(info.id); old != sites_.end()) {
-    if (old->second.index_key) {
-      const auto bucket = by_effective_.find(*old->second.index_key);
-      if (bucket != by_effective_.end()) {
-        bucket->second.erase(info.id);
-        if (bucket->second.empty()) by_effective_.erase(bucket);
-      }
-    }
-    leased_sites_.erase(info.id);
-    if (old->second.published) ++publish_version_;
+  // Re-registration resets the entry, dropping any published record.
+  if (const auto old = sites_.find(info.id);
+      old != sites_.end() && old->second.published) {
+    ++publish_version_;
   }
   SiteEntry entry;
   entry.static_info = info;
@@ -39,14 +31,6 @@ void InformationSystem::register_site(const SiteStaticInfo& info,
 void InformationSystem::unregister_site(SiteId id) {
   const auto it = sites_.find(id);
   if (it == sites_.end()) return;
-  if (it->second.index_key) {
-    const auto bucket = by_effective_.find(*it->second.index_key);
-    if (bucket != by_effective_.end()) {
-      bucket->second.erase(id);
-      if (bucket->second.empty()) by_effective_.erase(bucket);
-    }
-  }
-  leased_sites_.erase(id);
   const bool had_published = it->second.published != nullptr;
   sites_.erase(it);
   if (had_published) {
@@ -79,49 +63,6 @@ void InformationSystem::store_published(SiteId id, SiteEntry& entry,
   record.prime_cache();
   entry.published = std::make_shared<const SiteRecord>(std::move(record));
   ++publish_version_;
-  reindex(id, entry);
-}
-
-void InformationSystem::reindex(SiteId id, SiteEntry& entry) {
-  if (entry.index_key) {
-    const auto bucket = by_effective_.find(*entry.index_key);
-    if (bucket != by_effective_.end()) {
-      bucket->second.erase(id);
-      if (bucket->second.empty()) by_effective_.erase(bucket);
-    }
-    entry.index_key.reset();
-  }
-  if (entry.published) {
-    const int effective =
-        entry.published->dynamic_info.free_cpus - entry.leased_cpus;
-    by_effective_[effective].insert_or_assign(id, &entry);
-    entry.index_key = effective;
-  }
-}
-
-void InformationSystem::apply_lease_delta(SiteId id, int cpu_delta) {
-  const auto it = sites_.find(id);
-  if (it == sites_.end() || cpu_delta == 0) return;
-  it->second.leased_cpus += cpu_delta;
-  if (it->second.leased_cpus > 0) {
-    leased_sites_.insert_or_assign(id, &it->second);
-  } else {
-    leased_sites_.erase(id);
-  }
-  reindex(id, it->second);
-  notify_invalidation(id, "lease");
-}
-
-std::optional<int> InformationSystem::effective_free(SiteId id) const {
-  const auto it = sites_.find(id);
-  if (it == sites_.end() || !it->second.published) return std::nullopt;
-  return it->second.published->dynamic_info.free_cpus - it->second.leased_cpus;
-}
-
-std::size_t InformationSystem::index_size() const {
-  std::size_t total = 0;
-  for (const auto& [effective, ids] : by_effective_) total += ids.size();
-  return total;
 }
 
 void InformationSystem::notify_invalidation(SiteId id, const char* reason) {
@@ -151,31 +92,13 @@ void InformationSystem::schedule_publication(SiteId id) {
   });
 }
 
-void InformationSystem::query_index(IndexCallback callback) {
-  if (!callback) throw std::invalid_argument{"query_index: null callback"};
-  ++index_queries_;
-  std::vector<SiteRecord> records;
-  records.reserve(sites_.size());
-  for (const auto& [id, entry] : sites_) {
-    if (entry.published) records.push_back(*entry.published);
-  }
-  sim_.schedule(config_.index_query_latency,
-                [cb = std::move(callback), recs = std::move(records)]() mutable {
-                  cb(std::move(recs));
-                });
-}
-
 void InformationSystem::query_index_matching(int needed_cpus,
                                              SnapshotCallback callback) {
   if (!callback) throw std::invalid_argument{"query_index_matching: null callback"};
   ++index_queries_;
-  // Health pruning projects to *delivery* time: the broker's matchmaker
-  // re-applies its health filter when the reply lands, and the provider
-  // contract (decay-only lower bound) makes call-time pruning agree with it.
-  const SimTime delivery = sim_.now() + config_.index_query_latency;
   sim_.schedule(config_.index_query_latency,
                 [cb = std::move(callback),
-                 snap = matching_snapshot(needed_cpus, delivery)]() mutable {
+                 snap = matching_snapshot(needed_cpus)]() mutable {
                   cb(std::move(snap));
                 });
 }
@@ -191,53 +114,21 @@ void InformationSystem::refresh_all_published() {
 }
 
 std::shared_ptr<const InformationSystem::IndexSnapshot>
-InformationSystem::matching_snapshot(int needed_cpus, SimTime delivery) {
-  // Without a health provider the reply depends only on the published set;
-  // with one, caching additionally needs the horizon + epoch feeds to prove
-  // the excluded-site set unchanged.
-  const bool cacheable =
-      !health_provider_ || (health_horizon_ && health_epoch_);
-  const std::uint64_t epoch = health_epoch_ ? health_epoch_() : 0;
-  if (cacheable) {
-    const auto it = matching_cache_.find(needed_cpus);
-    if (it != matching_cache_.end() &&
-        it->second.version == publish_version_ && it->second.epoch == epoch &&
-        delivery <= it->second.valid_until) {
-      return it->second.snapshot;
-    }
-  }
-  // Rebuild. The survivor set is exactly {published free_cpus >= needed}:
-  // the old prefix-walk (effective >= needed) is a subset of it whenever
-  // leases are nonnegative, and the leased-site pass admitted precisely the
-  // remainder. Pruning must stay lease-independent — a lease may be released
-  // while the reply is in flight and the broker re-checks live leases at
-  // delivery — which is also what makes lease deltas cache-neutral.
-  // Walking sites_ in map order yields ascending site ids: the delivery
-  // order query_index uses, with no per-query sort.
+InformationSystem::matching_snapshot(int needed_cpus) {
+  // The reply is {published sites : published free >= needed}, a pure
+  // function of the published set, so it is cached per needed_cpus until the
+  // next publication. Walking sites_ in map order yields ascending site ids
+  // with no per-query sort.
+  CachedMatching& cached = matching_cache_[needed_cpus];
+  if (cached.version == publish_version_) return cached.snapshot;
   refresh_all_published();
   auto snap = std::make_shared<IndexSnapshot>();
   snap->reserve(all_published_.size());
-  // Horizon: the reply stays exact until the first pruned site could leave
-  // exclusion by decay (entering exclusion bumps the epoch instead).
-  SimTime valid_until = SimTime::max();
   for (const auto& rec : all_published_) {
-    if (rec->dynamic_info.free_cpus < needed_cpus) continue;
-    const SiteId id = rec->static_info.id;
-    if (health_provider_ && health_provider_(id, delivery)) {
-      if (health_horizon_) {
-        const SimTime end = health_horizon_(id, delivery);
-        if (end < valid_until) valid_until = end;
-      }
-      continue;
-    }
-    snap->push_back(rec);
+    if (rec->dynamic_info.free_cpus >= needed_cpus) snap->push_back(rec);
   }
-  std::shared_ptr<const IndexSnapshot> result = std::move(snap);
-  if (cacheable) {
-    matching_cache_[needed_cpus] =
-        CachedMatching{publish_version_, epoch, valid_until, result};
-  }
-  return result;
+  cached = CachedMatching{publish_version_, std::move(snap)};
+  return cached.snapshot;
 }
 
 void InformationSystem::query_site(SiteId id, SiteCallback callback) {

@@ -1,6 +1,7 @@
 // Site descriptions as published to the information system. The broker's
-// matchmaking converts these to machine ClassAds; staleness between published
-// and live state is what forces the paper's two-step discovery+selection.
+// matchmaking evaluates compiled job expressions against each record's
+// machine view; staleness between published and live state is what forces
+// the paper's two-step discovery+selection.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +42,9 @@ struct SiteDynamicInfo {
   [[nodiscard]] bool operator==(const SiteDynamicInfo&) const = default;
 };
 
-/// The dense attribute layout every machine ad follows (matchmaking fast
-/// path). Must stay in sync with SiteRecord::to_classad; compiled job
-/// expressions resolve `other.X` references against this layout.
+/// The dense attribute layout every machine ad follows. Must stay in sync
+/// with SiteRecord::to_classad; compiled job expressions resolve `other.X`
+/// references against this layout.
 [[nodiscard]] const jdl::SlotLayout& machine_slot_layout();
 
 /// Slot index of FreeCPUs in machine_slot_layout() — the one attribute the
@@ -64,9 +65,10 @@ struct SiteRecord {
   /// When the dynamic half was sampled (publication timestamp).
   SimTime sampled_at;
 
-  /// Machine ad for the legacy matchmaker path (`other.*` in job
-  /// Requirements). Always builds a fresh ad; the fast path evaluates
-  /// against machine_view().slots instead.
+  /// The record as a machine ClassAd (`other.*` in job Requirements). Only
+  /// the test oracle uses it: the interpreter (jdl::symmetric_match) over
+  /// this ad is the reference the compiled matchmaker is checked against.
+  /// Matchmaking itself evaluates against machine_view().slots.
   [[nodiscard]] jdl::ClassAd to_classad() const;
 
   /// Cached machine view; rebuilt lazily when the record's fields no longer

@@ -206,7 +206,7 @@ double CompiledMatch::rank(const SlotEvalContext& ctx) const {
   if (!rank_) return 0.0;
   const Value v = eval(*rank_, ctx);
   if (v.is_number()) return v.as_number();
-  return 0.0;  // non-numeric rank: neutral (same as Matchmaker::rank_of)
+  return 0.0;  // non-numeric rank: neutral
 }
 
 Value CompiledMatch::eval(const Node& n, const SlotEvalContext& ctx) {

@@ -1,5 +1,5 @@
-// Compiled form of a job's Requirements/Rank expressions for the
-// matchmaking fast path. Interpreting the raw AST per job×site pays for a
+// Compiled form of a job's Requirements/Rank expressions, the one form the
+// matchmaker evaluates. Interpreting the raw AST per job×site pays for a
 // ClassAd lookup (string lowercasing + map walk) at every attribute
 // reference; compilation does that work once per job:
 //
@@ -79,8 +79,8 @@ public:
   /// applies the default rank (free CPUs).
   [[nodiscard]] bool has_rank() const { return rank_ != nullptr; }
 
-  /// The compiled Rank value; non-numeric ranks are neutral (0.0), matching
-  /// Matchmaker::rank_of.
+  /// The compiled Rank value; non-numeric ranks are neutral (0.0), so a
+  /// Rank that evaluates to a string or Undefined leaves every site tied.
   [[nodiscard]] double rank(const SlotEvalContext& ctx) const;
 
   /// Site-dependent conjuncts left after constant folding (introspection).

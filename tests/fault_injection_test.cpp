@@ -10,6 +10,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -161,8 +162,7 @@ struct AgentCrashRun {
 };
 
 /// Timing-free projection of the trace: the sequence of decisions the broker
-/// took, without the virtual timestamps. The matchmaker fast path must make
-/// byte-identical decisions; only its internal latencies may differ.
+/// took, without the virtual timestamps.
 std::string decision_digest(const obs::JobTracer& trace) {
   std::string out;
   for (const obs::JobTraceEvent& event : trace.events()) {
@@ -173,17 +173,26 @@ std::string decision_digest(const obs::JobTracer& trace) {
   return out;
 }
 
+/// FNV-1a-64 over the bytes of `text`.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Shared-mode interactive job riding an agent whose carrier is killed at
 /// t = 300 s by an injected agent-crash fault, with the victim named through
 /// the FaultPlan victim-query DSL ("agent_of(job:N)") and resolved at fire
 /// time by the FaultBridge. Recovery is opt-in via
 /// resubmit_interactive_on_agent_death.
-AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
+AgentCrashRun run_agent_crash_scenario() {
   broker::GridScenarioConfig config;
   config.sites = 3;
   config.nodes_per_site = 2;
   config.broker.resubmit_interactive_on_agent_death = true;
-  config.broker.matchmaker.use_fast_path = use_fast_path;
   obs::Observability obs;
   broker::GridScenario grid{config};
   grid.broker().set_observability(&obs);
@@ -227,18 +236,8 @@ AgentCrashRun run_agent_crash_scenario(bool use_fast_path) {
   return result;
 }
 
-/// The chaos scenarios run on both matchmaker paths: recovery decisions must
-/// not depend on which evaluation engine placed the jobs.
-class FaultInjectionPathTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(MatchmakerPaths, FaultInjectionPathTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& param) {
-                           return param.param ? "FastPath" : "LegacyPath";
-                         });
-
-TEST_P(FaultInjectionPathTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff) {
-  const AgentCrashRun run = run_agent_crash_scenario(GetParam());
+TEST(FaultInjectionTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff) {
+  const AgentCrashRun run = run_agent_crash_scenario();
   EXPECT_TRUE(run.interactive_completed);
   EXPECT_GE(run.interactive_resubmissions, 1);
   // The resubmission decision lands within the configured backoff bound of
@@ -250,25 +249,24 @@ TEST_P(FaultInjectionPathTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff
             SimTime::from_seconds(300.0) + defaults.resubmit_backoff_max);
 }
 
-TEST_P(FaultInjectionPathTest, AgentCrashScenarioIsBitForBitReproducible) {
-  const AgentCrashRun a = run_agent_crash_scenario(GetParam());
-  const AgentCrashRun b = run_agent_crash_scenario(GetParam());
+TEST(FaultInjectionTest, AgentCrashScenarioIsBitForBitReproducible) {
+  const AgentCrashRun a = run_agent_crash_scenario();
+  const AgentCrashRun b = run_agent_crash_scenario();
   EXPECT_EQ(a.digest, b.digest);
 }
 
 TEST(FaultInjectionTest, AgentCrashDecisionsAgreeAcrossMatchmakerPaths) {
-  const AgentCrashRun fast = run_agent_crash_scenario(true);
-  const AgentCrashRun legacy = run_agent_crash_scenario(false);
-  EXPECT_EQ(fast.decisions, legacy.decisions);
-  EXPECT_EQ(fast.interactive_completed, legacy.interactive_completed);
-  EXPECT_EQ(fast.interactive_resubmissions, legacy.interactive_resubmissions);
+  // Pinned from the last commit that still ran the ClassAd interpreter
+  // beside the compiled matchmaker, where both paths took these decisions.
+  const AgentCrashRun run = run_agent_crash_scenario();
+  EXPECT_EQ(fnv1a64(run.decisions), 0x2b5a773fa92c81f6ULL)
+      << "0x" << std::hex << fnv1a64(run.decisions);
 }
 
-TEST_P(FaultInjectionPathTest, NodeCrashDuringExclusiveInteractiveRecovers) {
+TEST(FaultInjectionTest, NodeCrashDuringExclusiveInteractiveRecovers) {
   broker::GridScenarioConfig config;
   config.sites = 2;
   config.nodes_per_site = 2;
-  config.broker.matchmaker.use_fast_path = GetParam();
   broker::GridScenario grid{config};
 
   Outcome outcome;

@@ -36,15 +36,17 @@ TEST_F(InfosysFixture, IndexQueryPaysConfiguredLatency) {
   is.publish_fresh(SiteId{1});
 
   SimTime answered;
-  std::vector<SiteRecord> result;
-  is.query_index([&](std::vector<SiteRecord> records) {
-    answered = sim.now();
-    result = std::move(records);
-  });
+  std::shared_ptr<const InformationSystem::IndexSnapshot> result;
+  is.query_index_matching(
+      0, [&](std::shared_ptr<const InformationSystem::IndexSnapshot> records) {
+        answered = sim.now();
+        result = std::move(records);
+      });
   sim.run();
   EXPECT_EQ(answered.to_seconds(), 0.5);  // the paper's ~0.5 s discovery
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].dynamic_info.free_cpus, 4);
+  ASSERT_NE(result, nullptr);
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ((*result)[0]->dynamic_info.free_cpus, 4);
 }
 
 TEST_F(InfosysFixture, IndexServesStaleDataUntilNextPublication) {
@@ -60,9 +62,10 @@ TEST_F(InfosysFixture, IndexServesStaleDataUntilNextPublication) {
   free_cpus = 0;  // the site filled up, but nothing was re-published
 
   int seen = -1;
-  is.query_index([&](std::vector<SiteRecord> records) {
-    seen = records.at(0).dynamic_info.free_cpus;
-  });
+  is.query_index_matching(
+      0, [&](std::shared_ptr<const InformationSystem::IndexSnapshot> records) {
+        seen = records->at(0)->dynamic_info.free_cpus;
+      });
   sim.run();
   EXPECT_EQ(seen, 4) << "index must serve the stale published value";
 
@@ -153,8 +156,8 @@ TEST_F(InfosysFixture, UnregisterStopsPeriodicPublication) {
 TEST_F(InfosysFixture, QueryCountsTracked) {
   InformationSystem is{sim};
   is.register_site(make_site(1, 1), [] { return SiteRecord{}; });
-  is.query_index([](auto) {});
-  is.query_index([](auto) {});
+  is.query_index_matching(0, [](auto) {});
+  is.query_index_matching(0, [](auto) {});
   is.query_site(SiteId{1}, [](auto) {});
   sim.run();
   EXPECT_EQ(is.index_queries(), 2u);

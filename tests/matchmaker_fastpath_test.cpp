@@ -1,15 +1,17 @@
-// Fast-path matchmaking tests: compiled-expression semantics, the free-CPU
-// site index and its invalidation rules, fast-vs-legacy decision parity
-// (down to rng lockstep and byte-identical trace exports), and the metrics
-// the fast path emits. The legacy interpreter is the oracle throughout.
+// Compiled matchmaking tests: compiled-expression semantics, the index
+// reply and its invalidation rules, per-record parity with the ClassAd
+// interpreter (down to rng lockstep), pinned end-to-end trace digests, and
+// the scan/cache metrics. The interpreter is the oracle throughout.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "broker/matchmaker.hpp"
 #include "grid/grid.hpp"
+#include "jdl/eval.hpp"
 
 namespace cg::broker {
 namespace {
@@ -91,7 +93,41 @@ TEST(CompiledMatchTest, RankEvaluatesAgainstSlots) {
   EXPECT_EQ(compiled.rank(context_for(make_record(1, 5))), 11.0);
 }
 
-// ------------------------------------------------- fast/legacy parity ------
+// ------------------------------------------------- interpreter parity ------
+
+/// The interpreter oracle: rebuilds each site's machine ClassAd and walks
+/// the job's Requirements/Rank ASTs with jdl::symmetric_match and
+/// jdl::evaluate, the reference semantics the compiled form must reproduce.
+std::vector<Candidate> interpreted_candidates(
+    const jdl::JobDescription& job,
+    const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
+    int needed_cpus) {
+  std::vector<Candidate> out;
+  for (const auto& record : records) {
+    const int effective =
+        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
+    if (effective < needed_cpus) continue;
+
+    jdl::ClassAd machine = record.to_classad();
+    machine.set_int("FreeCPUs", effective);  // leases shadow the raw count
+    if (!jdl::symmetric_match(job.ad(), machine)) continue;
+
+    Candidate c;
+    c.site = record.static_info.id;
+    c.effective_free_cpus = effective;
+    if (const jdl::ExprPtr rank_expr = job.rank()) {
+      jdl::EvalContext ctx;
+      ctx.self = &job.ad();
+      ctx.other = &machine;
+      const jdl::Value v = jdl::evaluate(*rank_expr, ctx);
+      c.rank = v.is_number() ? v.as_number() : 0.0;  // non-numeric: neutral
+    } else {
+      c.rank = static_cast<double>(effective);  // default: emptier sites
+    }
+    out.push_back(c);
+  }
+  return out;
+}
 
 const std::vector<std::string>& job_templates() {
   static const std::vector<std::string> templates{
@@ -121,16 +157,13 @@ TEST(FastPathParityTest, FilterMatchesLegacyCandidateForCandidate) {
   sim::Simulation sim;
   LeaseManager leases{sim};
   ASSERT_TRUE(leases.acquire(SiteId{5}, 2, 3600_s));  // shadow one site
-  MatchmakerConfig legacy_cfg;
-  legacy_cfg.use_fast_path = false;
-  const Matchmaker legacy{legacy_cfg};
-  const Matchmaker fast{MatchmakerConfig{}};  // fast path is the default
+  const Matchmaker matchmaker;
   const auto records = parity_records();
   for (const auto& tmpl : job_templates()) {
     for (const int needed : {1, 4}) {
       const auto job = make_job(tmpl);
-      const auto expect = legacy.filter(job, records, leases, needed);
-      const auto got = fast.filter(job, records, leases, needed);
+      const auto expect = interpreted_candidates(job, records, leases, needed);
+      const auto got = matchmaker.filter(job, records, leases, needed);
       ASSERT_EQ(got.size(), expect.size()) << tmpl << " needed=" << needed;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].site, expect[i].site) << tmpl;
@@ -145,34 +178,32 @@ TEST(FastPathParityTest, FilterMatchesLegacyCandidateForCandidate) {
 TEST(FastPathParityTest, MatchOneEqualsFilterPlusSelectInRngLockstep) {
   sim::Simulation sim;
   LeaseManager leases{sim};
-  MatchmakerConfig legacy_cfg;
-  legacy_cfg.use_fast_path = false;
-  const Matchmaker legacy{legacy_cfg};
-  const Matchmaker fast{MatchmakerConfig{}};
+  const Matchmaker matchmaker;
   const auto records = parity_records();
   for (const auto& tmpl : job_templates()) {
     for (const int needed : {1, 4}) {
       for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
         const auto job = make_job(tmpl);
-        Rng legacy_rng{seed};
-        Rng fast_rng{seed};
-        const auto candidates = legacy.filter(job, records, leases, needed);
-        const auto expect = legacy.select(candidates, legacy_rng);
-        const auto compiled = fast.compile(job);
-        const auto got = fast.match_one(*compiled, CandidateSource{records},
-                                        leases, needed, fast_rng);
+        Rng oracle_rng{seed};
+        Rng fused_rng{seed};
+        const auto candidates =
+            interpreted_candidates(job, records, leases, needed);
+        const auto expect = matchmaker.select(candidates, oracle_rng);
+        const auto compiled = matchmaker.compile(job);
+        const auto got = matchmaker.match_one(
+            *compiled, CandidateSource{records}, leases, needed, fused_rng);
         ASSERT_EQ(got.has_value(), expect.has_value()) << tmpl;
         if (expect) {
           EXPECT_EQ(got->site, *expect) << tmpl;
         }
-        // Both paths must have consumed the exact same number of draws.
-        EXPECT_EQ(fast_rng.next_u64(), legacy_rng.next_u64()) << tmpl;
+        // Both forms must have consumed the exact same number of draws.
+        EXPECT_EQ(fused_rng.next_u64(), oracle_rng.next_u64()) << tmpl;
       }
     }
   }
 }
 
-// ------------------------------------------------- free-CPU site index -----
+// ------------------------------------------------- index replies ---------
 
 class IndexFixture : public ::testing::Test {
 protected:
@@ -214,32 +245,18 @@ TEST_F(IndexFixture, PrunesByPublishedFreeCpusInAscendingIdOrder) {
   add_site(1, 0);
   add_site(2, 5);
   add_site(4, 2);
-  EXPECT_EQ(is.index_size(), 4u);
   EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{2, 3}));
   EXPECT_EQ(matching_ids(1), (std::vector<std::uint64_t>{2, 3, 4}));
   EXPECT_EQ(matching_ids(10), (std::vector<std::uint64_t>{}));
 }
 
-TEST_F(IndexFixture, LeasedSitesStayVisibleWhilePublishedCapacityCovers) {
-  add_site(1, 8);
-  // A lease drops the effective count below the request, but the published
-  // capacity still covers it: the lease may be gone by the time the broker
-  // re-checks, so the site must stay in the reply (lease-independent bound).
-  is.apply_lease_delta(SiteId{1}, 6);
-  EXPECT_EQ(is.effective_free(SiteId{1}), 2);
-  EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{1}));
-  is.apply_lease_delta(SiteId{1}, -6);
-  EXPECT_EQ(is.effective_free(SiteId{1}), 8);
-  EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{1}));
-}
-
-TEST_F(IndexFixture, RepublishMovesSiteBetweenBuckets) {
+TEST_F(IndexFixture, RepublishMovesSiteInAndOutOfReplies) {
   add_site(1, 8);
   EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{1}));
   auto drained = make_record(1, 1);
-  is.publish(drained);  // site filled up: must leave the needed>=4 prefix
+  is.publish(drained);  // site filled up: must leave the needed>=4 reply
   EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{}));
-  EXPECT_EQ(is.index_size(), 1u);
+  EXPECT_EQ(matching_ids(1), (std::vector<std::uint64_t>{1}));
   is.publish(make_record(1, 8));
   EXPECT_EQ(matching_ids(4), (std::vector<std::uint64_t>{1}));
 }
@@ -248,7 +265,6 @@ TEST_F(IndexFixture, UnregisterRemovesSiteFromIndex) {
   add_site(1, 8);
   add_site(2, 8);
   is.unregister_site(SiteId{1});
-  EXPECT_EQ(is.index_size(), 1u);
   EXPECT_EQ(matching_ids(1), (std::vector<std::uint64_t>{2}));
 }
 
@@ -260,10 +276,9 @@ TEST_F(IndexFixture, InvalidationListenerReportsEveryReason) {
   add_site(1, 8);  // first publication: nothing to invalidate
   EXPECT_TRUE(events.empty());
   is.publish(make_record(1, 3));
-  is.apply_lease_delta(SiteId{1}, 2);
   is.unregister_site(SiteId{1});
   const std::vector<std::pair<std::uint64_t, std::string>> expected{
-      {1, "republish"}, {1, "lease"}, {1, "unregister"}};
+      {1, "republish"}, {1, "unregister"}};
   EXPECT_EQ(events, expected);
 }
 
@@ -290,14 +305,23 @@ TEST_F(IndexFixture, SnapshotsShareOnePrimedMachineView) {
   EXPECT_EQ(first.get(), second.get());
 }
 
-// ------------------------------------------------- end-to-end A/B ----------
+// ------------------------------------------------- end-to-end digests -------
 
-std::string run_trace(bool fast, std::uint64_t seed) {
+/// FNV-1a-64 over the bytes of `text`.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string run_trace(std::uint64_t seed) {
   GridConfig config;
   config.sites = 6;
   config.nodes_per_site = 4;
   config.seed = seed;
-  config.broker.matchmaker.use_fast_path = fast;
   Grid grid{config};
   const std::vector<std::string> jobs{
       "Executable = \"batch\";",
@@ -321,11 +345,19 @@ std::string run_trace(bool fast, std::uint64_t seed) {
 }
 
 TEST(FastPathEndToEndTest, SameSeedRunsExportByteIdenticalTraces) {
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const std::string legacy = run_trace(/*fast=*/false, seed);
-    const std::string fast = run_trace(/*fast=*/true, seed);
-    EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(fast, legacy) << "trace divergence at seed " << seed;
+  // Pinned from the last commit that still ran the ClassAd interpreter
+  // beside the compiled path, where both exported these exact traces.
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {1, 0x3c7059259db4835cULL},
+      {2, 0xfd8546b240caf19bULL},
+      {3, 0x488bb351c2239aa3ULL},
+  };
+  for (const auto& [seed, digest] : pinned) {
+    const std::string trace = run_trace(seed);
+    EXPECT_EQ(trace.size(), 33883u) << "seed " << seed;
+    EXPECT_EQ(fnv1a64(trace), digest)
+        << "trace divergence at seed " << seed << ": 0x" << std::hex
+        << fnv1a64(trace);
   }
 }
 
@@ -378,7 +410,7 @@ TEST(FastPathEndToEndTest, FastPathEmitsCacheAndScanMetrics) {
   }
   grid.run_for(Duration::seconds(600));
   EXPECT_GT(grid.metrics().counter_total("broker.match.cache_hits"), 0u);
-  // Match leases move sites in the free-CPU index -> "lease" invalidations.
+  // Periodic republication replaces published records -> "republish".
   EXPECT_GE(grid.metrics().counter_total("broker.match.cache_invalidations"),
             1u);
   const auto* coarse = grid.metrics().find_histogram(

@@ -1,7 +1,5 @@
 // Matchmaker and lease-manager tests: Requirements filtering, Rank ordering,
-// randomized tie-breaking, and exclusive temporal access. The fixture is
-// parameterized over MatchmakerConfig::use_fast_path so every behaviour is
-// asserted for both the legacy AST interpretation and the compiled fast path.
+// randomized tie-breaking, and exclusive temporal access.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -31,30 +29,14 @@ jdl::JobDescription make_job(const std::string& extra = "") {
   return jd.value();
 }
 
-class MatchmakerFixture : public ::testing::TestWithParam<bool> {
+class MatchmakerFixture : public ::testing::Test {
 protected:
-  [[nodiscard]] MatchmakerConfig config(double tie_margin = 1e-9) const {
-    MatchmakerConfig c;
-    c.rank_tie_margin = tie_margin;
-    c.use_fast_path = GetParam();
-    return c;
-  }
-
   sim::Simulation sim;
   LeaseManager leases{sim};
-  Matchmaker matchmaker{MatchmakerConfig{
-      .rank_tie_margin = 1e-9, .randomize_ties = true,
-      .use_fast_path = false}};  // overwritten in SetUp
-
-  void SetUp() override { matchmaker = Matchmaker{config()}; }
+  Matchmaker matchmaker;
 };
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndFast, MatchmakerFixture, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "Fast" : "Legacy";
-                         });
-
-TEST_P(MatchmakerFixture, CapacityFilter) {
+TEST_F(MatchmakerFixture, CapacityFilter) {
   const auto job = make_job();
   const auto out = matchmaker.filter(
       job, {make_record(1, 0), make_record(2, 3)}, leases, 1);
@@ -63,7 +45,7 @@ TEST_P(MatchmakerFixture, CapacityFilter) {
   EXPECT_EQ(out[0].effective_free_cpus, 3);
 }
 
-TEST_P(MatchmakerFixture, RequirementsFilter) {
+TEST_F(MatchmakerFixture, RequirementsFilter) {
   const auto job = make_job("Requirements = other.Arch == \"x86_64\";");
   const auto out = matchmaker.filter(
       job, {make_record(1, 4, "i686"), make_record(2, 4, "x86_64")}, leases, 1);
@@ -71,7 +53,7 @@ TEST_P(MatchmakerFixture, RequirementsFilter) {
   EXPECT_EQ(out[0].site, SiteId{2});
 }
 
-TEST_P(MatchmakerFixture, NeededCpusRespectsParallelJobs) {
+TEST_F(MatchmakerFixture, NeededCpusRespectsParallelJobs) {
   const auto job = make_job();
   const auto out = matchmaker.filter(
       job, {make_record(1, 2), make_record(2, 8)}, leases, 4);
@@ -79,7 +61,7 @@ TEST_P(MatchmakerFixture, NeededCpusRespectsParallelJobs) {
   EXPECT_EQ(out[0].site, SiteId{2});
 }
 
-TEST_P(MatchmakerFixture, LeasesShadowFreeCpus) {
+TEST_F(MatchmakerFixture, LeasesShadowFreeCpus) {
   const auto job = make_job();
   ASSERT_TRUE(leases.acquire(SiteId{1}, 3, 60_s));
   const auto out = matchmaker.filter(job, {make_record(1, 4)}, leases, 2);
@@ -90,7 +72,7 @@ TEST_P(MatchmakerFixture, LeasesShadowFreeCpus) {
   EXPECT_EQ(loose[0].effective_free_cpus, 1);
 }
 
-TEST_P(MatchmakerFixture, DefaultRankPrefersFreeCpus) {
+TEST_F(MatchmakerFixture, DefaultRankPrefersFreeCpus) {
   const auto job = make_job();
   const auto out = matchmaker.filter(
       job, {make_record(1, 2), make_record(2, 8)}, leases, 1);
@@ -101,7 +83,7 @@ TEST_P(MatchmakerFixture, DefaultRankPrefersFreeCpus) {
   }
 }
 
-TEST_P(MatchmakerFixture, CustomRankExpression) {
+TEST_F(MatchmakerFixture, CustomRankExpression) {
   // Prefer the *fuller* site via a custom Rank.
   const auto job = make_job("Rank = -other.FreeCPUs;");
   const auto out = matchmaker.filter(
@@ -110,7 +92,7 @@ TEST_P(MatchmakerFixture, CustomRankExpression) {
   EXPECT_EQ(matchmaker.select(out, rng), SiteId{1});
 }
 
-TEST_P(MatchmakerFixture, RandomizedSelectionAmongTies) {
+TEST_F(MatchmakerFixture, RandomizedSelectionAmongTies) {
   // "Randomized selection of resources ... used to generate different
   // answers when there are multiple resource choices."
   const auto job = make_job();
@@ -126,26 +108,26 @@ TEST_P(MatchmakerFixture, RandomizedSelectionAmongTies) {
   EXPECT_EQ(chosen.size(), 3u);
 }
 
-TEST_P(MatchmakerFixture, SelectEmptyReturnsNullopt) {
+TEST_F(MatchmakerFixture, SelectEmptyReturnsNullopt) {
   Rng rng{1};
   EXPECT_FALSE(matchmaker.select({}, rng).has_value());
 }
 
-TEST_P(MatchmakerFixture, NonNumericRankIsNeutral) {
+TEST_F(MatchmakerFixture, NonNumericRankIsNeutral) {
   const auto job = make_job("Rank = \"not a number\";");
   const auto out = matchmaker.filter(job, {make_record(1, 4)}, leases, 1);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rank, 0.0);
 }
 
-TEST_P(MatchmakerFixture, TieMarginIsSymmetricUnderNegation) {
+TEST_F(MatchmakerFixture, TieMarginIsSymmetricUnderNegation) {
   // Regression for the asymmetric tie window: the old rule
   // `rank >= best - |best| * margin` scaled by the best rank's magnitude,
   // which for negative ranks is the *smallest* magnitude in the tie set —
   // ranks {10, 18} tied under margin 0.5 while the mirrored {-10, -18}
   // (gap 8, window |−10|·0.5 = 5) did not. The window now scales with the
   // larger magnitude, so negating every rank preserves the tie set.
-  const Matchmaker wide{config(/*tie_margin=*/0.5)};
+  const Matchmaker wide{MatchmakerConfig{.rank_tie_margin = 0.5}};
   const auto records = [&] {
     return std::vector<infosys::SiteRecord>{make_record(1, 10),
                                             make_record(2, 18)};
@@ -225,22 +207,6 @@ TEST(LeaseManagerTest, CapacityConflict) {
   EXPECT_EQ(conflict.error().code, "broker.lease_conflict");
   EXPECT_TRUE(leases.acquire(SiteId{1}, 1, 60_s, 4));
   EXPECT_EQ(leases.leased_cpus(SiteId{1}), 4);
-}
-
-TEST(LeaseManagerTest, ObserverSeesAcquireReleaseAndExpiry) {
-  sim::Simulation sim;
-  LeaseManager leases{sim};
-  std::vector<std::pair<std::uint64_t, int>> deltas;
-  leases.set_observer([&](SiteId site, int delta) {
-    deltas.emplace_back(site.value(), delta);
-  });
-  const LeaseId a = leases.acquire(SiteId{1}, 2, 60_s).value();
-  ASSERT_TRUE(leases.acquire(SiteId{2}, 3, 10_s));
-  EXPECT_TRUE(leases.release(a));
-  sim.run();  // site 2's lease expires
-  const std::vector<std::pair<std::uint64_t, int>> expected{
-      {1, 2}, {2, 3}, {1, -2}, {2, -3}};
-  EXPECT_EQ(deltas, expected);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // SiteHealth unit tests: exponential suspicion decay, the hard-exclusion
 // window and its end-by-decay, reward gating above the exclusion threshold,
 // the suspicion cap and erase floor, the disabled no-op mode, and the
-// matchmaker wiring (hard-excluded sites skipped, ranks penalized) asserted
-// identically on the legacy and compiled fast paths.
+// matchmaker wiring (hard-excluded sites skipped, ranks penalized), including
+// the coarse pass over a real index reply.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "broker/matchmaker.hpp"
 #include "broker/site_health.hpp"
+#include "infosys/information_system.hpp"
+#include "obs/metrics.hpp"
 
 namespace cg::broker {
 namespace {
@@ -46,10 +48,9 @@ TEST(SiteHealthTest, HardExclusionEndsByDecay) {
   health.note_suspected(kSite);  // +1.0 -> 3.0, above the 1.5 threshold
   EXPECT_TRUE(health.hard_excluded(kSite));
   // 3.0 halves to 1.5 after one half-life: still at the threshold...
-  EXPECT_TRUE(health.hard_excluded_at(kSite, SimTime::from_seconds(100)));
-  // ...and strictly below it any moment later. The projection is what the
-  // index consults for replies delivered in the future.
-  EXPECT_FALSE(health.hard_excluded_at(kSite, SimTime::from_seconds(101)));
+  sim.run_until(SimTime::from_seconds(100));
+  EXPECT_TRUE(health.hard_excluded(kSite));
+  // ...and strictly below it any moment later.
   sim.run_until(SimTime::from_seconds(101));
   EXPECT_FALSE(health.hard_excluded(kSite));
   EXPECT_GT(health.suspicion(kSite), 0.0);
@@ -61,8 +62,8 @@ TEST(SiteHealthTest, RewardsAreDroppedWhileHardExcluded) {
   health.note_eviction(kSite);  // 2.0 >= threshold
   health.note_completion(kSite);
   health.note_restored(kSite);
-  // Gated: rewards must not end an exclusion window early (the index pruning
-  // invariant depends on suspicion never dropping faster than decay).
+  // Gated: rewards must not end an exclusion window early; only decay
+  // closes it.
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 2.0);
 
   sim.run_until(SimTime::from_seconds(100));  // decayed to 1.0, back in play
@@ -134,38 +135,26 @@ jdl::JobDescription make_job() {
   return jd.value();
 }
 
-class SiteHealthMatchFixture : public ::testing::TestWithParam<bool> {
+class SiteHealthMatchFixture : public ::testing::Test {
 protected:
   sim::Simulation sim;
   LeaseManager leases{sim};
   SiteHealth health{sim, tuned()};
-  Matchmaker matchmaker{MatchmakerConfig{.rank_tie_margin = 1e-9,
-                                         .randomize_ties = true,
-                                         .use_fast_path = GetParam()}};
+  Matchmaker matchmaker;
 
   void SetUp() override { matchmaker.set_site_health(&health); }
 
   std::optional<SiteId> pick(const jdl::JobDescription& job,
                              const std::vector<infosys::SiteRecord>& records) {
     Rng rng{42};
-    if (GetParam()) {
-      const auto compiled = matchmaker.compile(job);
-      const auto chosen =
-          matchmaker.match_one(*compiled, CandidateSource{records}, leases, 1,
-                               rng);
-      return chosen ? std::optional<SiteId>{chosen->site} : std::nullopt;
-    }
-    return matchmaker.select(matchmaker.filter(job, records, leases, 1), rng);
+    const auto compiled = matchmaker.compile(job);
+    const auto chosen =
+        matchmaker.match_one(*compiled, CandidateSource{records}, leases, 1, rng);
+    return chosen ? std::optional<SiteId>{chosen->site} : std::nullopt;
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndFast, SiteHealthMatchFixture,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? "Fast" : "Legacy";
-                         });
-
-TEST_P(SiteHealthMatchFixture, PenaltyBreaksTiesAwayFromDegradedSite) {
+TEST_F(SiteHealthMatchFixture, PenaltyBreaksTiesAwayFromDegradedSite) {
   // Equal capacity: without health both sites tie. A single heartbeat miss
   // (suspicion 0.1, far below exclusion) must break the tie the other way.
   health.note_heartbeat_miss(SiteId{1});
@@ -175,7 +164,7 @@ TEST_P(SiteHealthMatchFixture, PenaltyBreaksTiesAwayFromDegradedSite) {
   }
 }
 
-TEST_P(SiteHealthMatchFixture, HardExcludedSiteIsSkippedEvenWhenBest) {
+TEST_F(SiteHealthMatchFixture, HardExcludedSiteIsSkippedEvenWhenBest) {
   // Site 1 offers strictly better rank but sits above the threshold.
   health.note_eviction(SiteId{1});
   const auto job = make_job();
@@ -189,37 +178,52 @@ TEST_P(SiteHealthMatchFixture, HardExcludedSiteIsSkippedEvenWhenBest) {
   EXPECT_EQ(pick(job, {make_record(1, 8), make_record(2, 2)}), SiteId{1});
 }
 
-TEST_P(SiteHealthMatchFixture, DetachedHealthRestoresHealthBlindMatching) {
+TEST_F(SiteHealthMatchFixture, DetachedHealthRestoresHealthBlindMatching) {
   health.note_eviction(SiteId{1});
   matchmaker.set_site_health(nullptr);
   const auto job = make_job();
   EXPECT_EQ(pick(job, {make_record(1, 8), make_record(2, 2)}), SiteId{1});
 }
 
-TEST(SiteHealthParityTest, FilterSitesPrunesIdenticallyOnBothPaths) {
+TEST(SiteHealthCoarsePassTest, IndexListsExcludedSiteAndFilterSitesSkipsIt) {
+  // The index serves published state only; hard exclusion is applied by the
+  // matchmaker's coarse pass when the reply lands.
   sim::Simulation sim;
-  LeaseManager leases{sim};
+  infosys::InformationSystemConfig config;
+  config.index_query_latency = 1_ms;
+  infosys::InformationSystem is{sim, config};
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const auto record = make_record(id, 4);
+    is.register_site(record.static_info, [record] { return record; });
+    is.publish(record);
+  }
   SiteHealth health{sim, tuned()};
-  health.note_eviction(SiteId{2});
-  health.note_heartbeat_miss(SiteId{3});
+  health.note_eviction(SiteId{2});  // 2.0: hard-excluded
+  ASSERT_TRUE(health.hard_excluded(SiteId{2}));
 
-  Matchmaker legacy{MatchmakerConfig{.use_fast_path = false}};
-  Matchmaker fast{MatchmakerConfig{.use_fast_path = true}};
-  legacy.set_site_health(&health);
-  fast.set_site_health(&health);
+  std::shared_ptr<const infosys::InformationSystem::IndexSnapshot> reply;
+  is.query_index_matching(
+      1, [&reply](std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
+                      records) { reply = std::move(records); });
+  sim.run_until(SimTime::from_seconds(1));
+  ASSERT_NE(reply, nullptr);
+  std::vector<SiteId> listed;
+  for (const auto& record : *reply) listed.push_back(record->static_info.id);
+  EXPECT_EQ(listed, (std::vector<SiteId>{SiteId{1}, SiteId{2}, SiteId{3}}));
 
-  const auto job = make_job();
-  const auto compiled = fast.compile(job);
-  const std::vector<infosys::SiteRecord> records{
-      make_record(1, 4), make_record(2, 4), make_record(3, 4)};
-  const auto a =
-      legacy.filter_sites(job, nullptr, CandidateSource{records}, leases, 1);
-  const auto b = fast.filter_sites(job, compiled.get(),
-                                   CandidateSource{records}, leases, 1);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 2u);  // site 2 hard-excluded on both paths
-  EXPECT_EQ(a[0], SiteId{1});
-  EXPECT_EQ(a[1], SiteId{3});
+  obs::MetricsRegistry metrics;
+  LeaseManager leases{sim};
+  Matchmaker matchmaker;
+  matchmaker.set_site_health(&health);
+  matchmaker.set_metrics(&metrics);
+  const auto compiled = matchmaker.compile(make_job());
+  const auto coarse =
+      matchmaker.filter_sites(*compiled, CandidateSource{*reply}, leases, 1);
+  EXPECT_EQ(coarse, (std::vector<SiteId>{SiteId{1}, SiteId{3}}));
+  const obs::Counter* excluded = metrics.find_counter(
+      "broker.match.health_excluded", obs::LabelSet{{"pass", "coarse"}});
+  ASSERT_NE(excluded, nullptr);
+  EXPECT_EQ(excluded->value(), 1u);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ GATE_KEYWORDS = ("digest", "zero_alloc")
 # so a regressed benchmark cannot pass the gate by silently dropping its
 # correctness fields.
 REQUIRED_ROW_FIELDS = {
+    "BENCH_match_scale.json": ("digest_match",),
     "BENCH_stream_scale.json": ("digest_match", "zero_alloc_steady_state"),
 }
 
