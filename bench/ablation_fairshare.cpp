@@ -12,6 +12,7 @@
 #include <iostream>
 #include <optional>
 
+#include "claims.hpp"
 #include "grid/grid.hpp"
 #include "util/stats.hpp"
 
@@ -139,15 +140,13 @@ int main() {
   }
   std::cout << "\n\n";
 
-  const auto check = [](const std::string& claim, bool holds) {
-    std::cout << (holds ? "  [ok]   " : "  [MISS] ") << claim << "\n";
-  };
-  check("priority ordering lets the honest job leapfrog the spam backlog",
-        wait_priority > 0.0 && wait_fifo > 0.0 &&
-            wait_priority < wait_fifo / 2.0);
-  check("spammer rejected under contention once their priority degraded",
-        rejection.rejected > 0);
-  check("rejection recovers: some later submissions still complete",
-        rejection.completed >= 2);
-  return 0;
+  cg::bench::Claims claims;
+  claims.check("priority ordering lets the honest job leapfrog the spam backlog",
+               wait_priority > 0.0 && wait_fifo > 0.0 &&
+                   wait_priority < wait_fifo / 2.0);
+  claims.check("spammer rejected under contention once their priority degraded",
+               rejection.rejected > 0);
+  claims.check("rejection recovers: some later submissions still complete",
+               rejection.completed >= 2);
+  return claims.exit_code();
 }

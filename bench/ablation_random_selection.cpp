@@ -99,10 +99,10 @@ int main() {
   table.add_row({"first-fit", cg::fmt_fixed(firstfit_sd.mean(), 2),
                  cg::fmt_fixed(firstfit_idle.mean(), 1)});
   std::cout << table.render() << "\n";
-  std::cout << (random_sd.mean() < firstfit_sd.mean() &&
-                        random_idle.mean() < firstfit_idle.mean()
-                    ? "[ok]   randomized selection spreads load across "
-                      "equivalent sites\n"
-                    : "[MISS] randomized selection did not improve spread\n");
-  return 0;
+  const bool holds = random_sd.mean() < firstfit_sd.mean() &&
+                     random_idle.mean() < firstfit_idle.mean();
+  std::cout << (holds ? "[ok]   randomized selection spreads load across "
+                        "equivalent sites\n"
+                      : "[MISS] randomized selection did not improve spread\n");
+  return holds ? 0 : 1;
 }

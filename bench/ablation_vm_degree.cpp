@@ -7,6 +7,7 @@
 // one's CPU bursts dilate as residents multiply.
 #include <iostream>
 
+#include "claims.hpp"
 #include "grid/grid.hpp"
 #include "util/stats.hpp"
 
@@ -106,16 +107,14 @@ int main() {
   }
   std::cout << table.render() << "\n";
 
-  const auto check = [](const std::string& claim, bool holds) {
-    std::cout << (holds ? "  [ok]   " : "  [MISS] ") << claim << "\n";
-  };
-  check("higher degree admits more of the burst immediately",
-        results[3].started_immediately > results[0].started_immediately);
-  check("degree 1 rejects the overflow (interactive jobs fail, not queue)",
-        results[0].failed > 0);
-  check("per-job CPU bursts dilate as the degree fills",
-        results[3].mean_cpu_burst_s > results[0].mean_cpu_burst_s * 1.5);
-  check("degree 4 hosts the whole burst with zero failures",
-        results[3].failed == 0);
-  return 0;
+  cg::bench::Claims claims;
+  claims.check("higher degree admits more of the burst immediately",
+               results[3].started_immediately > results[0].started_immediately);
+  claims.check("degree 1 rejects the overflow (interactive jobs fail, not queue)",
+               results[0].failed > 0);
+  claims.check("per-job CPU bursts dilate as the degree fills",
+               results[3].mean_cpu_burst_s > results[0].mean_cpu_burst_s * 1.5);
+  claims.check("degree 4 hosts the whole burst with zero failures",
+               results[3].failed == 0);
+  return claims.exit_code();
 }

@@ -15,6 +15,7 @@
 // Fig. 8.
 #include <iostream>
 
+#include "claims.hpp"
 #include "grid/grid.hpp"
 #include "broker/workload_generator.hpp"
 #include "util/stats.hpp"
@@ -131,14 +132,12 @@ int main() {
   }
   std::cout << table.render() << "\n";
 
-  const auto check = [](const std::string& claim, bool holds) {
-    std::cout << (holds ? "  [ok]   " : "  [MISS] ") << claim << "\n";
-  };
-  check("exclusive mode fails interactive jobs under saturating load",
-        exclusive_heavy_failures > 0.2);
-  check("shared mode keeps failures far lower at the same load",
-        shared_heavy_failures < exclusive_heavy_failures / 2.0);
-  check("shared-mode startup stays interactive (< 30 s) even saturated",
-        shared_heavy_startup > 0.0 && shared_heavy_startup < 30.0);
-  return 0;
+  cg::bench::Claims claims;
+  claims.check("exclusive mode fails interactive jobs under saturating load",
+               exclusive_heavy_failures > 0.2);
+  claims.check("shared mode keeps failures far lower at the same load",
+               shared_heavy_failures < exclusive_heavy_failures / 2.0);
+  claims.check("shared-mode startup stays interactive (< 30 s) even saturated",
+               shared_heavy_startup > 0.0 && shared_heavy_startup < 30.0);
+  return claims.exit_code();
 }

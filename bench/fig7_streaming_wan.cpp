@@ -7,6 +7,7 @@
 //     variance";
 //   - Glogin degrades for large (10 KB) transfers;
 //   - reliable mode is "similar to ssh in the wide area grid" at 10 KB.
+#include "claims.hpp"
 #include "streaming_common.hpp"
 
 int main(int argc, char** argv) {
@@ -19,23 +20,24 @@ int main(int argc, char** argv) {
                        csv_path_from_args(argc, argv));
 
   std::cout << "Shape checks against the paper:\n";
+  Claims claims;
   for (const std::size_t size : {std::size_t{10}, std::size_t{100},
                                  std::size_t{1000}}) {
     const double fast = mean_ms(wan, EchoMethod::kFast, size);
     const double ssh = mean_ms(wan, EchoMethod::kSsh, size);
     const double glogin = mean_ms(wan, EchoMethod::kGlogin, size);
-    check_claim("fast ~ ssh ~ glogin at " + std::to_string(size) +
-                    " B (within 35%)",
-                fast / ssh < 1.35 && fast / ssh > 0.65 && glogin / ssh < 1.35);
+    claims.check("fast ~ ssh ~ glogin at " + std::to_string(size) +
+                     " B (within 35%)",
+                 fast / ssh < 1.35 && fast / ssh > 0.65 && glogin / ssh < 1.35);
   }
-  check_claim("fast has higher variance than ssh (WAN)",
-              stddev_ms(wan, EchoMethod::kFast, 100) >
-                  stddev_ms(wan, EchoMethod::kSsh, 100));
+  claims.check("fast has higher variance than ssh (WAN)",
+               stddev_ms(wan, EchoMethod::kFast, 100) >
+                   stddev_ms(wan, EchoMethod::kSsh, 100));
   const double ssh10k = mean_ms(wan, EchoMethod::kSsh, 10000);
   const double glogin10k = mean_ms(wan, EchoMethod::kGlogin, 10000);
   const double reliable10k = mean_ms(wan, EchoMethod::kReliable, 10000);
-  check_claim("glogin degrades at 10 KB (worse than ssh)", glogin10k > ssh10k);
-  check_claim("reliable ~ ssh at 10 KB (within 20%)",
-              reliable10k / ssh10k < 1.2 && reliable10k / ssh10k > 0.8);
-  return 0;
+  claims.check("glogin degrades at 10 KB (worse than ssh)", glogin10k > ssh10k);
+  claims.check("reliable ~ ssh at 10 KB (within 20%)",
+               reliable10k / ssh10k < 1.2 && reliable10k / ssh10k > 0.8);
+  return claims.exit_code();
 }

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <optional>
 
+#include "claims.hpp"
 #include "glidein/agent.hpp"
 #include "lrms/worker_node.hpp"
 #include "util/stats.hpp"
@@ -139,20 +140,24 @@ int main() {
   std::cout << table.render() << "\n";
 
   std::cout << "Shape checks against the paper:\n";
-  const auto check = [](const std::string& claim, bool holds) {
-    std::cout << (holds ? "  [ok]   " : "  [MISS] ") << claim << "\n";
-  };
-  check("agent overhead negligible (shared-alone within 0.5% of exclusive)",
-        shared_alone.cpu.mean() / ref_cpu < 1.005);
-  check("PL=10 CPU overhead ~8% (6..11%)",
-        pl10.cpu.mean() / ref_cpu > 1.06 && pl10.cpu.mean() / ref_cpu < 1.11);
-  check("PL=25 CPU overhead ~22% (19..25%)",
-        pl25.cpu.mean() / ref_cpu > 1.19 && pl25.cpu.mean() / ref_cpu < 1.25);
-  check("PL=10 I/O overhead ~5% (3..7%)",
-        pl10.io.mean() / ref_io > 1.03 && pl10.io.mean() / ref_io < 1.07);
-  check("PL=25 I/O overhead ~10% (8..13%)",
-        pl25.io.mean() / ref_io > 1.08 && pl25.io.mean() / ref_io < 1.13);
-  check("I/O penalty much smaller than CPU penalty (network-bound)",
-        (pl25.io.mean() / ref_io - 1.0) < (pl25.cpu.mean() / ref_cpu - 1.0));
-  return 0;
+  cg::bench::Claims claims;
+  claims.check(
+      "agent overhead negligible (shared-alone within 0.5% of exclusive)",
+      shared_alone.cpu.mean() / ref_cpu < 1.005);
+  claims.check("PL=10 CPU overhead ~8% (6..11%)",
+               pl10.cpu.mean() / ref_cpu > 1.06 &&
+                   pl10.cpu.mean() / ref_cpu < 1.11);
+  claims.check("PL=25 CPU overhead ~22% (19..25%)",
+               pl25.cpu.mean() / ref_cpu > 1.19 &&
+                   pl25.cpu.mean() / ref_cpu < 1.25);
+  claims.check("PL=10 I/O overhead ~5% (3..7%)",
+               pl10.io.mean() / ref_io > 1.03 &&
+                   pl10.io.mean() / ref_io < 1.07);
+  claims.check("PL=25 I/O overhead ~10% (8..13%)",
+               pl25.io.mean() / ref_io > 1.08 &&
+                   pl25.io.mean() / ref_io < 1.13);
+  claims.check("I/O penalty much smaller than CPU penalty (network-bound)",
+               (pl25.io.mean() / ref_io - 1.0) <
+                   (pl25.cpu.mean() / ref_cpu - 1.0));
+  return claims.exit_code();
 }

@@ -71,11 +71,6 @@ inline void run_streaming_figure(const std::string& title,
   }
 }
 
-/// Prints the figure's qualitative claims and whether this run matches them.
-inline void check_claim(const std::string& claim, bool holds) {
-  std::cout << (holds ? "  [ok]   " : "  [MISS] ") << claim << "\n";
-}
-
 inline double mean_ms(const sim::LinkSpec& link, stream::EchoMethod method,
                       std::size_t payload) {
   stream::EchoConfig config;

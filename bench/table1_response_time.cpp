@@ -16,6 +16,7 @@
 #include <iostream>
 #include <optional>
 
+#include "claims.hpp"
 #include "grid/grid.hpp"
 #include "stream/channel_model.hpp"
 #include "stream/grid_console.hpp"
@@ -261,17 +262,15 @@ int main() {
   std::cout << table.render() << "\n";
 
   // The paper's headline claims, checked explicitly:
-  const double best_other = std::min(glogin_campus.mean(), idle_campus.mean());
-  std::cout << "shared-VM startup advantage over best alternative: "
-            << fmt_fixed(best_other / vm_campus.mean(), 2) << "x "
-            << (best_other / vm_campus.mean() > 2.0 ? "(>2x, as in the paper)"
-                                                    : "(<2x: MISMATCH)")
-            << "\n";
-  std::cout << "glogin slightly faster than exclusive (2PC premium): "
-            << (glogin_campus.mean() < idle_campus.mean() ? "yes" : "NO")
-            << "\n";
-  std::cout << "batch (job+agent) slowest: "
-            << (batch_campus.mean() > idle_campus.mean() ? "yes" : "NO")
-            << "\n";
-  return 0;
+  bench::Claims claims;
+  const double advantage =
+      std::min(glogin_campus.mean(), idle_campus.mean()) / vm_campus.mean();
+  claims.check("shared-VM startup advantage over best alternative: " +
+                   fmt_fixed(advantage, 2) + "x (paper: >2x)",
+               advantage > 2.0);
+  claims.check("glogin slightly faster than exclusive (2PC premium)",
+               glogin_campus.mean() < idle_campus.mean());
+  claims.check("batch (job+agent) slowest",
+               batch_campus.mean() > idle_campus.mean());
+  return claims.exit_code();
 }

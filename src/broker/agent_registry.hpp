@@ -1,0 +1,99 @@
+// The broker's agent table: every glide-in agent it deployed, owned together
+// with what the broker tracks about it (reservations, residents, supervision
+// state). The paper's key startup result rests on this: "information about
+// existing VMs is kept locally by CrossBroker", so interactive submission in
+// shared mode skips the discovery and selection phases entirely.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "glidein/agent.hpp"
+
+namespace cg::broker {
+
+/// One deployed agent and the broker's bookkeeping for it. The agent's id,
+/// site and carrier job are read from the agent itself.
+struct AgentRecord {
+  explicit AgentRecord(std::unique_ptr<glidein::GlideinAgent> owned)
+      : agent{std::move(owned)} {}
+
+  [[nodiscard]] AgentId id() const { return agent->id(); }
+  [[nodiscard]] SiteId site() const { return agent->site(); }
+  [[nodiscard]] JobId carrier_job() const { return agent->carrier_job_id(); }
+
+  /// Free interactive slots minus reservations, never negative: what a new
+  /// placement may still take. A suspected agent offers nothing until it
+  /// re-registers.
+  [[nodiscard]] int reservable_slots() const;
+
+  std::unique_ptr<glidein::GlideinAgent> agent;
+  bool ran_any_job = false;
+  std::optional<JobId> batch_resident;
+  /// Interactive jobs resident on the agent's interactive VMs (one per
+  /// slot; several with a multiprogramming degree above 1).
+  std::vector<JobId> interactive_residents;
+  /// Interactive jobs reserved onto slots but not yet started.
+  std::vector<JobId> pending_interactive;
+  std::optional<JobId> pending_batch;
+  /// Heartbeat supervision (fault recovery): consecutive missed probes and
+  /// whether the agent is currently suspected unreachable.
+  int missed_heartbeats = 0;
+  bool suspected = false;
+  /// Liveness-echo supervision: highest probe sequence sent / echoed back,
+  /// and consecutive unanswered probes. probe_seq > echo_seq means a probe
+  /// is outstanding when the next tick fires.
+  std::uint64_t probe_seq = 0;
+  std::uint64_t echo_seq = 0;
+  int missed_echoes = 0;
+  /// When the current suspicion began; guards the eviction timer against
+  /// suspect -> restore -> suspect races.
+  std::optional<SimTime> suspected_since;
+  /// Set when the agent's AgentRegister arrives: from then on every
+  /// heartbeat and liveness tick visits it, until it leaves the table.
+  bool supervised = false;
+  /// Fired (once) when the agent's AgentRegister message arrives.
+  std::function<void(AgentRecord&)> on_ready;
+};
+
+class AgentRegistry {
+public:
+  using Table = std::map<AgentId, AgentRecord>;
+
+  explicit AgentRegistry(sim::Simulation& sim) : sim_{sim} {}
+
+  /// Creates an agent bound to a site, with an empty record; the caller
+  /// submits its carrier job. A bad config throws and leaves the table
+  /// unchanged.
+  AgentRecord& create(SiteId site, glidein::GlideinAgentConfig config = {});
+
+  /// Permanently removes an agent (after death or dismissal).
+  void remove(AgentId id);
+
+  [[nodiscard]] glidein::GlideinAgent* find(AgentId id);
+  [[nodiscard]] AgentRecord* record(AgentId id);
+  [[nodiscard]] const AgentRecord* record(AgentId id) const;
+
+  [[nodiscard]] int total_agents() const {
+    return static_cast<int>(records_.size());
+  }
+  [[nodiscard]] int running_agents() const;
+
+  /// Iteration in ascending AgentId order: placement and supervision walk
+  /// the table in this order, and the pinned traces depend on it.
+  [[nodiscard]] Table::iterator begin() { return records_.begin(); }
+  [[nodiscard]] Table::iterator end() { return records_.end(); }
+  [[nodiscard]] Table::const_iterator begin() const { return records_.begin(); }
+  [[nodiscard]] Table::const_iterator end() const { return records_.end(); }
+
+private:
+  sim::Simulation& sim_;
+  IdGenerator<AgentId> ids_;
+  Table records_;
+};
+
+}  // namespace cg::broker

@@ -59,14 +59,10 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
   });
   bus_.bind(endpoint_,
             [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
-  if (config_.enable_agent_heartbeats) {
-    sim_.schedule_daemon(config_.agent_heartbeat_interval,
-                         [this] { heartbeat_tick(); });
-  }
-  if (config_.enable_liveness_probes) {
-    sim_.schedule_daemon(config_.liveness_probe_interval,
-                         [this] { liveness_tick(); });
-  }
+  sim_.schedule_daemon(config_.agent_heartbeat_interval,
+                       [this] { heartbeat_tick(); });
+  sim_.schedule_daemon(config_.liveness_probe_interval,
+                       [this] { liveness_tick(); });
 }
 
 CrossBroker::~CrossBroker() {
@@ -86,14 +82,13 @@ void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
 }
 
 void CrossBroker::handle_agent_register(AgentId agent_id) {
-  auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end()) return;
-  AgentInfo& info = it->second;
-  info.supervised = true;
-  if (info.on_ready) {
-    auto ready = std::move(info.on_ready);
-    info.on_ready = nullptr;
-    ready(info);
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr) return;
+  rec->supervised = true;
+  if (rec->on_ready) {
+    auto ready = std::move(rec->on_ready);
+    rec->on_ready = nullptr;
+    ready(*rec);
   }
 }
 
@@ -219,46 +214,43 @@ bool CrossBroker::cancel(JobId id) {
     if (sub.completed) continue;
     bool handled = false;
     if (sub.agent) {
-      const auto info_it = agent_info_.find(*sub.agent);
-      glidein::GlideinAgent* agent = agents_.find(*sub.agent);
-      if (info_it != agent_info_.end() && agent != nullptr) {
-        AgentInfo& info = info_it->second;
-        lrms::Site* agent_site = find_site(info.site);
+      if (AgentRecord* rec = agents_.record(*sub.agent)) {
+        lrms::Site* agent_site = find_site(rec->site());
         const std::string site_dst =
             agent_site != nullptr ? agent_site->endpoint() : std::string{};
         const AgentId agent_id = *sub.agent;
         const JobId lrms_id = sub.lrms_job_id;
-        std::erase(info.pending_interactive, id);
-        if (info.pending_batch == id) info.pending_batch.reset();
-        if (std::find(info.interactive_residents.begin(),
-                      info.interactive_residents.end(),
-                      id) != info.interactive_residents.end()) {
+        std::erase(rec->pending_interactive, id);
+        if (rec->pending_batch == id) rec->pending_batch.reset();
+        if (std::find(rec->interactive_residents.begin(),
+                      rec->interactive_residents.end(),
+                      id) != rec->interactive_residents.end()) {
           bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
                     [this, agent_id, lrms_id](const net::Envelope&) {
                       if (auto* a = agents_.find(agent_id)) {
                         a->cancel_interactive_job(lrms_id);
                       }
                     });
-          std::erase(info.interactive_residents, id);
+          std::erase(rec->interactive_residents, id);
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
-          if (info.batch_resident && info.interactive_residents.empty()) {
-            fair_share_.set_application_factor(*info.batch_resident,
+          if (rec->batch_resident && rec->interactive_residents.empty()) {
+            fair_share_.set_application_factor(*rec->batch_resident,
                                                application_factor_batch());
           }
           handled = true;
         }
-        if (info.batch_resident == id) {
+        if (rec->batch_resident == id) {
           bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
                     [this, agent_id](const net::Envelope&) {
                       if (auto* a = agents_.find(agent_id)) {
                         a->cancel_slot(glidein::SlotType::kBatch);
                       }
                     });
-          info.batch_resident.reset();
+          rec->batch_resident.reset();
           handled = true;
         }
-        info.ran_any_job = true;  // the slot was used; allow dismissal
+        rec->ran_any_job = true;  // the slot was used; allow dismissal
         maybe_dismiss_agent(*sub.agent);
       }
     }
@@ -289,7 +281,7 @@ bool CrossBroker::cancel(JobId id) {
 void CrossBroker::preload_agent(SiteId site) {
   if (!sites_.contains(site)) throw std::invalid_argument{"preload_agent: unknown site"};
   create_agent_with_carrier(
-      site, [](AgentInfo&) {},
+      site, [](AgentRecord&) {},
       [] { log_warn(kLog, "preloaded agent submission failed"); });
 }
 
@@ -430,45 +422,14 @@ void CrossBroker::schedule_job(JobId id) {
   // "the first two steps are not required ... because the information about
   // existing VMs is kept locally by CrossBroker" (Section 6.1).
   if (desc.is_interactive() &&
-      desc.machine_access() == jdl::MachineAccess::kShared) {
-    int free_vms = 0;
-    for (auto* agent : agents_.agents()) {
-      // Hard-excluded sites offer no VMs either: shared-mode placement
-      // follows the same suspicion window as external matchmaking.
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
-      if (info == agent_info_.end()) continue;
-      free_vms += info->second.reservable_slots(*agent);
-    }
-    if (free_vms >= desc.node_number() &&
-        desc.flavor() != jdl::JobFlavor::kMpichP4) {
-      sim_.schedule(config_.vm_lookup_cost, [this, id] {
-        dispatch_interactive_on_vms(id);
-      });
-      return;
-    }
-    if (desc.flavor() == jdl::JobFlavor::kMpichP4) {
-      // Check per-site VM availability for the single-site constraint.
-      for (const auto& [site_id, site] : sites_) {
-        if (site_health_.hard_excluded(site_id)) continue;
-        int site_vms = 0;
-        for (auto* agent : agents_.agents()) {
-          if (agent->site() != site_id) continue;
-          const auto info = agent_info_.find(agent->id());
-          if (info == agent_info_.end()) continue;
-          site_vms += info->second.reservable_slots(*agent);
-        }
-        if (site_vms >= desc.node_number()) {
-          sim_.schedule(config_.vm_lookup_cost, [this, id] {
-            dispatch_interactive_on_vms(id);
-          });
-          return;
-        }
-      }
-    }
-    // Fall through: no (sufficient) free VMs — search for idle machines and
-    // submit agent + application together.
+      desc.machine_access() == jdl::MachineAccess::kShared &&
+      vms_cover(desc)) {
+    sim_.schedule(config_.vm_lookup_cost,
+                  [this, id] { dispatch_interactive_on_vms(id); });
+    return;
   }
+  // No (sufficient) free VMs: search for idle machines and submit agent +
+  // application together.
   begin_discovery(id);
 }
 
@@ -593,57 +554,39 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
   // Shared mode may combine existing free VMs with fresh agents on idle
   // machines ("it is possible to have a combination of machines with and
   // without agents for executing a parallel interactive application").
+  // MPICH-P4 cannot span sites: it uses VMs only if ONE site's reservable
+  // slots cover the whole job, and otherwise falls through to idle machines.
   int still_needed = processes;
-  if (shared && desc.flavor() == jdl::JobFlavor::kMpichP4) {
-    // MPICH-P4 cannot span sites: use VMs only if ONE site's reservable
-    // slots cover the whole job; otherwise fall through to idle machines.
-    for (const auto& [site_id, site] : sites_) {
-      if (site_health_.hard_excluded(site_id)) continue;
-      int takeable = 0;
-      std::vector<std::pair<glidein::GlideinAgent*, AgentInfo*>> donors;
-      for (auto* agent : agents_.agents()) {
-        if (agent->site() != site_id) continue;
-        const auto info = agent_info_.find(agent->id());
-        if (info == agent_info_.end()) continue;
-        const int slots = info->second.reservable_slots(*agent);
-        if (slots > 0) {
-          takeable += slots;
-          donors.emplace_back(agent, &info->second);
-        }
-      }
-      if (takeable < still_needed) continue;
-      for (auto& [agent, info] : donors) {
-        int slots = info->reservable_slots(*agent);
-        while (slots > 0 && still_needed > 0) {
-          assignments.push_back(
-              Assignment{site_id, Assignment::Kind::kVm, agent->id()});
-          info->pending_interactive.push_back(id);
-          --slots;
-          --still_needed;
-        }
-      }
-      break;
-    }
-  }
-  if (shared && desc.flavor() != jdl::JobFlavor::kMpichP4) {
-    for (auto* agent : agents_.agents()) {
+  const std::optional<SiteId> p4_site =
+      shared && desc.flavor() == jdl::JobFlavor::kMpichP4
+          ? vm_site_covering(processes)
+          : std::nullopt;
+  if (shared && (p4_site || desc.flavor() != jdl::JobFlavor::kMpichP4)) {
+    for (auto& [agent_id, rec] : agents_) {
       if (still_needed == 0) break;
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
-      if (info == agent_info_.end()) continue;
+      if (p4_site && rec.site() != *p4_site) continue;
+      if (site_health_.hard_excluded(rec.site())) continue;
       // With a multiprogramming degree above 1, one agent can host several
       // subjobs at once; take as many reservable slots as still needed.
-      int takeable = info->second.reservable_slots(*agent);
-      while (takeable > 0 && still_needed > 0) {
+      // Each reservation holds the slot against concurrent placements in
+      // this event cascade.
+      for (int slots = rec.reservable_slots(); slots > 0 && still_needed > 0;
+           --slots, --still_needed) {
         assignments.push_back(
-            Assignment{agent->site(), Assignment::Kind::kVm, agent->id()});
-        // Reserve against concurrent placements in this event cascade.
-        info->second.pending_interactive.push_back(id);
-        --takeable;
-        --still_needed;
+            Assignment{rec.site(), Assignment::Kind::kVm, agent_id});
+        rec.pending_interactive.push_back(id);
       }
     }
   }
+  // Undoes the VM reservations above. It runs before any idle-machine
+  // assignment is added, so every assignment it sees is a VM.
+  const auto release_vms = [this, id, &assignments] {
+    for (const auto& a : assignments) {
+      auto& pending = agents_.record(a.vm_agent)->pending_interactive;
+      const auto it = std::find(pending.begin(), pending.end(), id);
+      if (it != pending.end()) pending.erase(it);
+    }
+  };
 
   if (still_needed > 0) {
     mpijob::AllocationPlan sequential_plan;
@@ -674,17 +617,8 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                                      std::move(capacity), plan_rng);
     }
     if (!plan) {
-      // Roll back VM reservations; no machines for the remainder.
-      for (const auto& a : assignments) {
-        if (a.kind == Assignment::Kind::kVm) {
-          const auto info = agent_info_.find(a.vm_agent);
-          if (info != agent_info_.end()) {
-            auto& pending = info->second.pending_interactive;
-            const auto it = std::find(pending.begin(), pending.end(), id);
-            if (it != pending.end()) pending.erase(it);
-          }
-        }
-      }
+      // No machines for the remainder.
+      release_vms();
       handle_no_resources(id);
       return;
     }
@@ -706,14 +640,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                  obs::LabelSet{{"site", std::to_string(placement.site.value())}});
           count("broker.lease_conflicts",
                 obs::LabelSet{{"site", std::to_string(placement.site.value())}});
-          for (const auto& a : assignments) {
-            if (a.kind == Assignment::Kind::kVm) {
-              const auto info = agent_info_.find(a.vm_agent);
-              if (info != agent_info_.end()) {
-                std::erase(info->second.pending_interactive, id);
-              }
-            }
-          }
+          release_vms();
           handle_no_resources(id);
           return;
         }
@@ -842,9 +769,39 @@ lrms::TaskRunner::BarrierFn CrossBroker::barrier_handler_for(JobId id, int rank)
   };
 }
 
+int CrossBroker::reservable_vms(std::optional<SiteId> site) const {
+  int n = 0;
+  for (const auto& [agent_id, rec] : agents_) {
+    if (site && rec.site() != *site) continue;
+    if (site_health_.hard_excluded(rec.site())) continue;
+    n += rec.reservable_slots();
+  }
+  return n;
+}
+
+std::optional<SiteId> CrossBroker::vm_site_covering(int n) const {
+  for (const auto& [site_id, site] : sites_) {
+    if (reservable_vms(site_id) >= n) return site_id;
+  }
+  return std::nullopt;
+}
+
+bool CrossBroker::vms_cover(const jdl::JobDescription& desc) const {
+  if (desc.flavor() == jdl::JobFlavor::kMpichP4) {
+    return vm_site_covering(desc.node_number()).has_value();
+  }
+  return reservable_vms(std::nullopt) >= desc.node_number();
+}
+
 void CrossBroker::dispatch_interactive_on_vms(JobId id) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
+  // A concurrent placement may have taken the VMs during the lookup: the job
+  // then looks for idle machines, as it would have without agents.
+  if (!vms_cover(job->record.description)) {
+    begin_discovery(id);
+    return;
+  }
   // Combined discovery+selection happened locally against the VM registry.
   job->record.timestamps.discovery_done = sim_.now();
   job->record.timestamps.selection_done = sim_.now();
@@ -958,29 +915,23 @@ void CrossBroker::dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
         j->record.subjobs[subjob_index].id != expected_sub) {
       return;
     }
-    glidein::GlideinAgent* a = agents_.find(agent_id);
-    const auto info_it = agent_info_.find(agent_id);
-    if (a == nullptr || info_it == agent_info_.end() ||
-        a->state() != glidein::AgentState::kRunning) {
+    AgentRecord* rec = agents_.record(agent_id);
+    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
       // The agent died while we were dispatching; try again from scratch.
       resubmit_job(id);
       return;
     }
-    start_job_on_agent(id, subjob_index, info_it->second, /*interactive_slot=*/true);
+    start_job_on_agent(id, subjob_index, *rec, /*interactive_slot=*/true);
   });
 }
 
 void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
-                                     AgentInfo& info, bool interactive_slot) {
+                                     AgentRecord& rec, bool interactive_slot) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
-  glidein::GlideinAgent* agent = agents_.find(info.id);
-  if (agent == nullptr) {
-    resubmit_job(id);
-    return;
-  }
-  const AgentId agent_id = info.id;
-  lrms::Site* agent_site = find_site(info.site);
+  glidein::GlideinAgent* agent = rec.agent.get();
+  const AgentId agent_id = rec.id();
+  lrms::Site* agent_site = find_site(rec.site());
   const std::string site_endpoint =
       agent_site != nullptr ? agent_site->endpoint() : std::string{};
 
@@ -1026,21 +977,20 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
               net::JobStatus{id, net::StatusPhase::kCompleted}, inline_send(),
               [this, id, subjob_index, agent_id,
                interactive_slot](const net::Envelope&) {
-      const auto it = agent_info_.find(agent_id);
-      if (it != agent_info_.end()) {
-        it->second.ran_any_job = true;
+      if (AgentRecord* done = agents_.record(agent_id)) {
+        done->ran_any_job = true;
         if (interactive_slot) {
-          auto& residents = it->second.interactive_residents;
+          auto& residents = done->interactive_residents;
           const auto res = std::find(residents.begin(), residents.end(), id);
           if (res != residents.end()) residents.erase(res);
           // The last interactive job finished: the batch job's original
           // priority (and application factor) are restored.
-          if (it->second.batch_resident && residents.empty()) {
-            fair_share_.set_application_factor(*it->second.batch_resident,
+          if (done->batch_resident && residents.empty()) {
+            fair_share_.set_application_factor(*done->batch_resident,
                                                application_factor_batch());
           }
         } else {
-          it->second.batch_resident.reset();
+          done->batch_resident.reset();
         }
       }
       subjob_completed(id, subjob_index);
@@ -1053,36 +1003,38 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
     const int pl = job->record.description.performance_loss();
     status = agent->start_interactive_job(std::move(slot_job), pl);
     if (status.ok()) {
-      info.interactive_residents.push_back(id);
-      const auto pending_it = std::find(info.pending_interactive.begin(),
-                                        info.pending_interactive.end(), id);
-      if (pending_it != info.pending_interactive.end()) {
-        info.pending_interactive.erase(pending_it);
+      rec.interactive_residents.push_back(id);
+      const auto pending_it = std::find(rec.pending_interactive.begin(),
+                                        rec.pending_interactive.end(), id);
+      if (pending_it != rec.pending_interactive.end()) {
+        rec.pending_interactive.erase(pending_it);
       }
       // Demote the co-resident batch job in the fair-share books: its user
       // is charged only PL/100 while yielding the machine (the strongest
       // concession among residents governs).
-      if (info.batch_resident) {
+      if (rec.batch_resident) {
         const int governing_pl =
             std::max(pl, agent->max_running_performance_loss());
         fair_share_.set_application_factor(
-            *info.batch_resident,
+            *rec.batch_resident,
             application_factor_yielding_batch(governing_pl));
         count("glidein.batch_demotions",
-              obs::LabelSet{{"site", std::to_string(info.site.value())}});
+              obs::LabelSet{{"site", std::to_string(rec.site().value())}});
         observe("glidein.performance_loss_applied",
                 static_cast<double>(governing_pl),
-                obs::LabelSet{{"site", std::to_string(info.site.value())}});
+                obs::LabelSet{{"site", std::to_string(rec.site().value())}});
       }
     }
   } else {
     status = agent->start_batch_job(std::move(slot_job));
     if (status.ok()) {
-      info.batch_resident = id;
-      info.pending_batch.reset();
+      rec.batch_resident = id;
+      rec.pending_batch.reset();
     }
   }
   if (!status.ok()) {
+    // The reservation stays on the agent until it is suspected: freeing the
+    // slot now would let the retry land on the same refusing agent.
     log_warn(kLog, "slot start failed for ", id, ": ", status.error().to_string());
     resubmit_job(id);
   }
@@ -1126,50 +1078,59 @@ void CrossBroker::dispatch_subjob_exclusive(JobId id, std::size_t subjob_index,
               });
   };
 
-  // Two-phase commit: prepare detects error conditions (full site, auth
-  // failure) before any state is moved. Both legs ride the bus as SubmitJob
-  // messages (prepare, then commit).
+  submit_two_phase(
+      site_id, std::move(request),
+      [this, id, site_id](Status prepared) {
+        ManagedJob* j = find_job(id);
+        if (j == nullptr || is_terminal(j->record.state)) return false;
+        if (!prepared.ok()) {
+          j->excluded_sites.push_back(site_id);
+          resubmit_job(id);
+          return false;
+        }
+        return true;
+      },
+      [this, id, subjob_index, site_id](Status accepted) {
+        ManagedJob* j = find_job(id);
+        if (j == nullptr || is_terminal(j->record.state)) return;
+        if (!accepted.ok()) {
+          j->excluded_sites.push_back(site_id);
+          resubmit_job(id);
+          return;
+        }
+        // On-line scheduling: an interactive job must start immediately; if
+        // it landed in the queue, cancel and resubmit elsewhere.
+        if (j->record.description.is_interactive() &&
+            j->record.subjobs.size() == 1) {
+          arm_queue_detection(id, subjob_index, site_id);
+        }
+      });
+}
+
+void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request,
+                                   std::function<bool(Status)> on_prepared,
+                                   std::function<void(Status)> on_committed) {
+  // Prepare detects error conditions (full site, auth failure) before any
+  // state is moved. Both legs ride the bus as SubmitJob messages. Sites are
+  // never removed from sites_, so the legs need no lookup.
+  lrms::Site* site = sites_.at(site_id);
   const JobId lrms_id = request.id;
-  bus_.send(endpoint_, site_endpoint,
+  bus_.send(endpoint_, site->endpoint(),
             net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare}, inline_send(),
-            [this, id, subjob_index, site_id,
-             request = std::move(request)](const net::Envelope&) mutable {
-    lrms::Site* prepare_site = find_site(site_id);
-    if (prepare_site == nullptr) return;
-    prepare_site->gatekeeper().prepare(request, [this, id, subjob_index, site_id,
-                                                 request](Status prepared) mutable {
-      ManagedJob* j = find_job(id);
-      if (j == nullptr || is_terminal(j->record.state)) return;
-      if (!prepared.ok()) {
-        j->excluded_sites.push_back(site_id);
-        resubmit_job(id);
-        return;
-      }
-      lrms::Site* s = find_site(site_id);
-      if (s == nullptr) return;
-      bus_.send(endpoint_, s->endpoint(),
-                net::SubmitJob{request.id, net::SubmitPhase::kCommit},
+            [this, site, lrms_id, request = std::move(request),
+             on_prepared = std::move(on_prepared),
+             on_committed = std::move(on_committed)](const net::Envelope&) {
+    site->gatekeeper().prepare(request, [this, site, lrms_id, request,
+                                         on_prepared, on_committed](
+                                            Status prepared) mutable {
+      if (!on_prepared(std::move(prepared))) return;
+      bus_.send(endpoint_, site->endpoint(),
+                net::SubmitJob{lrms_id, net::SubmitPhase::kCommit},
                 inline_send(),
-                [this, id, subjob_index, site_id,
-                 request = std::move(request)](const net::Envelope&) mutable {
-        lrms::Site* commit_site = find_site(site_id);
-        if (commit_site == nullptr) return;
-        commit_site->gatekeeper().commit(std::move(request),
-                               [this, id, subjob_index, site_id](Status accepted) {
-          ManagedJob* jj = find_job(id);
-          if (jj == nullptr || is_terminal(jj->record.state)) return;
-          if (!accepted.ok()) {
-            jj->excluded_sites.push_back(site_id);
-            resubmit_job(id);
-            return;
-          }
-          // On-line scheduling: an interactive job must start immediately; if it
-          // landed in the queue, cancel and resubmit elsewhere.
-          if (jj->record.description.is_interactive() &&
-              jj->record.subjobs.size() == 1) {
-            arm_queue_detection(id, subjob_index, site_id);
-          }
-        });
+                [site, request = std::move(request),
+                 on_committed = std::move(on_committed)](
+                    const net::Envelope&) mutable {
+        site->gatekeeper().commit(std::move(request), std::move(on_committed));
       });
     });
   });
@@ -1216,9 +1177,9 @@ void CrossBroker::dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_in
   ManagedJob* job = find_job(id);
   if (job == nullptr) return;
 
-  AgentInfo& info = create_agent_with_carrier(
+  AgentRecord& rec = create_agent_with_carrier(
       site_id,
-      [this, id, subjob_index, interactive_slot](AgentInfo& ready) {
+      [this, id, subjob_index, interactive_slot](AgentRecord& ready) {
         start_job_on_agent(id, subjob_index, ready, interactive_slot);
       },
       [this, id, site_id] {
@@ -1228,25 +1189,27 @@ void CrossBroker::dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_in
         resubmit_job(id);
       });
   if (interactive_slot) {
-    info.pending_interactive.push_back(id);
+    rec.pending_interactive.push_back(id);
   } else {
-    info.pending_batch = id;
+    rec.pending_batch = id;
   }
-  job->record.subjobs[subjob_index].agent = info.id;
+  job->record.subjobs[subjob_index].agent = rec.id();
 }
 
 // -------------------------------------------------------------- glide-in ----
 
-CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
-    SiteId site_id, std::function<void(AgentInfo&)> on_ready,
+AgentRecord& CrossBroker::create_agent_with_carrier(
+    SiteId site_id, std::function<void(AgentRecord&)> on_ready,
     std::function<void()> on_carrier_failed) {
   lrms::Site* site = find_site(site_id);
   if (site == nullptr) throw std::invalid_argument{"create_agent: unknown site"};
 
-  glidein::GlideinAgent& agent = agents_.create(site_id, config_.glidein);
+  AgentRecord& rec = agents_.create(site_id, config_.glidein);
+  glidein::GlideinAgent& agent = *rec.agent;
   const AgentId agent_id = agent.id();
   const JobId carrier = job_ids_.next();
   agent.set_carrier_job_id(carrier);
+  rec.on_ready = std::move(on_ready);
   tracev(JobId::none(), obs::TraceEventKind::kAgentDeployed,
          "agent " + std::to_string(agent_id.value()) + " -> site " +
              std::to_string(site_id.value()),
@@ -1257,13 +1220,6 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
     agent.set_metrics(&obs_->metrics,
                       obs::LabelSet{{"site", std::to_string(site_id.value())}});
   }
-
-  AgentInfo info;
-  info.id = agent_id;
-  info.site = site_id;
-  info.carrier_job = carrier;
-  info.on_ready = std::move(on_ready);
-  auto [it, inserted] = agent_info_.emplace(agent_id, std::move(info));
 
   // Registration rides the bus: when the agent reaches kRunning it announces
   // itself with an AgentRegister message, whose delivery starts supervision
@@ -1292,84 +1248,49 @@ CrossBroker::AgentInfo& CrossBroker::create_agent_with_carrier(
   };
   request.on_complete = [this, agent_id] {
     // Manual finish: the agent left the machine voluntarily.
-    const auto info_it = agent_info_.find(agent_id);
-    if (info_it != agent_info_.end()) agent_info_.erase(info_it);
     agents_.remove(agent_id);
   };
 
-  bus_.send(endpoint_, site->endpoint(),
-            net::SubmitJob{carrier, net::SubmitPhase::kPrepare}, inline_send(),
-            [this, site_id, request = std::move(request),
-             on_carrier_failed =
-                 std::move(on_carrier_failed)](const net::Envelope&) mutable {
-    lrms::Site* prepare_site = find_site(site_id);
-    if (prepare_site == nullptr) {
-      on_carrier_failed();
-      return;
-    }
-    prepare_site->gatekeeper().prepare(request, [this, site_id, request,
-                                                 on_carrier_failed =
-                                                     std::move(on_carrier_failed)](
-                                                    Status prepared) mutable {
-      if (!prepared.ok()) {
-        on_carrier_failed();
-        return;
-      }
-      lrms::Site* s = find_site(site_id);
-      if (s == nullptr) {
-        on_carrier_failed();
-        return;
-      }
-      bus_.send(endpoint_, s->endpoint(),
-                net::SubmitJob{request.id, net::SubmitPhase::kCommit},
-                inline_send(),
-                [this, site_id, request = std::move(request),
-                 on_carrier_failed =
-                     std::move(on_carrier_failed)](const net::Envelope&) mutable {
-        lrms::Site* commit_site = find_site(site_id);
-        if (commit_site == nullptr) {
-          on_carrier_failed();
-          return;
-        }
-        commit_site->gatekeeper().commit(
-            std::move(request),
-            [on_carrier_failed = std::move(on_carrier_failed)](Status accepted) {
-              if (!accepted.ok()) on_carrier_failed();
-            });
+  // Either leg may refuse the carrier. The copy for the prepare leg is taken
+  // before the call, whose arguments may be evaluated in any order.
+  std::function<bool(Status)> on_prepared =
+      [on_carrier_failed](Status prepared) {
+        if (!prepared.ok()) on_carrier_failed();
+        return prepared.ok();
+      };
+  submit_two_phase(
+      site_id, std::move(request), std::move(on_prepared),
+      [on_carrier_failed = std::move(on_carrier_failed)](Status accepted) {
+        if (!accepted.ok()) on_carrier_failed();
       });
-    });
-  });
-
-  return it->second;
+  return rec;
 }
 
 void CrossBroker::maybe_dismiss_agent(AgentId agent_id) {
   if (!config_.dismiss_idle_agents) return;
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end() || !it->second.ran_any_job) return;
-  if (!it->second.pending_interactive.empty() || it->second.pending_batch) return;
-  glidein::GlideinAgent* agent = agents_.find(agent_id);
-  if (agent == nullptr) return;
-  if (agent->batch_vm_busy() || agent->interactive_vm_busy()) return;
-  lrms::Site* site = find_site(it->second.site);
+  const AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr || !rec->ran_any_job) return;
+  if (!rec->pending_interactive.empty() || rec->pending_batch) return;
+  if (rec->agent->batch_vm_busy() || rec->agent->interactive_vm_busy()) return;
+  lrms::Site* site = find_site(rec->site());
   if (site == nullptr) return;
   // Completing the manual carrier job frees the worker node; the carrier's
   // on_complete removes the agent from the registry.
-  site->scheduler().finish_manual(it->second.carrier_job);
+  site->scheduler().finish_manual(rec->carrier_job());
 }
 
 bool CrossBroker::agent_suspected(AgentId id) const {
-  const auto it = agent_info_.find(id);
-  return it != agent_info_.end() && it->second.suspected;
+  const AgentRecord* rec = agents_.record(id);
+  return rec != nullptr && rec->suspected;
 }
 
 int CrossBroker::advertised_interactive_vms(SiteId site) {
+  // What the site publishes as FreeInteractiveVMs: reservations are the
+  // broker's own business and are not subtracted.
   int n = 0;
-  for (glidein::GlideinAgent* agent : agents_.agents()) {
-    if (agent->site() != site) continue;
-    const auto it = agent_info_.find(agent->id());
-    if (it != agent_info_.end() && it->second.suspected) continue;
-    n += agent->free_interactive_slots();
+  for (const auto& [agent_id, rec] : agents_) {
+    if (rec.site() != site || rec.suspected) continue;
+    n += rec.agent->free_interactive_slots();
   }
   return n;
 }
@@ -1378,45 +1299,42 @@ int CrossBroker::advertised_interactive_vms(SiteId site) {
 
 std::vector<AgentId> CrossBroker::supervised_agents() const {
   std::vector<AgentId> ids;
-  for (const auto& [id, info] : agent_info_) {
-    if (info.supervised) ids.push_back(id);
+  for (const auto& [id, rec] : agents_) {
+    if (rec.supervised) ids.push_back(id);
   }
   return ids;
 }
 
 void CrossBroker::heartbeat_tick() {
   for (const AgentId agent_id : supervised_agents()) {
-    const auto it = agent_info_.find(agent_id);
-    if (it == agent_info_.end()) continue;
-    AgentInfo& info = it->second;
-    glidein::GlideinAgent* agent = agents_.find(agent_id);
-    if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
+    AgentRecord* rec = agents_.record(agent_id);
+    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
       continue;
     }
-    lrms::Site* site = find_site(info.site);
+    lrms::Site* site = find_site(rec->site());
     if (site == nullptr) continue;
     // The probe travels the broker <-> site link; a partitioned link means a
     // missed heartbeat whether or not the agent is actually alive.
     const bool reachable =
         bus_.probe(endpoint_, site->endpoint(), net::Heartbeat{agent_id});
     if (reachable) {
-      info.missed_heartbeats = 0;
+      rec->missed_heartbeats = 0;
       // A passing link heartbeat alone is not proof of life: a wedged agent
       // behind a healthy link stays suspected until its liveness echo
       // returns too.
-      if (info.suspected && clear_of_suspicion(info)) restore_agent(agent_id);
+      if (rec->suspected && clear_of_suspicion(*rec)) restore_agent(agent_id);
     } else {
-      ++info.missed_heartbeats;
-      site_health_.note_heartbeat_miss(info.site);
+      ++rec->missed_heartbeats;
+      site_health_.note_heartbeat_miss(rec->site());
       per_site_counter(metrics_.heartbeat_misses, "broker.heartbeat_misses",
-                       info.site)
+                       rec->site())
           .inc();
       tracev(JobId::none(), obs::TraceEventKind::kHeartbeatMiss,
              "agent " + std::to_string(agent_id.value()) + " missed probe " +
-                 std::to_string(info.missed_heartbeats),
-             obs::LabelSet{{"site", std::to_string(info.site.value())}});
-      if (!info.suspected &&
-          info.missed_heartbeats >= config_.agent_heartbeat_miss_limit) {
+                 std::to_string(rec->missed_heartbeats),
+             obs::LabelSet{{"site", std::to_string(rec->site().value())}});
+      if (!rec->suspected &&
+          rec->missed_heartbeats >= config_.agent_heartbeat_miss_limit) {
         suspect_agent(agent_id, "heartbeat");
       }
     }
@@ -1427,43 +1345,40 @@ void CrossBroker::heartbeat_tick() {
 
 void CrossBroker::liveness_tick() {
   for (const AgentId agent_id : supervised_agents()) {
-    const auto it = agent_info_.find(agent_id);
-    if (it == agent_info_.end()) continue;
-    AgentInfo& info = it->second;
-    glidein::GlideinAgent* agent = agents_.find(agent_id);
-    if (agent == nullptr || agent->state() != glidein::AgentState::kRunning) {
+    AgentRecord* rec = agents_.record(agent_id);
+    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
       continue;
     }
-    lrms::Site* site = find_site(info.site);
+    lrms::Site* site = find_site(rec->site());
     if (site == nullptr) continue;
-    if (info.probe_seq > info.echo_seq) {
+    if (rec->probe_seq > rec->echo_seq) {
       // The previous probe was never echoed: the agent's event loop is
       // stalled or the path is down. Either way the application-level
       // liveness contract failed, whatever the link heartbeat says.
-      ++info.missed_echoes;
-      site_health_.note_liveness_miss(info.site);
+      ++rec->missed_echoes;
+      site_health_.note_liveness_miss(rec->site());
       per_site_counter(metrics_.liveness_misses, "broker.liveness_misses",
-                       info.site)
+                       rec->site())
           .inc();
       tracev(JobId::none(), obs::TraceEventKind::kLivenessMiss,
              "agent " + std::to_string(agent_id.value()) + " missed echo " +
-                 std::to_string(info.missed_echoes) + " (probe " +
-                 std::to_string(info.probe_seq) + ")",
-             obs::LabelSet{{"site", std::to_string(info.site.value())}});
-      if (!info.suspected &&
-          info.missed_echoes >= config_.liveness_miss_limit) {
+                 std::to_string(rec->missed_echoes) + " (probe " +
+                 std::to_string(rec->probe_seq) + ")",
+             obs::LabelSet{{"site", std::to_string(rec->site().value())}});
+      if (!rec->suspected &&
+          rec->missed_echoes >= config_.liveness_miss_limit) {
         suspect_agent(agent_id, "liveness");
       }
     }
-    send_liveness_probe(agent_id, info, *site);
+    send_liveness_probe(*rec, *site);
   }
   sim_.schedule_daemon(config_.liveness_probe_interval,
                        [this] { liveness_tick(); });
 }
 
-void CrossBroker::send_liveness_probe(AgentId agent_id, AgentInfo& info,
-                                      const lrms::Site& site) {
-  const std::uint64_t seq = ++info.probe_seq;
+void CrossBroker::send_liveness_probe(AgentRecord& rec, const lrms::Site& site) {
+  const AgentId agent_id = rec.id();
+  const std::uint64_t seq = ++rec.probe_seq;
   metrics_.liveness_probes.inc();
   // The probe rides the direct broker <-> agent channel; on a partitioned
   // link it is simply lost and counted missing at the next tick. The echo
@@ -1480,38 +1395,33 @@ void CrossBroker::send_liveness_probe(AgentId agent_id, AgentInfo& info,
 }
 
 void CrossBroker::on_liveness_echo(AgentId agent_id, std::uint64_t seq) {
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end()) return;
-  AgentInfo& info = it->second;
-  if (seq > info.echo_seq) info.echo_seq = seq;
-  info.missed_echoes = 0;
-  if (info.suspected && clear_of_suspicion(info)) restore_agent(agent_id);
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr) return;
+  if (seq > rec->echo_seq) rec->echo_seq = seq;
+  rec->missed_echoes = 0;
+  if (rec->suspected && clear_of_suspicion(*rec)) restore_agent(agent_id);
 }
 
-bool CrossBroker::clear_of_suspicion(const AgentInfo& info) const {
-  const bool heartbeats_ok =
-      !config_.enable_agent_heartbeats ||
-      info.missed_heartbeats < config_.agent_heartbeat_miss_limit;
-  const bool echoes_ok = !config_.enable_liveness_probes ||
-                         info.missed_echoes < config_.liveness_miss_limit;
-  return heartbeats_ok && echoes_ok;
+bool CrossBroker::clear_of_suspicion(const AgentRecord& rec) const {
+  return rec.missed_heartbeats < config_.agent_heartbeat_miss_limit &&
+         rec.missed_echoes < config_.liveness_miss_limit;
 }
 
 void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end() || it->second.suspected) return;
-  AgentInfo& info = it->second;
-  info.suspected = true;
-  info.suspected_since = sim_.now();
-  site_health_.note_suspected(info.site);
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr || rec->suspected) return;
+  const SiteId site = rec->site();
+  rec->suspected = true;
+  rec->suspected_since = sim_.now();
+  site_health_.note_suspected(site);
   const bool by_liveness = std::string_view{reason} == "liveness";
   const std::string cause =
-      by_liveness ? std::to_string(info.missed_echoes) + " missed liveness echoes"
-                  : std::to_string(info.missed_heartbeats) + " missed heartbeats";
+      by_liveness ? std::to_string(rec->missed_echoes) + " missed liveness echoes"
+                  : std::to_string(rec->missed_heartbeats) + " missed heartbeats";
   log_warn(kLog, "agent ", agent_id.value(), " suspected (", cause, ")");
   tracev(JobId::none(), obs::TraceEventKind::kAgentSuspected,
          "agent " + std::to_string(agent_id.value()) + " after " + cause,
-         obs::LabelSet{{"site", std::to_string(info.site.value())},
+         obs::LabelSet{{"site", std::to_string(site.value())},
                        {"reason", reason}});
   count("broker.agents_suspected", obs::LabelSet{{"reason", reason}});
   if (config_.running_job_grace > Duration::zero()) {
@@ -1523,18 +1433,27 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
 
   // Revoke the exclusive-temporal-access matches of jobs still waiting to
   // start on this agent: their leases are released inside resubmit_job and
-  // the suspected agent is excluded from the fresh placement.
-  std::vector<JobId> revoked = info.pending_interactive;
-  if (info.pending_batch) revoked.push_back(*info.pending_batch);
-  info.pending_interactive.clear();
-  info.pending_batch.reset();
+  // the suspected agent is excluded from the fresh placement. A reservation
+  // left by a start the agent refused belongs to an attempt the job has
+  // already moved past (it may be running elsewhere by now): it only kept
+  // the slot blocked, and is dropped without touching the job.
+  std::vector<JobId> revoked = rec->pending_interactive;
+  if (rec->pending_batch) revoked.push_back(*rec->pending_batch);
+  rec->pending_interactive.clear();
+  rec->pending_batch.reset();
   for (const JobId id : revoked) {
     ManagedJob* job = find_job(id);
     if (job == nullptr || is_terminal(job->record.state)) continue;
+    const bool waits_here = std::any_of(
+        job->record.subjobs.begin(), job->record.subjobs.end(),
+        [agent_id](const SubJobRecord& sub) {
+          return sub.agent == agent_id && !sub.started;
+        });
+    if (!waits_here) continue;
     tracev(id, obs::TraceEventKind::kLeaseRevoked,
            "reserved agent " + std::to_string(agent_id.value()) +
                " missed heartbeats",
-           obs::LabelSet{{"site", std::to_string(info.site.value())}});
+           obs::LabelSet{{"site", std::to_string(site.value())}});
     count("broker.lease_revocations");
     resubmit_job(id);
   }
@@ -1543,17 +1462,17 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
 }
 
 void CrossBroker::restore_agent(AgentId agent_id) {
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end() || !it->second.suspected) return;
-  it->second.suspected = false;
-  it->second.missed_heartbeats = 0;
-  it->second.missed_echoes = 0;
-  it->second.suspected_since.reset();
-  site_health_.note_restored(it->second.site);
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr || !rec->suspected) return;
+  rec->suspected = false;
+  rec->missed_heartbeats = 0;
+  rec->missed_echoes = 0;
+  rec->suspected_since.reset();
+  site_health_.note_restored(rec->site());
   log_info(kLog, "agent ", agent_id.value(), " re-registered");
   tracev(JobId::none(), obs::TraceEventKind::kAgentRestored,
          "agent " + std::to_string(agent_id.value()) + " re-registered",
-         obs::LabelSet{{"site", std::to_string(it->second.site.value())}});
+         obs::LabelSet{{"site", std::to_string(rec->site().value())}});
   count("broker.agents_restored");
   // Residents may have been evicted while the agent was suspected, leaving
   // it idle: now that it is reachable again the usual idle-dismissal applies,
@@ -1563,30 +1482,29 @@ void CrossBroker::restore_agent(AgentId agent_id) {
 
 void CrossBroker::evict_suspected_residents(AgentId agent_id,
                                             SimTime suspected_since) {
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end()) return;  // the agent died; the death path ran
-  AgentInfo& info = it->second;
-  if (!info.suspected || !info.suspected_since ||
-      *info.suspected_since != suspected_since) {
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr) return;  // the agent died; the death path ran
+  if (!rec->suspected || !rec->suspected_since ||
+      *rec->suspected_since != suspected_since) {
     return;  // healed (or re-suspected anew) before the grace expired
   }
-  glidein::GlideinAgent* agent = agents_.find(agent_id);
+  const SiteId site = rec->site();
   // Time out every running resident: the agent has been suspected for the
   // whole grace window, so its residents are treated as orphaned.
   std::vector<std::pair<JobId, bool>> victims;  // (job, interactive slot)
-  for (const JobId resident : info.interactive_residents) {
+  for (const JobId resident : rec->interactive_residents) {
     victims.emplace_back(resident, true);
   }
-  if (info.batch_resident) victims.emplace_back(*info.batch_resident, false);
-  info.interactive_residents.clear();
-  info.batch_resident.reset();
-  if (!victims.empty()) info.ran_any_job = true;
+  if (rec->batch_resident) victims.emplace_back(*rec->batch_resident, false);
+  rec->interactive_residents.clear();
+  rec->batch_resident.reset();
+  if (!victims.empty()) rec->ran_any_job = true;
   for (const auto& [job_id, interactive] : victims) {
     ManagedJob* job = find_job(job_id);
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
-    if (agent != nullptr && job != nullptr) {
-      lrms::Site* agent_site = find_site(info.site);
+    if (job != nullptr) {
+      lrms::Site* agent_site = find_site(site);
       const std::string site_dst =
           agent_site != nullptr ? agent_site->endpoint() : std::string{};
       if (interactive) {
@@ -1615,13 +1533,13 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // The strongest health evidence: a running resident lost to a
     // partition. The resulting score pushes the site past the exclusion
     // threshold so the resubmitted job's replacement agent avoids it.
-    site_health_.note_eviction(info.site);
+    site_health_.note_eviction(site);
     tracev(job_id, obs::TraceEventKind::kJobEvicted,
            "agent " + std::to_string(agent_id.value()) +
                " suspected past running_job_grace",
            obs::LabelSet{{"reason", "partition"},
                          {"agent", std::to_string(agent_id.value())},
-                         {"site", std::to_string(info.site.value())}});
+                         {"site", std::to_string(site.value())}});
     count("broker.jobs_evicted", obs::LabelSet{{"reason", "partition"}});
     // Subjobs on other agents cannot be rewound from here; resubmit_job then
     // reports the partial failure. The single-agent job — the normal
@@ -1643,17 +1561,19 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
 }
 
 void CrossBroker::handle_agent_death(AgentId agent_id) {
-  const auto it = agent_info_.find(agent_id);
-  if (it == agent_info_.end()) return;
-  const AgentInfo info = it->second;
-  agent_info_.erase(it);
+  AgentRecord* rec = agents_.record(agent_id);
+  if (rec == nullptr) return;
+  // This runs inside the agent's own state observer: the moved-out record
+  // keeps the agent alive until the death path returns.
+  const AgentRecord dead = std::move(*rec);
   agents_.remove(agent_id);
-  log_warn(kLog, "agent ", agent_id.value(), " died on site ", info.site.value());
+  const SiteId site = dead.site();
+  log_warn(kLog, "agent ", agent_id.value(), " died on site ", site.value());
   tracev(JobId::none(), obs::TraceEventKind::kAgentDied,
          "agent " + std::to_string(agent_id.value()),
-         obs::LabelSet{{"site", std::to_string(info.site.value())}});
+         obs::LabelSet{{"site", std::to_string(site.value())}});
   count("broker.agent_deaths",
-        obs::LabelSet{{"site", std::to_string(info.site.value())}});
+        obs::LabelSet{{"site", std::to_string(site.value())}});
 
   // Resident and in-flight jobs died with the agent. Batch jobs are
   // resubmitted "when possible"; interactive jobs fail loudly (their user is
@@ -1674,18 +1594,20 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
       resubmit_job(*maybe_job);
     }
   };
-  recover(info.batch_resident, false);
-  recover(info.pending_batch, false);
-  for (const JobId resident : info.interactive_residents) recover(resident, true);
-  for (const JobId pending : info.pending_interactive) recover(pending, true);
+  recover(dead.batch_resident, false);
+  recover(dead.pending_batch, false);
+  for (const JobId resident : dead.interactive_residents) recover(resident, true);
+  for (const JobId pending : dead.pending_interactive) recover(pending, true);
 }
 
 void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
-  // An agent carrier?
-  glidein::GlideinAgent* agent = agents_.find_by_carrier(job_id);
-  if (agent != nullptr) {
-    agent->on_carrier_killed();  // state observer triggers handle_agent_death
-    return;
+  // An agent carrier? Carrier kills are rare enough to walk the table.
+  for (auto& [agent_id, rec] : agents_) {
+    if (rec.carrier_job() == job_id) {
+      // The state observer runs handle_agent_death.
+      rec.agent->on_carrier_killed();
+      return;
+    }
   }
   // A directly-placed job (exclusive interactive or plain batch).
   for (auto& [id, job] : jobs_) {

@@ -22,9 +22,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "broker/agent_registry.hpp"
 #include "broker/fair_share.hpp"
 #include "broker/job_record.hpp"
 #include "broker/submit_error.hpp"
@@ -32,13 +34,13 @@
 #include "broker/lease_manager.hpp"
 #include "broker/matchmaker.hpp"
 #include "broker/site_health.hpp"
-#include "glidein/agent_registry.hpp"
 #include "infosys/information_system.hpp"
 #include "obs/observability.hpp"
 
 namespace cg::lrms {
 class Site;
-}
+struct GridJobRequest;
+}  // namespace cg::lrms
 namespace cg::mpijob {
 class RuntimeBarrierCoordinator;
 }
@@ -93,7 +95,6 @@ struct CrossBrokerConfig {
   /// leases for still-pending jobs are revoked, those jobs resubmitted, and
   /// the agent excluded from placement until the link heals, when it
   /// re-registers automatically.
-  bool enable_agent_heartbeats = true;
   Duration agent_heartbeat_interval = Duration::seconds(10);
   int agent_heartbeat_miss_limit = 3;
 
@@ -104,7 +105,6 @@ struct CrossBrokerConfig {
   /// link heartbeats still pass, and is suspected after miss_limit
   /// consecutive misses. A suspected agent is only restored once an echo
   /// makes the round trip again.
-  bool enable_liveness_probes = true;
   Duration liveness_probe_interval = Duration::seconds(10);
   int liveness_miss_limit = 3;
 
@@ -200,7 +200,7 @@ public:
   [[nodiscard]] FairShare& fair_share() { return fair_share_; }
   [[nodiscard]] SiteHealth& site_health() { return site_health_; }
   [[nodiscard]] const SiteHealth& site_health() const { return site_health_; }
-  [[nodiscard]] glidein::AgentRegistry& agents() { return agents_; }
+  [[nodiscard]] AgentRegistry& agents() { return agents_; }
   [[nodiscard]] LeaseManager& leases() { return leases_; }
   [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
   [[nodiscard]] std::size_t broker_queue_length() const { return waiting_batch_.size(); }
@@ -234,45 +234,6 @@ private:
     std::unique_ptr<mpijob::RuntimeBarrierCoordinator> barrier_coordinator;
   };
 
-  struct AgentInfo {
-    AgentId id;
-    SiteId site;
-    JobId carrier_job;
-    bool ran_any_job = false;
-    std::optional<JobId> batch_resident;
-    /// Interactive jobs resident on the agent's interactive VMs (one per
-    /// slot; several with a multiprogramming degree above 1).
-    std::vector<JobId> interactive_residents;
-    /// Interactive jobs reserved onto slots but not yet started.
-    std::vector<JobId> pending_interactive;
-    std::optional<JobId> pending_batch;
-    /// Heartbeat supervision (fault recovery): consecutive missed probes and
-    /// whether the agent is currently suspected unreachable.
-    int missed_heartbeats = 0;
-    bool suspected = false;
-    /// Liveness-echo supervision: highest probe sequence sent / echoed back,
-    /// and consecutive unanswered probes. probe_seq > echo_seq means a probe
-    /// is outstanding when the next tick fires.
-    std::uint64_t probe_seq = 0;
-    std::uint64_t echo_seq = 0;
-    int missed_echoes = 0;
-    /// When the current suspicion began; guards the eviction timer against
-    /// suspect -> restore -> suspect races.
-    std::optional<SimTime> suspected_since;
-    /// Set when the agent's AgentRegister arrives: from then on every
-    /// heartbeat and liveness tick visits it, until it leaves agent_info_.
-    bool supervised = false;
-    /// Fired (once) when the agent's AgentRegister message arrives.
-    std::function<void(AgentInfo&)> on_ready;
-    /// Free slots minus reservations: what a new placement may still take.
-    /// A suspected agent offers nothing until it re-registers.
-    [[nodiscard]] int reservable_slots(const glidein::GlideinAgent& agent) const {
-      if (suspected) return 0;
-      return agent.free_interactive_slots() -
-             static_cast<int>(pending_interactive.size());
-    }
-  };
-
   // -- pipeline ------------------------------------------------------------
   void schedule_job(JobId id);
   void begin_discovery(JobId id);
@@ -289,6 +250,17 @@ private:
   /// `fresh_candidates` itself (shared mode, or no match -> no resources).
   void place_job(JobId id, std::vector<Candidate> fresh_candidates,
                  std::optional<Candidate> preselected = std::nullopt);
+  /// Reservable VM slots (AgentRecord::reservable_slots) summed over the
+  /// agents at `site`, or at every site when absent. Hard-excluded sites
+  /// offer none: shared-mode placement follows the same suspicion window
+  /// as external matchmaking.
+  [[nodiscard]] int reservable_vms(std::optional<SiteId> site) const;
+  /// The lowest site id whose reservable VMs cover `n` processes: MPICH-P4
+  /// cannot span sites.
+  [[nodiscard]] std::optional<SiteId> vm_site_covering(int n) const;
+  /// True when reservable VMs cover the whole job, so shared mode can skip
+  /// discovery and selection.
+  [[nodiscard]] bool vms_cover(const jdl::JobDescription& desc) const;
   void handle_no_resources(JobId id);
 
   // -- dispatch ------------------------------------------------------------
@@ -296,6 +268,12 @@ private:
   void dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
                              glidein::GlideinAgent& agent);
   void dispatch_subjob_exclusive(JobId id, std::size_t subjob_index, SiteId site);
+  /// Two-phase-commit submission over the bus: a SubmitJob prepare leg,
+  /// then, when `on_prepared` returns true, a SubmitJob commit leg whose
+  /// result goes to `on_committed`.
+  void submit_two_phase(SiteId site, lrms::GridJobRequest request,
+                        std::function<bool(Status)> on_prepared,
+                        std::function<void(Status)> on_committed);
   void dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_index,
                                       SiteId site, bool interactive_slot);
   void arm_queue_detection(JobId id, std::size_t subjob_index, SiteId site);
@@ -315,10 +293,10 @@ private:
   [[nodiscard]] lrms::TaskRunner::BarrierFn barrier_handler_for(JobId id, int rank);
 
   // -- glide-in management -------------------------------------------------
-  AgentInfo& create_agent_with_carrier(SiteId site,
-                                       std::function<void(AgentInfo&)> on_ready,
-                                       std::function<void()> on_carrier_failed);
-  void start_job_on_agent(JobId id, std::size_t subjob_index, AgentInfo& info,
+  AgentRecord& create_agent_with_carrier(
+      SiteId site, std::function<void(AgentRecord&)> on_ready,
+      std::function<void()> on_carrier_failed);
+  void start_job_on_agent(JobId id, std::size_t subjob_index, AgentRecord& rec,
                           bool interactive_slot);
   void maybe_dismiss_agent(AgentId agent_id);
   void handle_agent_death(AgentId agent_id);
@@ -333,19 +311,18 @@ private:
   // -- heartbeat + liveness supervision --------------------------------------
   /// The supervised agents in ascending id order, snapshotted at the start
   /// of a tick: an agent registering during the tick waits for the next
-  /// one, and the visit body may erase entries from agent_info_.
+  /// one, and the visit body may erase entries from the agent table.
   [[nodiscard]] std::vector<AgentId> supervised_agents() const;
   void heartbeat_tick();
   void liveness_tick();
-  void send_liveness_probe(AgentId agent_id, AgentInfo& info,
-                           const lrms::Site& site);
+  void send_liveness_probe(AgentRecord& rec, const lrms::Site& site);
   void on_liveness_echo(AgentId agent_id, std::uint64_t seq);
   void suspect_agent(AgentId agent_id, const char* reason);
   void restore_agent(AgentId agent_id);
   /// True when nothing (link heartbeats, liveness echoes) still accuses the
   /// agent; gates restoration so a wedged agent on a healthy link is not
   /// resurrected by passing heartbeats alone.
-  [[nodiscard]] bool clear_of_suspicion(const AgentInfo& info) const;
+  [[nodiscard]] bool clear_of_suspicion(const AgentRecord& rec) const;
   void evict_suspected_residents(AgentId agent_id, SimTime suspected_since);
 
   [[nodiscard]] double application_factor(const ManagedJob& job) const;
@@ -367,7 +344,7 @@ private:
   Matchmaker matchmaker_;
   LeaseManager leases_;
   FairShare fair_share_;
-  glidein::AgentRegistry agents_;
+  AgentRegistry agents_;
   SiteHealth site_health_;
 
   /// Typed lifecycle event into the attached obs::JobTracer (no-op without).
@@ -406,7 +383,6 @@ private:
 
   std::map<SiteId, lrms::Site*> sites_;
   std::map<JobId, std::unique_ptr<ManagedJob>> jobs_;
-  std::map<AgentId, AgentInfo> agent_info_;
   std::deque<JobId> waiting_batch_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<SubJobId> subjob_ids_;

@@ -58,7 +58,8 @@ struct GlideinAgentConfig {
 
 enum class AgentState { kPending, kRunning, kDead };
 
-/// One agent instance bound to a worker node. Owned by the AgentRegistry.
+/// One agent instance bound to a worker node. Owned by the broker's agent
+/// table (broker::AgentRegistry).
 class GlideinAgent {
 public:
   using StateObserver = std::function<void(AgentState)>;

@@ -49,8 +49,8 @@ public:
   /// Live snapshot: the information system's FreshProvider.
   [[nodiscard]] infosys::SiteRecord snapshot() const;
 
-  /// Hook installed by the glide-in registry: how many free interactive VMs
-  /// this site currently exports.
+  /// Hook installed by the broker, which keeps the site's glide-in agents:
+  /// how many free interactive VMs this site currently exports.
   void set_interactive_vm_counter(std::function<int()> counter);
 
 private:

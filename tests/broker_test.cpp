@@ -1,14 +1,16 @@
 // End-to-end CrossBroker scenarios on the simulated testbed: the submission
 // pipeline, the three placement paths of Figure 5, on-line scheduling
 // resubmission, broker queueing, fair-share rejection, agent failure
-// recovery, and MPI co-allocation.
+// recovery, and MPI co-allocation; plus the broker's agent table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <map>
 #include <set>
 
+#include "broker/agent_registry.hpp"
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
 
@@ -705,7 +707,7 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
   for (std::size_t i = 0; i < preload_at.size(); ++i) {
     grid.sim().schedule_at(preload_at[i], [&, i] {
       broker.preload_agent(grid.site(i).id());
-      agents.push_back(broker.agents().agents().back()->id());
+      agents.push_back(std::prev(broker.agents().end())->first);
     });
   }
   Outcome outcome;
@@ -726,9 +728,9 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
     grid.sim().run_until(tick_at - Duration::micros(1));
     // Every probe of the earlier ticks has been echoed by now: an agent has
     // processed exactly one probe per tick since its registration.
-    for (glidein::GlideinAgent* agent : broker.agents().agents()) {
-      EXPECT_EQ(agent->last_echoed_probe(), ticks_visited[agent->id()])
-          << "agent " << agent->id().value() << " before tick " << k;
+    for (const auto& [id, rec] : broker.agents()) {
+      EXPECT_EQ(rec.agent->last_echoed_probe(), ticks_visited[id])
+          << "agent " << id.value() << " before tick " << k;
     }
     // The tick must visit every registered agent that is still deployed.
     const std::uint64_t registered = registrations();
@@ -1001,6 +1003,188 @@ TEST_F(BrokerFixture, SubmitValidation) {
   EXPECT_EQ(refused.error().kind, SubmitErrorKind::kBadDescription);
   EXPECT_EQ(refused.error().cause.code, "broker.invalid_user");
   EXPECT_EQ(grid.broker().record(JobId{999}), nullptr);
+}
+
+TEST_F(BrokerFixture, BootstrappingAgentDoesNotHideAFreeVm) {
+  // An agent still bootstrapping for its own reserved job offers no VM, but
+  // it must not cancel out another agent's free one: the job takes the free
+  // VM through the local lookup, skipping discovery and selection.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 3;
+  config.broker.dismiss_idle_agents = false;
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+  broker.preload_agent(grid.site(0).id());
+  const std::string jdl =
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\";";
+  Outcome first;
+  Outcome second;
+  Outcome third;
+  JobId first_id;
+  JobId second_id;
+  grid.sim().schedule_at(SimTime::from_seconds(60), [&] {
+    first_id = broker
+                   .submit(parse_job(jdl), UserId{1}, lrms::Workload::cpu(1_s),
+                           GridScenario::ui_endpoint(), watch(first))
+                   .value();
+  });
+  grid.sim().schedule_at(SimTime::from_seconds(61), [&] {
+    second_id = broker
+                    .submit(parse_job(jdl), UserId{2}, lrms::Workload::cpu(60_s),
+                            GridScenario::ui_endpoint(), watch(second))
+                    .value();
+  });
+  grid.sim().run_until(SimTime::from_seconds(66));
+  ASSERT_TRUE(first.completed);
+  // The second job's agent is still bootstrapping on another node.
+  ASSERT_EQ(broker.agents().total_agents(), 2);
+  ASSERT_EQ(broker.agents().running_agents(), 1);
+
+  const JobId third_id =
+      broker.submit(parse_job(jdl), UserId{3}, lrms::Workload::cpu(5_s),
+                    GridScenario::ui_endpoint(), watch(third))
+          .value();
+  grid.sim().run();
+  ASSERT_TRUE(second.completed);
+  ASSERT_TRUE(third.completed);
+  const JobRecord* warm = broker.record(first_id);
+  EXPECT_EQ(warm->placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(broker.record(second_id)->placement, PlacementKind::kNewAgent);
+  const JobRecord* record = broker.record(third_id);
+  EXPECT_EQ(record->placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(*record->subjobs[0].agent, *warm->subjobs[0].agent);
+  EXPECT_EQ(*record->timestamps.discovery_done,
+            *record->timestamps.selection_done);
+}
+
+TEST_F(BrokerFixture, SharedJobThatLosesTheVmRaceFallsBackToAnIdleMachine) {
+  // Two shared jobs see the same free VM, and the first placement takes it
+  // during the second's VM lookup. The second must then look for idle
+  // machines instead of failing: a job fails only when there are not enough
+  // machines "with or without agents".
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 2;
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+  broker.preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(broker.agents().running_agents(), 1);
+
+  const std::string jdl =
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\";";
+  Outcome a;
+  Outcome b;
+  const JobId id_a = broker.submit(parse_job(jdl), UserId{1},
+                                   lrms::Workload::cpu(30_s),
+                                   GridScenario::ui_endpoint(), watch(a))
+                         .value();
+  const JobId id_b = broker.submit(parse_job(jdl), UserId{2},
+                                   lrms::Workload::cpu(30_s),
+                                   GridScenario::ui_endpoint(), watch(b))
+                         .value();
+  grid.sim().run();
+  EXPECT_TRUE(a.completed);
+  EXPECT_TRUE(b.completed) << b.error_code;
+  EXPECT_EQ(broker.record(id_a)->placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(broker.record(id_b)->placement, PlacementKind::kNewAgent);
+}
+
+TEST_F(BrokerFixture, SuspectingAnAgentSparesTheJobItRefusedToStart) {
+  // A wedged agent refuses the job's start; the job is resubmitted and runs
+  // on the other agent. The refused reservation stays on the wedged agent
+  // until it is suspected, and the suspicion must not touch the job that
+  // now runs elsewhere.
+  GridScenarioConfig config = default_config();
+  config.sites = 2;
+  config.nodes_per_site = 1;
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+  broker.preload_agent(grid.site(0).id());
+  broker.preload_agent(grid.site(1).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(broker.agents().running_agents(), 2);
+  const AgentId wedged = broker.agents().begin()->first;
+  const AgentId healthy = std::next(broker.agents().begin())->first;
+  broker.agents().find(wedged)->set_wedged(true);
+
+  Outcome outcome;
+  const JobId id =
+      broker
+          .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                            "MachineAccess = \"shared\";"),
+                  UserId{1}, lrms::Workload::cpu(120_s),
+                  GridScenario::ui_endpoint(), watch(outcome))
+          .value();
+  grid.sim().run();
+  EXPECT_TRUE(outcome.completed) << outcome.error_code;
+  const JobRecord* record = broker.record(id);
+  EXPECT_EQ(record->resubmissions, 1);
+  EXPECT_EQ(record->placement, PlacementKind::kInteractiveVm);
+  EXPECT_EQ(*record->subjobs[0].agent, healthy);
+  EXPECT_TRUE(broker.agent_suspected(wedged));
+}
+
+TEST_F(BrokerFixture, RefusedCarrierResubmitsItsJobElsewhere) {
+  // A gatekeeper refuses the glide-in carrier at the prepare phase (here the
+  // broker presents no service credential). The refusal goes back to the
+  // job, which is resubmitted away from the refusing site until its retries
+  // run out.
+  GridScenarioConfig config = default_config();
+  config.enable_gsi = true;
+  GridScenario grid{config};
+  grid.register_user(UserId{1}, "alice");
+  grid.broker().enable_security(&grid.certificate_authority()->root_certificate(),
+                                {});
+  Outcome outcome;
+  const JobId id = grid.broker()
+                       .submit(parse_job("Executable = \"sim\";"), UserId{1},
+                               lrms::Workload::cpu(60_s),
+                               GridScenario::ui_endpoint(), watch(outcome))
+                       .value();
+  grid.sim().run();
+  EXPECT_TRUE(outcome.failed);
+  EXPECT_EQ(outcome.error_code, "broker.retries_exhausted");
+  EXPECT_EQ(grid.broker().record(id)->resubmissions, 3);
+  EXPECT_EQ(grid.broker().agents().running_agents(), 0);
+}
+
+TEST(AgentRegistryTest, CreateFindRemove) {
+  sim::Simulation sim;
+  AgentRegistry registry{sim};
+  AgentRecord& a = registry.create(SiteId{1});
+  AgentRecord& b = registry.create(SiteId{2});
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_EQ(b.site(), SiteId{2});
+  EXPECT_EQ(registry.total_agents(), 2);
+  EXPECT_EQ(registry.find(a.id()), a.agent.get());
+  EXPECT_EQ(registry.record(a.id()), &a);
+  const AgentId removed = a.id();
+  registry.remove(removed);
+  EXPECT_EQ(registry.find(removed), nullptr);
+  EXPECT_EQ(registry.record(removed), nullptr);
+  EXPECT_EQ(registry.total_agents(), 1);
+  // A bad config throws before the table changes.
+  glidein::GlideinAgentConfig bad;
+  bad.interactive_slots = 0;
+  EXPECT_THROW(registry.create(SiteId{1}, bad), std::invalid_argument);
+  EXPECT_EQ(registry.total_agents(), 1);
+}
+
+TEST(AgentRegistryTest, RunningAgentsCountsStartedCarriers) {
+  sim::Simulation sim;
+  AgentRegistry registry{sim};
+  AgentRecord& a = registry.create(SiteId{1});
+  AgentRecord& b = registry.create(SiteId{2});
+  EXPECT_EQ(registry.running_agents(), 0);  // carriers not started yet
+  a.agent->on_carrier_started(NodeId{1});
+  b.agent->on_carrier_started(NodeId{1});
+  sim.run();
+  EXPECT_EQ(registry.running_agents(), 2);
+  EXPECT_EQ(registry.total_agents(), 2);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Glide-in tests: the VM CPU-sharing model (calibrated against Figure 8),
-// agent lifecycle, slot management, and the registry.
+// agent lifecycle and slot management.
 #include <gtest/gtest.h>
 
-#include "glidein/agent_registry.hpp"
+#include "glidein/agent.hpp"
 
 namespace cg::glidein {
 namespace {
@@ -359,43 +359,6 @@ TEST(GlideinConfigTest, RejectsZeroSlots) {
   config.interactive_slots = 0;
   EXPECT_THROW(GlideinAgent(sim, AgentId{1}, SiteId{1}, config),
                std::invalid_argument);
-}
-
-// -------------------------------------------------------------- registry ----
-
-TEST(AgentRegistryTest, CreateFindRemove) {
-  sim::Simulation sim;
-  AgentRegistry registry{sim};
-  GlideinAgent& a = registry.create(SiteId{1});
-  GlideinAgent& b = registry.create(SiteId{2});
-  EXPECT_NE(a.id(), b.id());
-  EXPECT_EQ(registry.total_agents(), 2);
-  EXPECT_EQ(registry.find(a.id()), &a);
-  registry.remove(a.id());
-  EXPECT_EQ(registry.find(a.id()), nullptr);
-  EXPECT_EQ(registry.total_agents(), 1);
-}
-
-TEST(AgentRegistryTest, FindByCarrier) {
-  sim::Simulation sim;
-  AgentRegistry registry{sim};
-  GlideinAgent& a = registry.create(SiteId{1});
-  a.set_carrier_job_id(JobId{42});
-  EXPECT_EQ(registry.find_by_carrier(JobId{42}), &a);
-  EXPECT_EQ(registry.find_by_carrier(JobId{43}), nullptr);
-}
-
-TEST(AgentRegistryTest, RunningAgentsCountsStartedCarriers) {
-  sim::Simulation sim;
-  AgentRegistry registry{sim};
-  GlideinAgent& a = registry.create(SiteId{1});
-  GlideinAgent& b = registry.create(SiteId{2});
-  EXPECT_EQ(registry.running_agents(), 0);  // carriers not started yet
-  a.on_carrier_started(NodeId{1});
-  b.on_carrier_started(NodeId{1});
-  sim.run();
-  EXPECT_EQ(registry.running_agents(), 2);
-  EXPECT_EQ(registry.total_agents(), 2);
 }
 
 }  // namespace
