@@ -89,15 +89,15 @@ BENCHMARK(BM_EventCancel);
 
 void BM_FrameEncodeDecode(benchmark::State& state) {
   const auto payload_size = static_cast<std::size_t>(state.range(0));
-  interpose::Frame frame;
-  frame.type = interpose::FrameType::kStdout;
-  frame.payload.assign(payload_size, 'x');
+  const std::string payload(payload_size, 'x');
+  std::string wire;
   for (auto _ : state) {
-    const std::string wire = interpose::encode_frame(frame);
+    interpose::encode_frame_into(wire, interpose::FrameType::kStdout, 0, payload);
     interpose::FrameDecoder decoder;
-    decoder.feed(wire);
-    auto out = decoder.next();
+    decoder.begin(wire);
+    auto out = decoder.next_view();
     benchmark::DoNotOptimize(out);
+    decoder.end();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(payload_size));

@@ -10,6 +10,17 @@ int AgentRecord::reservable_slots() const {
                          static_cast<int>(pending_interactive.size()));
 }
 
+bool AgentRecord::reserved(SubJobRef ref, bool interactive_slot) const {
+  if (!interactive_slot) return pending_batch == ref;
+  return std::find(pending_interactive.begin(), pending_interactive.end(),
+                   ref) != pending_interactive.end();
+}
+
+void AgentRecord::drop_reservation(SubJobRef ref) {
+  std::erase(pending_interactive, ref);
+  if (pending_batch == ref) pending_batch.reset();
+}
+
 AgentRecord& AgentRegistry::create(SiteId site,
                                    glidein::GlideinAgentConfig config) {
   const AgentId id = ids_.next();

@@ -12,12 +12,15 @@
 #include <optional>
 #include <vector>
 
+#include "broker/job_record.hpp"
 #include "glidein/agent.hpp"
 
 namespace cg::broker {
 
 /// One deployed agent and the broker's bookkeeping for it. The agent's id,
-/// site and carrier job are read from the agent itself.
+/// site and carrier job are read from the agent itself. Reservations and
+/// residents name subjobs by SubJobRef; an entry of a superseded attempt
+/// keeps counting until it is dropped.
 struct AgentRecord {
   explicit AgentRecord(std::unique_ptr<glidein::GlideinAgent> owned)
       : agent{std::move(owned)} {}
@@ -31,15 +34,20 @@ struct AgentRecord {
   /// re-registers.
   [[nodiscard]] int reservable_slots() const;
 
+  /// True while `ref` holds a reservation on the interactive or batch slot.
+  [[nodiscard]] bool reserved(SubJobRef ref, bool interactive_slot) const;
+  /// Drops `ref`'s reservation, if it holds one.
+  void drop_reservation(SubJobRef ref);
+
   std::unique_ptr<glidein::GlideinAgent> agent;
   bool ran_any_job = false;
-  std::optional<JobId> batch_resident;
-  /// Interactive jobs resident on the agent's interactive VMs (one per
-  /// slot; several with a multiprogramming degree above 1).
-  std::vector<JobId> interactive_residents;
-  /// Interactive jobs reserved onto slots but not yet started.
-  std::vector<JobId> pending_interactive;
-  std::optional<JobId> pending_batch;
+  std::optional<SubJobRef> batch_resident;
+  /// Subjobs resident on the agent's interactive VMs (one per slot; several
+  /// with a multiprogramming degree above 1).
+  std::vector<SubJobRef> interactive_residents;
+  /// Interactive subjobs reserved onto slots but not yet started.
+  std::vector<SubJobRef> pending_interactive;
+  std::optional<SubJobRef> pending_batch;
   /// Heartbeat supervision (fault recovery): consecutive missed probes and
   /// whether the agent is currently suspected unreachable.
   int missed_heartbeats = 0;
@@ -54,7 +62,7 @@ struct AgentRecord {
   /// suspect -> restore -> suspect races.
   std::optional<SimTime> suspected_since;
   /// Set when the agent's AgentRegister arrives: from then on every
-  /// heartbeat and liveness tick visits it, until it leaves the table.
+  /// supervision tick visits it, until it leaves the table.
   bool supervised = false;
   /// Fired (once) when the agent's AgentRegister message arrives.
   std::function<void(AgentRecord&)> on_ready;
@@ -71,7 +79,8 @@ public:
   /// unchanged.
   AgentRecord& create(SiteId site, glidein::GlideinAgentConfig config = {});
 
-  /// Permanently removes an agent (after death or dismissal).
+  /// Permanently removes an agent (after death, dismissal or a refused
+  /// carrier).
   void remove(AgentId id);
 
   [[nodiscard]] glidein::GlideinAgent* find(AgentId id);

@@ -59,10 +59,7 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
   });
   bus_.bind(endpoint_,
             [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
-  sim_.schedule_daemon(config_.agent_heartbeat_interval,
-                       [this] { heartbeat_tick(); });
-  sim_.schedule_daemon(config_.liveness_probe_interval,
-                       [this] { liveness_tick(); });
+  sim_.schedule_daemon(kSupervisionInterval, [this] { supervision_tick(); });
 }
 
 CrossBroker::~CrossBroker() {
@@ -220,27 +217,28 @@ bool CrossBroker::cancel(JobId id) {
             agent_site != nullptr ? agent_site->endpoint() : std::string{};
         const AgentId agent_id = *sub.agent;
         const JobId lrms_id = sub.lrms_job_id;
-        std::erase(rec->pending_interactive, id);
-        if (rec->pending_batch == id) rec->pending_batch.reset();
-        if (std::find(rec->interactive_residents.begin(),
-                      rec->interactive_residents.end(),
-                      id) != rec->interactive_residents.end()) {
+        // Every entry the job holds on the agent goes, superseded ones too.
+        const auto of_job = [id](SubJobRef ref) { return ref.job == id; };
+        std::erase_if(rec->pending_interactive, of_job);
+        if (rec->pending_batch && of_job(*rec->pending_batch)) {
+          rec->pending_batch.reset();
+        }
+        if (std::erase_if(rec->interactive_residents, of_job) > 0) {
           bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
                     [this, agent_id, lrms_id](const net::Envelope&) {
                       if (auto* a = agents_.find(agent_id)) {
                         a->cancel_interactive_job(lrms_id);
                       }
                     });
-          std::erase(rec->interactive_residents, id);
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
           if (rec->batch_resident && rec->interactive_residents.empty()) {
-            fair_share_.set_application_factor(*rec->batch_resident,
+            fair_share_.set_application_factor(rec->batch_resident->job,
                                                application_factor_batch());
           }
           handled = true;
         }
-        if (rec->batch_resident == id) {
+        if (rec->batch_resident && of_job(*rec->batch_resident)) {
           bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
                     [this, agent_id](const net::Envelope&) {
                       if (auto* a = agents_.find(agent_id)) {
@@ -539,11 +537,13 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
   const auto& desc = job->record.description;
   const int processes = desc.node_number();
 
-  // Build per-process assignments.
+  // Build per-process assignments. Each names its subjob up front: a VM
+  // reservation holds the subjob's ref.
   struct Assignment {
     SiteId site;
     enum class Kind { kIdle, kNewAgentInteractive, kNewAgentBatch, kVm } kind;
     AgentId vm_agent;  ///< for kVm
+    SubJobId sub;
   };
   std::vector<Assignment> assignments;
 
@@ -572,9 +572,9 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
       // this event cascade.
       for (int slots = rec.reservable_slots(); slots > 0 && still_needed > 0;
            --slots, --still_needed) {
-        assignments.push_back(
-            Assignment{rec.site(), Assignment::Kind::kVm, agent_id});
-        rec.pending_interactive.push_back(id);
+        assignments.push_back(Assignment{rec.site(), Assignment::Kind::kVm,
+                                         agent_id, subjob_ids_.next()});
+        rec.pending_interactive.push_back(SubJobRef{id, assignments.back().sub});
       }
     }
   }
@@ -582,9 +582,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
   // assignment is added, so every assignment it sees is a VM.
   const auto release_vms = [this, id, &assignments] {
     for (const auto& a : assignments) {
-      auto& pending = agents_.record(a.vm_agent)->pending_interactive;
-      const auto it = std::find(pending.begin(), pending.end(), id);
-      if (it != pending.end()) pending.erase(it);
+      agents_.record(a.vm_agent)->drop_reservation(SubJobRef{id, a.sub});
     }
   };
 
@@ -660,7 +658,8 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
         } else if (shared) {
           kind = Assignment::Kind::kNewAgentInteractive;
         }
-        assignments.push_back(Assignment{placement.site, kind, AgentId::none()});
+        assignments.push_back(Assignment{placement.site, kind, AgentId::none(),
+                                         subjob_ids_.next()});
       }
     }
   }
@@ -672,7 +671,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
   job->record.subjobs.reserve(assignments.size());
   for (std::size_t i = 0; i < assignments.size(); ++i) {
     SubJobRecord sub;
-    sub.id = subjob_ids_.next();
+    sub.id = assignments[i].sub;
     sub.rank = static_cast<int>(i);
     sub.site = assignments[i].site;
     sub.lrms_job_id = job_ids_.next();
@@ -712,25 +711,26 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
                          {"rank", std::to_string(sub.rank)},
                          {"placement", to_string(job->record.placement)}});
   }
-  for (std::size_t i = 0; i < assignments.size(); ++i) {
-    switch (assignments[i].kind) {
+  for (const Assignment& a : assignments) {
+    const SubJobRef ref{id, a.sub};
+    switch (a.kind) {
       case Assignment::Kind::kVm: {
-        glidein::GlideinAgent* agent = agents_.find(assignments[i].vm_agent);
+        glidein::GlideinAgent* agent = agents_.find(a.vm_agent);
         if (agent == nullptr) {
           fail_job(id, make_error("broker.vm_gone", "reserved VM disappeared"));
           return;
         }
-        dispatch_subjob_to_vm(id, i, *agent);
+        dispatch_subjob_to_vm(ref, *agent);
         break;
       }
       case Assignment::Kind::kIdle:
-        dispatch_subjob_exclusive(id, i, assignments[i].site);
+        dispatch_subjob_exclusive(ref, a.site);
         break;
       case Assignment::Kind::kNewAgentInteractive:
-        dispatch_subjob_with_new_agent(id, i, assignments[i].site, true);
+        dispatch_subjob_with_new_agent(ref, a.site, true);
         break;
       case Assignment::Kind::kNewAgentBatch:
-        dispatch_subjob_with_new_agent(id, i, assignments[i].site, false);
+        dispatch_subjob_with_new_agent(ref, a.site, false);
         break;
     }
   }
@@ -760,11 +760,13 @@ void CrossBroker::setup_barrier_coordination(ManagedJob& job) {
       });
 }
 
-lrms::TaskRunner::BarrierFn CrossBroker::barrier_handler_for(JobId id, int rank) {
-  return [this, id, rank](int barrier_index) {
-    ManagedJob* job = find_job(id);
-    if (job != nullptr && job->barrier_coordinator) {
-      job->barrier_coordinator->arrived(rank, barrier_index);
+lrms::TaskRunner::BarrierFn CrossBroker::barrier_handler_for(SubJobRef ref) {
+  return [this, ref](int barrier_index) {
+    const SubJobRecord* sub = current_subjob(ref);
+    if (sub == nullptr) return;
+    ManagedJob* job = find_job(ref.job);
+    if (job->barrier_coordinator) {
+      job->barrier_coordinator->arrived(sub->rank, barrier_index);
     }
   };
 }
@@ -882,133 +884,104 @@ void CrossBroker::poll_broker_queue() {
 
 // -------------------------------------------------------------- dispatch ----
 
-void CrossBroker::dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
+void CrossBroker::dispatch_subjob_to_vm(SubJobRef ref,
                                         glidein::GlideinAgent& agent) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr) return;
-  job->record.subjobs[subjob_index].agent = agent.id();
+  SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr) return;
+  sub->agent = agent.id();
 
   // Direct broker -> agent channel (no Globus, no LRMS), then stage the
   // executable from the submitter, then spawn on the interactive-vm.
-  const SiteId site_id = agent.site();
-  lrms::Site* site = find_site(site_id);
-  if (site == nullptr) {
-    fail_job(id, make_error("broker.no_site", "agent site unknown"));
-    return;
-  }
   const AgentId agent_id = agent.id();
-  const SubJobId expected_sub = job->record.subjobs[subjob_index].id;
   net::SendOptions options;
   options.channel_latency = config_.agent_channel_latency;
   options.payload_bytes = config_.executable_bytes;
-  options.transfer_src = job->record.submitter_endpoint;
-  bus_.send(endpoint_, site->endpoint(),
-            net::DispatchJob{job->record.subjobs[subjob_index].lrms_job_id,
-                             job->record.subjobs[subjob_index].rank},
-            options,
-            [this, id, subjob_index, agent_id, expected_sub](const net::Envelope&) {
-    ManagedJob* j = find_job(id);
-    if (j == nullptr || is_terminal(j->record.state)) return;
-    // Stale dispatch: the job was resubmitted (e.g. its lease was revoked
-    // when the agent missed heartbeats) while this event was in flight.
-    if (subjob_index >= j->record.subjobs.size() ||
-        j->record.subjobs[subjob_index].id != expected_sub) {
-      return;
-    }
+  options.transfer_src = find_job(ref.job)->record.submitter_endpoint;
+  bus_.send(endpoint_, sites_.at(agent.site())->endpoint(),
+            net::DispatchJob{sub->lrms_job_id, sub->rank}, options,
+            [this, ref, agent_id](const net::Envelope&) {
+    if (current_subjob(ref) == nullptr) return;
     AgentRecord* rec = agents_.record(agent_id);
     if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
       // The agent died while we were dispatching; try again from scratch.
-      resubmit_job(id);
+      resubmit_job(ref.job);
       return;
     }
-    start_job_on_agent(id, subjob_index, *rec, /*interactive_slot=*/true);
+    start_job_on_agent(ref, *rec, /*interactive_slot=*/true);
   });
 }
 
-void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
-                                     AgentRecord& rec, bool interactive_slot) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr || is_terminal(job->record.state)) return;
+void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
+                                     bool interactive_slot) {
+  const SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr || !rec.reserved(ref, interactive_slot)) return;
+  const ManagedJob& job = *find_job(ref.job);
   glidein::GlideinAgent* agent = rec.agent.get();
   const AgentId agent_id = rec.id();
-  lrms::Site* agent_site = find_site(rec.site());
-  const std::string site_endpoint =
-      agent_site != nullptr ? agent_site->endpoint() : std::string{};
+  const std::string site_endpoint = sites_.at(rec.site())->endpoint();
 
   // GSI delegation: the agent acts on the user's behalf, so the broker
   // issues a further-restricted proxy from the user's credentials. An
   // expired user proxy fails the job here — the paper-era behaviour of a
   // grid job dying when its proxy runs out.
   if (trust_anchor_ != nullptr) {
-    const auto cred_it = user_credentials_.find(job->record.user);
+    const auto cred_it = user_credentials_.find(job.record.user);
     if (cred_it == user_credentials_.end()) {
-      fail_job(id, make_error("gsi.no_credentials",
-                              "user has no registered credentials"));
+      fail_job(ref.job, make_error("gsi.no_credentials",
+                                   "user has no registered credentials"));
       return;
     }
     auto delegated = gsi::delegate_proxy(cred_it->second.back(), sim_.now(),
                                          Duration::seconds(12 * 3600),
-                                         config_.seed ^ id.value());
+                                         config_.seed ^ ref.job.value());
     if (!delegated) {
-      fail_job(id, delegated.error());
+      fail_job(ref.job, delegated.error());
       return;
     }
   }
 
   glidein::SlotJob slot_job;
-  slot_job.id = job->record.subjobs[subjob_index].lrms_job_id;
-  slot_job.owner = job->record.user;
-  slot_job.workload = job->record.workload;
-  slot_job.phase_observer = job->callbacks.phase_observer;
-  if (job->barrier_coordinator) {
-    slot_job.barrier_handler =
-        barrier_handler_for(id, job->record.subjobs[subjob_index].rank);
-  }
-  slot_job.on_start = [this, id, subjob_index, site_endpoint] {
+  slot_job.id = sub->lrms_job_id;
+  slot_job.owner = job.record.user;
+  slot_job.workload = job.record.workload;
+  slot_job.phase_observer = job.callbacks.phase_observer;
+  if (job.barrier_coordinator) slot_job.barrier_handler = barrier_handler_for(ref);
+  slot_job.on_start = [this, ref, site_endpoint] {
     bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kStarted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_started(id, subjob_index);
-              });
+              net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
+              [this, ref](const net::Envelope&) { subjob_started(ref); });
   };
-  slot_job.on_complete = [this, id, subjob_index, agent_id, interactive_slot,
+  slot_job.on_complete = [this, ref, agent_id, interactive_slot,
                           site_endpoint] {
     bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kCompleted}, inline_send(),
-              [this, id, subjob_index, agent_id,
-               interactive_slot](const net::Envelope&) {
+              net::JobStatus{ref.job, net::StatusPhase::kCompleted},
+              inline_send(),
+              [this, ref, agent_id, interactive_slot](const net::Envelope&) {
       if (AgentRecord* done = agents_.record(agent_id)) {
         done->ran_any_job = true;
         if (interactive_slot) {
-          auto& residents = done->interactive_residents;
-          const auto res = std::find(residents.begin(), residents.end(), id);
-          if (res != residents.end()) residents.erase(res);
+          std::erase(done->interactive_residents, ref);
           // The last interactive job finished: the batch job's original
           // priority (and application factor) are restored.
-          if (done->batch_resident && residents.empty()) {
-            fair_share_.set_application_factor(*done->batch_resident,
+          if (done->batch_resident && done->interactive_residents.empty()) {
+            fair_share_.set_application_factor(done->batch_resident->job,
                                                application_factor_batch());
           }
         } else {
           done->batch_resident.reset();
         }
       }
-      subjob_completed(id, subjob_index);
+      subjob_completed(ref);
       maybe_dismiss_agent(agent_id);
     });
   };
 
   Status status = Status::ok_status();
   if (interactive_slot) {
-    const int pl = job->record.description.performance_loss();
+    const int pl = job.record.description.performance_loss();
     status = agent->start_interactive_job(std::move(slot_job), pl);
     if (status.ok()) {
-      rec.interactive_residents.push_back(id);
-      const auto pending_it = std::find(rec.pending_interactive.begin(),
-                                        rec.pending_interactive.end(), id);
-      if (pending_it != rec.pending_interactive.end()) {
-        rec.pending_interactive.erase(pending_it);
-      }
+      rec.interactive_residents.push_back(ref);
       // Demote the co-resident batch job in the fair-share books: its user
       // is charged only PL/100 while yielding the machine (the strongest
       // concession among residents governs).
@@ -1016,7 +989,7 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
         const int governing_pl =
             std::max(pl, agent->max_running_performance_loss());
         fair_share_.set_application_factor(
-            *rec.batch_resident,
+            rec.batch_resident->job,
             application_factor_yielding_batch(governing_pl));
         count("glidein.batch_demotions",
               obs::LabelSet{{"site", std::to_string(rec.site().value())}});
@@ -1027,82 +1000,71 @@ void CrossBroker::start_job_on_agent(JobId id, std::size_t subjob_index,
     }
   } else {
     status = agent->start_batch_job(std::move(slot_job));
-    if (status.ok()) {
-      rec.batch_resident = id;
-      rec.pending_batch.reset();
-    }
+    if (status.ok()) rec.batch_resident = ref;
   }
   if (!status.ok()) {
     // The reservation stays on the agent until it is suspected: freeing the
     // slot now would let the retry land on the same refusing agent.
-    log_warn(kLog, "slot start failed for ", id, ": ", status.error().to_string());
-    resubmit_job(id);
-  }
-}
-
-void CrossBroker::dispatch_subjob_exclusive(JobId id, std::size_t subjob_index,
-                                            SiteId site_id) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr) return;
-  lrms::Site* site = find_site(site_id);
-  if (site == nullptr) {
-    fail_job(id, make_error("broker.no_site", "selected site unknown"));
+    log_warn(kLog, "slot start failed for ", ref.job, ": ",
+             status.error().to_string());
+    resubmit_job(ref.job);
     return;
   }
+  rec.drop_reservation(ref);
+}
+
+void CrossBroker::dispatch_subjob_exclusive(SubJobRef ref, SiteId site_id) {
+  const SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr) return;
+  const ManagedJob& job = *find_job(ref.job);
 
   lrms::GridJobRequest request;
-  request.id = job->record.subjobs[subjob_index].lrms_job_id;
-  request.owner = job->record.user;
-  request.proxy_chain = chain_for(job->record.user);
-  request.workload = job->record.workload;
+  request.id = sub->lrms_job_id;
+  request.owner = job.record.user;
+  request.proxy_chain = chain_for(job.record.user);
+  request.workload = job.record.workload;
   request.stage_bytes = config_.executable_bytes;
-  request.submitter_endpoint = job->record.submitter_endpoint;
-  request.phase_observer = job->callbacks.phase_observer;
-  if (job->barrier_coordinator) {
-    request.barrier_handler =
-        barrier_handler_for(id, job->record.subjobs[subjob_index].rank);
-  }
-  const std::string site_endpoint = site->endpoint();
-  request.on_start = [this, id, subjob_index, site_endpoint](NodeId) {
+  request.submitter_endpoint = job.record.submitter_endpoint;
+  request.phase_observer = job.callbacks.phase_observer;
+  if (job.barrier_coordinator) request.barrier_handler = barrier_handler_for(ref);
+  const std::string site_endpoint = sites_.at(site_id)->endpoint();
+  request.on_start = [this, ref, site_endpoint](NodeId) {
     bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kStarted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_started(id, subjob_index);
-              });
+              net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
+              [this, ref](const net::Envelope&) { subjob_started(ref); });
   };
-  request.on_complete = [this, id, subjob_index, site_endpoint] {
+  request.on_complete = [this, ref, site_endpoint] {
     bus_.send(site_endpoint, endpoint_,
-              net::JobStatus{id, net::StatusPhase::kCompleted}, inline_send(),
-              [this, id, subjob_index](const net::Envelope&) {
-                subjob_completed(id, subjob_index);
-              });
+              net::JobStatus{ref.job, net::StatusPhase::kCompleted},
+              inline_send(),
+              [this, ref](const net::Envelope&) { subjob_completed(ref); });
   };
 
+  // A superseded attempt commits nothing, and its acks change nothing.
   submit_two_phase(
       site_id, std::move(request),
-      [this, id, site_id](Status prepared) {
-        ManagedJob* j = find_job(id);
-        if (j == nullptr || is_terminal(j->record.state)) return false;
+      [this, ref, site_id](Status prepared) {
+        if (current_subjob(ref) == nullptr) return false;
         if (!prepared.ok()) {
-          j->excluded_sites.push_back(site_id);
-          resubmit_job(id);
+          find_job(ref.job)->excluded_sites.push_back(site_id);
+          resubmit_job(ref.job);
           return false;
         }
         return true;
       },
-      [this, id, subjob_index, site_id](Status accepted) {
-        ManagedJob* j = find_job(id);
-        if (j == nullptr || is_terminal(j->record.state)) return;
+      [this, ref, site_id](Status accepted) {
+        if (current_subjob(ref) == nullptr) return;
+        ManagedJob& j = *find_job(ref.job);
         if (!accepted.ok()) {
-          j->excluded_sites.push_back(site_id);
-          resubmit_job(id);
+          j.excluded_sites.push_back(site_id);
+          resubmit_job(ref.job);
           return;
         }
         // On-line scheduling: an interactive job must start immediately; if
         // it landed in the queue, cancel and resubmit elsewhere.
-        if (j->record.description.is_interactive() &&
-            j->record.subjobs.size() == 1) {
-          arm_queue_detection(id, subjob_index, site_id);
+        if (j.record.description.is_interactive() &&
+            j.record.subjobs.size() == 1) {
+          arm_queue_detection(ref, site_id);
         }
       });
 }
@@ -1136,64 +1098,57 @@ void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request,
   });
 }
 
-void CrossBroker::arm_queue_detection(JobId id, std::size_t subjob_index,
-                                      SiteId site_id) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr || job->queue_timer_armed) return;
+void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
+  ManagedJob* job = find_job(ref.job);
+  if (job->queue_timer_armed) return;
   job->queue_timer_armed = true;
-  const SubJobId expected_sub = job->record.subjobs[subjob_index].id;
-  sim_.schedule(config_.queue_detect_timeout,
-                [this, id, subjob_index, site_id, expected_sub] {
-    ManagedJob* j = find_job(id);
-    if (j == nullptr || is_terminal(j->record.state)) return;
-    j->queue_timer_armed = false;
-    // Stale timer: the job was resubmitted while this event was pending.
-    if (subjob_index >= j->record.subjobs.size() ||
-        j->record.subjobs[subjob_index].id != expected_sub) {
-      return;
-    }
-    if (j->record.subjobs[subjob_index].started) return;  // it did start
-    lrms::Site* site = find_site(site_id);
-    if (site != nullptr) {
-      const JobId lrms_id = j->record.subjobs[subjob_index].lrms_job_id;
-      bus_.send(endpoint_, site->endpoint(),
-                net::CancelJob{lrms_id, /*queued_only=*/true}, inline_send(),
-                [this, site_id, lrms_id](const net::Envelope&) {
-                  if (lrms::Site* s = find_site(site_id)) {
-                    s->gatekeeper().cancel(lrms_id, /*queued_only=*/true);
-                  }
-                });
-    }
-    log_info(kLog, id, " was queued at site ", site_id.value(),
+  sim_.schedule(config_.queue_detect_timeout, [this, ref, site_id] {
+    find_job(ref.job)->queue_timer_armed = false;
+    const SubJobRecord* sub = current_subjob(ref);
+    if (sub == nullptr || sub->started) return;  // superseded, or it did start
+    const JobId lrms_id = sub->lrms_job_id;
+    bus_.send(endpoint_, sites_.at(site_id)->endpoint(),
+              net::CancelJob{lrms_id, /*queued_only=*/true}, inline_send(),
+              [this, site_id, lrms_id](const net::Envelope&) {
+                sites_.at(site_id)->gatekeeper().cancel(lrms_id,
+                                                        /*queued_only=*/true);
+              });
+    log_info(kLog, ref.job, " was queued at site ", site_id.value(),
              "; resubmitting (on-line scheduling)");
-    j->excluded_sites.push_back(site_id);
-    resubmit_job(id);
+    find_job(ref.job)->excluded_sites.push_back(site_id);
+    resubmit_job(ref.job);
   });
 }
 
-void CrossBroker::dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_index,
-                                                 SiteId site_id,
+void CrossBroker::dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site_id,
                                                  bool interactive_slot) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr) return;
+  SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr) return;
 
   AgentRecord& rec = create_agent_with_carrier(
       site_id,
-      [this, id, subjob_index, interactive_slot](AgentRecord& ready) {
-        start_job_on_agent(id, subjob_index, ready, interactive_slot);
+      [this, ref, interactive_slot](AgentRecord& ready) {
+        if (current_subjob(ref) != nullptr) {
+          start_job_on_agent(ref, ready, interactive_slot);
+          return;
+        }
+        // The job moved past this attempt while the agent bootstrapped: the
+        // agent is dismissed like an idle one that has run a job.
+        ready.drop_reservation(ref);
+        ready.ran_any_job = true;
+        maybe_dismiss_agent(ready.id());
       },
-      [this, id, site_id] {
-        ManagedJob* j = find_job(id);
-        if (j == nullptr || is_terminal(j->record.state)) return;
-        j->excluded_sites.push_back(site_id);
-        resubmit_job(id);
+      [this, ref, site_id] {
+        if (current_subjob(ref) == nullptr) return;
+        find_job(ref.job)->excluded_sites.push_back(site_id);
+        resubmit_job(ref.job);
       });
   if (interactive_slot) {
-    rec.pending_interactive.push_back(id);
+    rec.pending_interactive.push_back(ref);
   } else {
-    rec.pending_batch = id;
+    rec.pending_batch = ref;
   }
-  job->record.subjobs[subjob_index].agent = rec.id();
+  sub->agent = rec.id();
 }
 
 // -------------------------------------------------------------- glide-in ----
@@ -1251,18 +1206,23 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
     agents_.remove(agent_id);
   };
 
-  // Either leg may refuse the carrier. The copy for the prepare leg is taken
-  // before the call, whose arguments may be evaluated in any order.
-  std::function<bool(Status)> on_prepared =
-      [on_carrier_failed](Status prepared) {
-        if (!prepared.ok()) on_carrier_failed();
-        return prepared.ok();
-      };
-  submit_two_phase(
-      site_id, std::move(request), std::move(on_prepared),
-      [on_carrier_failed = std::move(on_carrier_failed)](Status accepted) {
-        if (!accepted.ok()) on_carrier_failed();
-      });
+  // Either leg may refuse the carrier, which then never reaches the LRMS:
+  // the agent leaves the table before the refusal goes back to its job. The
+  // copy for the prepare leg is taken before the call, whose arguments may be
+  // evaluated in any order.
+  auto refused = [this, agent_id,
+                  on_carrier_failed = std::move(on_carrier_failed)] {
+    agents_.remove(agent_id);
+    on_carrier_failed();
+  };
+  std::function<bool(Status)> on_prepared = [refused](Status prepared) {
+    if (!prepared.ok()) refused();
+    return prepared.ok();
+  };
+  submit_two_phase(site_id, std::move(request), std::move(on_prepared),
+                   [refused = std::move(refused)](Status accepted) {
+                     if (!accepted.ok()) refused();
+                   });
   return rec;
 }
 
@@ -1305,7 +1265,13 @@ std::vector<AgentId> CrossBroker::supervised_agents() const {
   return ids;
 }
 
-void CrossBroker::heartbeat_tick() {
+void CrossBroker::supervision_tick() {
+  heartbeat_pass();
+  liveness_pass();
+  sim_.schedule_daemon(kSupervisionInterval, [this] { supervision_tick(); });
+}
+
+void CrossBroker::heartbeat_pass() {
   for (const AgentId agent_id : supervised_agents()) {
     AgentRecord* rec = agents_.record(agent_id);
     if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
@@ -1333,17 +1299,14 @@ void CrossBroker::heartbeat_tick() {
              "agent " + std::to_string(agent_id.value()) + " missed probe " +
                  std::to_string(rec->missed_heartbeats),
              obs::LabelSet{{"site", std::to_string(rec->site().value())}});
-      if (!rec->suspected &&
-          rec->missed_heartbeats >= config_.agent_heartbeat_miss_limit) {
+      if (!rec->suspected && rec->missed_heartbeats >= kSupervisionMissLimit) {
         suspect_agent(agent_id, "heartbeat");
       }
     }
   }
-  sim_.schedule_daemon(config_.agent_heartbeat_interval,
-                       [this] { heartbeat_tick(); });
 }
 
-void CrossBroker::liveness_tick() {
+void CrossBroker::liveness_pass() {
   for (const AgentId agent_id : supervised_agents()) {
     AgentRecord* rec = agents_.record(agent_id);
     if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
@@ -1365,15 +1328,12 @@ void CrossBroker::liveness_tick() {
                  std::to_string(rec->missed_echoes) + " (probe " +
                  std::to_string(rec->probe_seq) + ")",
              obs::LabelSet{{"site", std::to_string(rec->site().value())}});
-      if (!rec->suspected &&
-          rec->missed_echoes >= config_.liveness_miss_limit) {
+      if (!rec->suspected && rec->missed_echoes >= kSupervisionMissLimit) {
         suspect_agent(agent_id, "liveness");
       }
     }
     send_liveness_probe(*rec, *site);
   }
-  sim_.schedule_daemon(config_.liveness_probe_interval,
-                       [this] { liveness_tick(); });
 }
 
 void CrossBroker::send_liveness_probe(AgentRecord& rec, const lrms::Site& site) {
@@ -1403,8 +1363,8 @@ void CrossBroker::on_liveness_echo(AgentId agent_id, std::uint64_t seq) {
 }
 
 bool CrossBroker::clear_of_suspicion(const AgentRecord& rec) const {
-  return rec.missed_heartbeats < config_.agent_heartbeat_miss_limit &&
-         rec.missed_echoes < config_.liveness_miss_limit;
+  return rec.missed_heartbeats < kSupervisionMissLimit &&
+         rec.missed_echoes < kSupervisionMissLimit;
 }
 
 void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
@@ -1431,31 +1391,25 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
     });
   }
 
-  // Revoke the exclusive-temporal-access matches of jobs still waiting to
+  // Revoke the exclusive-temporal-access matches of subjobs still waiting to
   // start on this agent: their leases are released inside resubmit_job and
   // the suspected agent is excluded from the fresh placement. A reservation
-  // left by a start the agent refused belongs to an attempt the job has
-  // already moved past (it may be running elsewhere by now): it only kept
-  // the slot blocked, and is dropped without touching the job.
-  std::vector<JobId> revoked = rec->pending_interactive;
+  // of a superseded attempt (left by a start the agent refused; the job may
+  // be running elsewhere by now) only kept the slot blocked, and is dropped
+  // without touching the job.
+  std::vector<SubJobRef> revoked = rec->pending_interactive;
   if (rec->pending_batch) revoked.push_back(*rec->pending_batch);
   rec->pending_interactive.clear();
   rec->pending_batch.reset();
-  for (const JobId id : revoked) {
-    ManagedJob* job = find_job(id);
-    if (job == nullptr || is_terminal(job->record.state)) continue;
-    const bool waits_here = std::any_of(
-        job->record.subjobs.begin(), job->record.subjobs.end(),
-        [agent_id](const SubJobRecord& sub) {
-          return sub.agent == agent_id && !sub.started;
-        });
-    if (!waits_here) continue;
-    tracev(id, obs::TraceEventKind::kLeaseRevoked,
+  for (const SubJobRef ref : revoked) {
+    const SubJobRecord* sub = current_subjob(ref);
+    if (sub == nullptr || sub->started) continue;
+    tracev(ref.job, obs::TraceEventKind::kLeaseRevoked,
            "reserved agent " + std::to_string(agent_id.value()) +
                " missed heartbeats",
            obs::LabelSet{{"site", std::to_string(site.value())}});
-    count("broker.lease_revocations");
-    resubmit_job(id);
+    metrics_.lease_revocations.inc();
+    resubmit_job(ref.job);
   }
   // Running residents keep executing: their work is local to the node, and
   // if the agent really died the carrier-kill path takes over on arrival.
@@ -1491,15 +1445,16 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
   const SiteId site = rec->site();
   // Time out every running resident: the agent has been suspected for the
   // whole grace window, so its residents are treated as orphaned.
-  std::vector<std::pair<JobId, bool>> victims;  // (job, interactive slot)
-  for (const JobId resident : rec->interactive_residents) {
+  std::vector<std::pair<SubJobRef, bool>> victims;  // (resident, interactive)
+  for (const SubJobRef resident : rec->interactive_residents) {
     victims.emplace_back(resident, true);
   }
   if (rec->batch_resident) victims.emplace_back(*rec->batch_resident, false);
   rec->interactive_residents.clear();
   rec->batch_resident.reset();
   if (!victims.empty()) rec->ran_any_job = true;
-  for (const auto& [job_id, interactive] : victims) {
+  for (const auto& [ref, interactive] : victims) {
+    const JobId job_id = ref.job;
     ManagedJob* job = find_job(job_id);
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
@@ -1529,7 +1484,7 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
                   });
       }
     }
-    if (job == nullptr || is_terminal(job->record.state)) continue;
+    if (current_subjob(ref) == nullptr) continue;
     // The strongest health evidence: a running resident lost to a
     // partition. The resulting score pushes the site past the exclusion
     // threshold so the resubmitted job's replacement agent avoids it.
@@ -1552,11 +1507,10 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
       }
     }
     if (all_on_this_agent) {
-      job->subjobs_running = 0;
-      job->subjobs_completed = 0;
-      fair_share_.job_finished(job_id);
+      restart_job(job_id);
+    } else {
+      resubmit_job(job_id);
     }
-    resubmit_job(job_id);
   }
 }
 
@@ -1575,29 +1529,24 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
   count("broker.agent_deaths",
         obs::LabelSet{{"site", std::to_string(site.value())}});
 
-  // Resident and in-flight jobs died with the agent. Batch jobs are
-  // resubmitted "when possible"; interactive jobs fail loudly (their user is
-  // attached to the console and must act).
-  const auto recover = [this](std::optional<JobId> maybe_job, bool interactive) {
-    if (!maybe_job) return;
-    ManagedJob* job = find_job(*maybe_job);
-    if (job == nullptr || is_terminal(job->record.state)) return;
+  // Resident and in-flight subjobs of current attempts died with the agent.
+  // Batch jobs are resubmitted "when possible"; interactive jobs fail loudly
+  // (their user is attached to the console and must act).
+  const auto recover = [this](std::optional<SubJobRef> lost, bool interactive) {
+    if (!lost || current_subjob(*lost) == nullptr) return;
     if (interactive && !config_.resubmit_interactive_on_agent_death) {
-      fail_job(*maybe_job,
+      fail_job(lost->job,
                make_error("broker.agent_died", "glide-in agent was killed"));
     } else {
-      // The resident job is dead, not merely partially started: rewind its
-      // execution bookkeeping before resubmitting it from scratch.
-      job->subjobs_running = 0;
-      job->subjobs_completed = 0;
-      fair_share_.job_finished(*maybe_job);
-      resubmit_job(*maybe_job);
+      restart_job(lost->job);
     }
   };
   recover(dead.batch_resident, false);
   recover(dead.pending_batch, false);
-  for (const JobId resident : dead.interactive_residents) recover(resident, true);
-  for (const JobId pending : dead.pending_interactive) recover(pending, true);
+  for (const SubJobRef resident : dead.interactive_residents) {
+    recover(resident, true);
+  }
+  for (const SubJobRef pending : dead.pending_interactive) recover(pending, true);
 }
 
 void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
@@ -1614,15 +1563,13 @@ void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
     for (auto& sub : job->record.subjobs) {
       if (sub.lrms_job_id == job_id && !sub.completed) {
         log_warn(kLog, "job ", id, " killed at site ", site_id.value());
-        // The killed subjob no longer runs; rewind before resubmitting.
-        // (Multi-subjob jobs with survivors still count as partial failures
-        // inside resubmit_job.)
+        // Multi-subjob jobs with survivors count as partial failures inside
+        // resubmit_job.
         if (job->record.subjobs.size() == 1) {
-          job->subjobs_running = 0;
-          job->subjobs_completed = 0;
-          fair_share_.job_finished(id);
+          restart_job(id);
+        } else {
+          resubmit_job(id);
         }
-        resubmit_job(id);
         return;
       }
     }
@@ -1631,18 +1578,27 @@ void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
 
 // -------------------------------------------------------------- lifecycle ----
 
-void CrossBroker::subjob_started(JobId id, std::size_t subjob_index) {
+SubJobRecord* CrossBroker::current_subjob(SubJobRef ref) {
+  ManagedJob* job = find_job(ref.job);
+  if (job == nullptr || is_terminal(job->record.state)) return nullptr;
+  for (SubJobRecord& sub : job->record.subjobs) {
+    if (sub.id == ref.sub) return &sub;
+  }
+  return nullptr;
+}
+
+void CrossBroker::subjob_started(SubJobRef ref) {
+  SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr || sub->started) return;
+  sub->started = true;
+  const JobId id = ref.job;
   ManagedJob* job = find_job(id);
-  if (job == nullptr || is_terminal(job->record.state)) return;
-  SubJobRecord& sub = job->record.subjobs[subjob_index];
-  if (sub.started) return;
-  sub.started = true;
   ++job->subjobs_running;
   tracev(id, obs::TraceEventKind::kStarted,
-         "rank " + std::to_string(sub.rank) + " at site " +
-             std::to_string(sub.site.value()),
-         obs::LabelSet{{"site", std::to_string(sub.site.value())},
-                       {"rank", std::to_string(sub.rank)}});
+         "rank " + std::to_string(sub->rank) + " at site " +
+             std::to_string(sub->site.value()),
+         obs::LabelSet{{"site", std::to_string(sub->site.value())},
+                       {"rank", std::to_string(sub->rank)}});
 
   // MPICH-G2 startup barrier: the job runs once every subjob has started.
   if (job->subjobs_running == static_cast<int>(job->record.subjobs.size())) {
@@ -1665,15 +1621,14 @@ void CrossBroker::subjob_started(JobId id, std::size_t subjob_index) {
   }
 }
 
-void CrossBroker::subjob_completed(JobId id, std::size_t subjob_index) {
-  ManagedJob* job = find_job(id);
-  if (job == nullptr || is_terminal(job->record.state)) return;
-  SubJobRecord& sub = job->record.subjobs[subjob_index];
-  if (sub.completed) return;
-  sub.completed = true;
+void CrossBroker::subjob_completed(SubJobRef ref) {
+  SubJobRecord* sub = current_subjob(ref);
+  if (sub == nullptr || sub->completed) return;
+  sub->completed = true;
+  ManagedJob* job = find_job(ref.job);
   ++job->subjobs_completed;
   if (job->subjobs_completed == static_cast<int>(job->record.subjobs.size())) {
-    complete_job(id);
+    complete_job(ref.job);
   }
 }
 
@@ -1788,6 +1743,15 @@ void CrossBroker::resubmit_job(JobId id) {
   job->subjobs_running = 0;
   job->subjobs_completed = 0;
   sim_.schedule(backoff, [this, id] { schedule_job(id); });
+}
+
+void CrossBroker::restart_job(JobId id) {
+  ManagedJob* job = find_job(id);
+  if (job == nullptr || is_terminal(job->record.state)) return;
+  job->subjobs_running = 0;
+  job->subjobs_completed = 0;
+  fair_share_.job_finished(id);
+  resubmit_job(id);
 }
 
 void CrossBroker::release_leases(ManagedJob& job) {

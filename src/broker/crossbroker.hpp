@@ -51,6 +51,16 @@ struct Envelope;
 
 namespace cg::broker {
 
+/// Supervision of glide-in agents: every interval one daemon probes each
+/// registered agent's link (Heartbeat over the broker <-> site link) and then
+/// its event loop (a sequenced LivenessProbe the agent must echo). An agent
+/// is suspected after the miss limit of consecutive misses on either
+/// channel: its reservations are revoked and it is excluded from placement.
+/// A wedged agent on a healthy link misses only echoes, and is restored only
+/// once both channels pass again.
+inline constexpr Duration kSupervisionInterval = Duration::seconds(10);
+inline constexpr int kSupervisionMissLimit = 3;
+
 struct CrossBrokerConfig {
   FairShareConfig fair_share;
   MatchmakerConfig matchmaker;
@@ -88,25 +98,6 @@ struct CrossBrokerConfig {
   /// immediate resubmission.
   Duration resubmit_backoff_base = Duration::millis(500);
   Duration resubmit_backoff_max = Duration::seconds(30);
-
-  /// Heartbeat supervision of glide-in agents: the broker probes each
-  /// running agent over the broker <-> site link every interval; after
-  /// miss_limit consecutive failures the agent is *suspected* — its match
-  /// leases for still-pending jobs are revoked, those jobs resubmitted, and
-  /// the agent excluded from placement until the link heals, when it
-  /// re-registers automatically.
-  Duration agent_heartbeat_interval = Duration::seconds(10);
-  int agent_heartbeat_miss_limit = 3;
-
-  /// Application-level liveness echo, distinct from the link heartbeat: the
-  /// broker sends a sequenced probe down the direct broker <-> agent channel
-  /// every interval and the agent must echo it *from its event loop*. A
-  /// wedged agent process (stalled loop, healthy link) misses echoes while
-  /// link heartbeats still pass, and is suspected after miss_limit
-  /// consecutive misses. A suspected agent is only restored once an echo
-  /// makes the round trip again.
-  Duration liveness_probe_interval = Duration::seconds(10);
-  int liveness_miss_limit = 3;
 
   /// Partition-aware eviction of *running* residents: when an agent stays
   /// suspected past this grace, its running jobs are timed out — killed on
@@ -265,39 +256,48 @@ private:
 
   // -- dispatch ------------------------------------------------------------
   void dispatch_interactive_on_vms(JobId id);
-  void dispatch_subjob_to_vm(JobId id, std::size_t subjob_index,
-                             glidein::GlideinAgent& agent);
-  void dispatch_subjob_exclusive(JobId id, std::size_t subjob_index, SiteId site);
+  void dispatch_subjob_to_vm(SubJobRef ref, glidein::GlideinAgent& agent);
+  void dispatch_subjob_exclusive(SubJobRef ref, SiteId site);
   /// Two-phase-commit submission over the bus: a SubmitJob prepare leg,
   /// then, when `on_prepared` returns true, a SubmitJob commit leg whose
   /// result goes to `on_committed`.
   void submit_two_phase(SiteId site, lrms::GridJobRequest request,
                         std::function<bool(Status)> on_prepared,
                         std::function<void(Status)> on_committed);
-  void dispatch_subjob_with_new_agent(JobId id, std::size_t subjob_index,
-                                      SiteId site, bool interactive_slot);
-  void arm_queue_detection(JobId id, std::size_t subjob_index, SiteId site);
+  void dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site,
+                                      bool interactive_slot);
+  void arm_queue_detection(SubJobRef ref, SiteId site);
 
   // -- lifecycle -----------------------------------------------------------
+  /// The one attempt check of every deferred path: the subjob `ref` names,
+  /// or null when its job is gone or terminal or the id is not in the job's
+  /// current attempt. A delivery whose ref does not resolve changes no job
+  /// state.
+  [[nodiscard]] SubJobRecord* current_subjob(SubJobRef ref);
   void set_state(ManagedJob& job, JobState state);
-  void subjob_started(JobId id, std::size_t subjob_index);
-  void subjob_completed(JobId id, std::size_t subjob_index);
+  void subjob_started(SubJobRef ref);
+  void subjob_completed(SubJobRef ref);
   void complete_job(JobId id);
   void fail_job(JobId id, Error error);
   void reject_job(JobId id, Error error);
   void resubmit_job(JobId id);
+  /// Resubmits a job whose work is gone (its agent died or was evicted, or
+  /// the site killed it), rewinding its execution bookkeeping first so the
+  /// resubmission starts from scratch instead of failing as partial.
+  void restart_job(JobId id);
   void release_leases(ManagedJob& job);
   void poll_broker_queue();
   /// Barrier plumbing for parallel BSP workloads.
   void setup_barrier_coordination(ManagedJob& job);
-  [[nodiscard]] lrms::TaskRunner::BarrierFn barrier_handler_for(JobId id, int rank);
+  [[nodiscard]] lrms::TaskRunner::BarrierFn barrier_handler_for(SubJobRef ref);
 
   // -- glide-in management -------------------------------------------------
   AgentRecord& create_agent_with_carrier(
       SiteId site, std::function<void(AgentRecord&)> on_ready,
       std::function<void()> on_carrier_failed);
-  void start_job_on_agent(JobId id, std::size_t subjob_index, AgentRecord& rec,
-                          bool interactive_slot);
+  /// Starts `ref` on the agent if it still holds the subjob's reservation:
+  /// a duplicated DispatchJob finds it taken by the first copy.
+  void start_job_on_agent(SubJobRef ref, AgentRecord& rec, bool interactive_slot);
   void maybe_dismiss_agent(AgentId agent_id);
   void handle_agent_death(AgentId agent_id);
   void on_site_job_killed(SiteId site, JobId job, NodeId node);
@@ -310,11 +310,13 @@ private:
 
   // -- heartbeat + liveness supervision --------------------------------------
   /// The supervised agents in ascending id order, snapshotted at the start
-  /// of a tick: an agent registering during the tick waits for the next
-  /// one, and the visit body may erase entries from the agent table.
+  /// of a pass: an agent registering during the pass waits for the next
+  /// tick, and the visit body may erase entries from the agent table.
   [[nodiscard]] std::vector<AgentId> supervised_agents() const;
-  void heartbeat_tick();
-  void liveness_tick();
+  /// The supervision daemon: the heartbeat pass, then the liveness pass.
+  void supervision_tick();
+  void heartbeat_pass();
+  void liveness_pass();
   void send_liveness_probe(AgentRecord& rec, const lrms::Site& site);
   void on_liveness_echo(AgentId agent_id, std::uint64_t seq);
   void suspect_agent(AgentId agent_id, const char* reason);

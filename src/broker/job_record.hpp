@@ -65,6 +65,16 @@ struct JobCallbacks {
   std::function<void(const lrms::Phase&, Duration measured)> phase_observer;
 };
 
+/// Names one subjob of one scheduling attempt. Every attempt gives its
+/// subjobs fresh SubJobIds, so a ref held by a deferred continuation or an
+/// agent-table entry stops resolving once its attempt is superseded.
+struct SubJobRef {
+  JobId job;
+  SubJobId sub;
+
+  [[nodiscard]] bool operator==(const SubJobRef&) const = default;
+};
+
 /// One subjob's placement (parallel jobs have several).
 struct SubJobRecord {
   SubJobId id;

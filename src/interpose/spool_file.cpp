@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
 namespace cg::interpose {
 
@@ -98,41 +99,30 @@ std::optional<Frame> SpoolFile::peek() {
   std::fflush(file_);
   if (std::fseek(file_, cursor_, SEEK_SET) != 0) return std::nullopt;
 
-  char header[kFrameHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
-    std::fseek(file_, 0, SEEK_END);
-    return std::nullopt;
-  }
-  FrameDecoder decoder;
-  decoder.feed(header, sizeof(header));
-  // Header alone never yields a frame unless the payload is empty; decode by
-  // reading the declared payload length manually.
-  const auto length =
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(header[5])) << 24) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(header[6])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<unsigned char>(header[7])) << 8) |
-      static_cast<std::uint32_t>(static_cast<unsigned char>(header[8]));
-  if (length > kMaxFramePayload) {
-    std::fseek(file_, 0, SEEK_END);
-    return std::nullopt;
-  }
-  std::string payload(length, '\0');
-  if (length > 0 && std::fread(payload.data(), 1, length, file_) != length) {
-    std::fseek(file_, 0, SEEK_END);
-    return std::nullopt;
+  // The header sizes the read; the whole frame is then decoded in one
+  // session, as the socket path decodes it. A short or corrupt frame reads
+  // as a drained spool.
+  std::optional<Frame> frame;
+  std::string bytes(kFrameHeaderBytes, '\0');
+  try {
+    if (std::fread(bytes.data(), 1, kFrameHeaderBytes, file_) ==
+        kFrameHeaderBytes) {
+      const std::size_t length = decode_frame_header(bytes.data()).length;
+      bytes.resize(kFrameHeaderBytes + length);
+      if (std::fread(bytes.data() + kFrameHeaderBytes, 1, length, file_) ==
+          length) {
+        FrameDecoder decoder;
+        decoder.begin(bytes);
+        if (const auto view = decoder.next_view()) {
+          frame = Frame{view->type, view->rank, std::string{view->payload}};
+        }
+        decoder.end();
+      }
+    }
+  } catch (const std::runtime_error&) {
   }
   std::fseek(file_, 0, SEEK_END);
-
-  decoder.feed(payload.data(), payload.size());
-  std::optional<Frame> frame;
-  try {
-    frame = decoder.next();
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (frame) {
-    last_peek_size_ = static_cast<long>(kFrameHeaderBytes + length);
-  }
+  if (frame) last_peek_size_ = static_cast<long>(bytes.size());
   return frame;
 }
 
@@ -167,17 +157,16 @@ std::size_t SpoolFile::pending() const {
     std::fflush(file_);
     if (std::fseek(file_, walk, SEEK_SET) != 0) break;
     char header[kFrameHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
-      std::fseek(file_, 0, SEEK_END);
-      break;
-    }
-    const auto length =
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(header[5])) << 24) |
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(header[6])) << 16) |
-        (static_cast<std::uint32_t>(static_cast<unsigned char>(header[7])) << 8) |
-        static_cast<std::uint32_t>(static_cast<unsigned char>(header[8]));
+    const bool whole =
+        std::fread(header, 1, sizeof(header), file_) == sizeof(header);
     std::fseek(file_, 0, SEEK_END);
-    walk += static_cast<long>(kFrameHeaderBytes + length);
+    if (!whole) break;
+    try {
+      walk += static_cast<long>(kFrameHeaderBytes +
+                                decode_frame_header(header).length);
+    } catch (const std::runtime_error&) {
+      break;  // a corrupt header ends the spool, as peek() reads it
+    }
     ++count;
   }
   return count;

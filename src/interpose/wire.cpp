@@ -61,13 +61,7 @@ void encode_frame_into(std::string& out, FrameType type, std::uint32_t rank,
   out.append(payload);
 }
 
-std::string encode_frame(const Frame& frame) {
-  std::string out;
-  encode_frame_into(out, frame.type, frame.rank, frame.payload);
-  return out;
-}
-
-FrameDecoder::Header FrameDecoder::parse_header(const char* p) {
+FrameHeader decode_frame_header(const char* p) {
   const auto raw_type = static_cast<std::uint8_t>(p[0]);
   if (!is_valid_frame_type(raw_type)) {
     throw std::runtime_error{"FrameDecoder: corrupt frame type " +
@@ -78,7 +72,7 @@ FrameDecoder::Header FrameDecoder::parse_header(const char* p) {
   if (length > kMaxFramePayload) {
     throw std::runtime_error{"FrameDecoder: implausible frame length"};
   }
-  return Header{static_cast<FrameType>(raw_type), rank, length};
+  return FrameHeader{static_cast<FrameType>(raw_type), rank, length};
 }
 
 void FrameDecoder::begin(const char* data, std::size_t size) {
@@ -103,7 +97,7 @@ std::optional<FrameView> FrameDecoder::next_view() {
     const std::size_t available = ext_size_ - ext_pos_;
     if (available < kFrameHeaderBytes) return std::nullopt;
     const char* p = ext_ + ext_pos_;
-    const Header header = parse_header(p);
+    const FrameHeader header = decode_frame_header(p);
     if (available < kFrameHeaderBytes + header.length) return std::nullopt;
     ext_pos_ += kFrameHeaderBytes + header.length;
     return FrameView{header.type, header.rank,
@@ -116,7 +110,7 @@ std::optional<FrameView> FrameDecoder::next_view() {
     stashed = buffer_.size() - consumed_;
     if (stashed < kFrameHeaderBytes) return std::nullopt;
   }
-  const Header header = parse_header(buffer_.data() + consumed_);
+  const FrameHeader header = decode_frame_header(buffer_.data() + consumed_);
   const std::size_t frame_size = kFrameHeaderBytes + header.length;
   if (stashed < frame_size) {
     stash_from_session(frame_size - stashed);
@@ -141,22 +135,6 @@ void FrameDecoder::end() {
   ext_size_ = 0;
   ext_pos_ = 0;
   compact();
-}
-
-void FrameDecoder::feed(const char* data, std::size_t size) {
-  assert(ext_ == nullptr && "FrameDecoder: feed during a borrow session");
-  buffer_.append(data, size);
-}
-
-std::optional<Frame> FrameDecoder::next() {
-  const std::optional<FrameView> view = next_view();
-  if (!view) return std::nullopt;
-  Frame frame;
-  frame.type = view->type;
-  frame.rank = view->rank;
-  frame.payload.assign(view->payload.data(), view->payload.size());
-  compact();
-  return frame;
 }
 
 void FrameDecoder::compact() {

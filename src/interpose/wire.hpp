@@ -11,8 +11,7 @@
 // the 9 header bytes into caller scratch so the payload can be sent from
 // wherever it already lives, and the decoder's begin/next_view/end session
 // yields FrameViews that borrow the receive buffer — only frames that
-// straddle a read boundary copy (and only the bytes they still need). The
-// owning Frame/encode_frame/next API remains as a compatibility shim.
+// straddle a read boundary copy (and only the bytes they still need).
 #pragma once
 
 #include <cstdint>
@@ -35,6 +34,7 @@ enum class FrameType : std::uint8_t {
 [[nodiscard]] const char* to_string(FrameType type);
 [[nodiscard]] bool is_valid_frame_type(std::uint8_t raw);
 
+/// An owned frame (what the disk spool hands back).
 struct Frame {
   FrameType type = FrameType::kStdout;
   std::uint32_t rank = 0;
@@ -44,15 +44,11 @@ struct Frame {
 };
 
 /// A decoded frame whose payload borrows the decoder's current input; valid
-/// until the next decoder call. Copy via to_frame() to retain.
+/// until the next decoder call.
 struct FrameView {
   FrameType type = FrameType::kStdout;
   std::uint32_t rank = 0;
   std::string_view payload;
-
-  [[nodiscard]] Frame to_frame() const {
-    return Frame{type, rank, std::string{payload}};
-  }
 };
 
 /// Fixed header size on the wire.
@@ -71,16 +67,21 @@ void encode_frame_header(char* out, FrameType type, std::uint32_t rank,
 void encode_frame_into(std::string& out, FrameType type, std::uint32_t rank,
                        std::string_view payload);
 
-/// Serializes a frame into a fresh string (compatibility shim).
-[[nodiscard]] std::string encode_frame(const Frame& frame);
+struct FrameHeader {
+  FrameType type = FrameType::kStdout;
+  std::uint32_t rank = 0;
+  std::uint32_t length = 0;  ///< payload bytes that follow the header
+};
 
-/// Incremental decoder. Two ways to drive it:
-///
-///  - Zero-copy sessions: begin(span) → next_view() until nullopt → end().
-///    Frames wholly inside the span are yielded as borrowed views; a frame
-///    that straddles session boundaries is completed in the internal stash,
-///    copying only the bytes it needs. end() stashes the unconsumed tail.
-///  - Owning shim: feed(bytes), then next() for materialized Frames.
+/// Reads the 9-byte header at `in` (at least kFrameHeaderBytes). Throws
+/// std::runtime_error on a bad type byte or an implausible length.
+[[nodiscard]] FrameHeader decode_frame_header(const char* in);
+
+/// Incremental decoder, driven by zero-copy sessions: begin(span) →
+/// next_view() until nullopt → end(). Frames wholly inside the span are
+/// yielded as borrowed views; a frame that straddles session boundaries is
+/// completed in the internal stash, copying only the bytes it needs. end()
+/// stashes the unconsumed tail.
 ///
 /// Throws std::runtime_error on a corrupt header (bad type byte or
 /// implausible length), from whichever call first sees the full header.
@@ -99,23 +100,9 @@ public:
   /// stash so the next session can complete the straddling frame.
   void end();
 
-  /// Appends raw bytes to the stash (owning shim).
-  void feed(const char* data, std::size_t size);
-  void feed(std::string_view data) { feed(data.data(), data.size()); }
-
-  /// Extracts the next complete frame, if any (owning shim). Returns nullopt
-  /// when more bytes are needed.
-  [[nodiscard]] std::optional<Frame> next();
-
   [[nodiscard]] std::size_t buffered_bytes() const { return buffer_.size() - consumed_; }
 
 private:
-  struct Header {
-    FrameType type;
-    std::uint32_t rank;
-    std::uint32_t length;
-  };
-  [[nodiscard]] static Header parse_header(const char* p);
   /// Moves up to `need` unread session bytes into the stash.
   void stash_from_session(std::size_t need);
   void compact();

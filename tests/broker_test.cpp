@@ -13,6 +13,7 @@
 #include "broker/agent_registry.hpp"
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
+#include "sim/fault.hpp"
 
 namespace cg::broker {
 namespace {
@@ -676,14 +677,13 @@ TEST_F(BrokerFixture, TraceRecordsResubmissions) {
 }
 
 TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
-  // Both supervision channels tick every interval and must visit each agent
+  // Each supervision tick probes both channels and must visit each agent
   // whose AgentRegister arrived before the tick, and no other: an agent is
   // first probed by the first tick after it registers, and a dismissed
   // agent is never probed again. Agents are preloaded at staggered times so
   // they register between ticks; the one that runs a job is dismissed.
   const GridScenarioConfig config = default_config();
-  const Duration interval = config.broker.agent_heartbeat_interval;
-  ASSERT_EQ(config.broker.liveness_probe_interval, interval);
+  const Duration interval = kSupervisionInterval;
   obs::Observability obs;
   GridScenario grid{config};
   CrossBroker& broker = grid.broker();
@@ -1150,6 +1150,129 @@ TEST_F(BrokerFixture, RefusedCarrierResubmitsItsJobElsewhere) {
   EXPECT_EQ(outcome.error_code, "broker.retries_exhausted");
   EXPECT_EQ(grid.broker().record(id)->resubmissions, 3);
   EXPECT_EQ(grid.broker().agents().running_agents(), 0);
+  // Every refused carrier left the agent table.
+  EXPECT_EQ(grid.broker().agents().total_agents(), 0);
+}
+
+TEST_F(BrokerFixture, RefusedPreloadedCarrierLeavesNoAgent) {
+  // The only node runs local batch work and the LRMS queues nothing, so the
+  // gatekeeper refuses the warm-pool carrier at prepare.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.lrms.max_queue_length = 0;
+  GridScenario grid{config};
+  grid.saturate_with_local_batch(3600_s, UserId{99});
+  grid.broker().preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(600));
+  EXPECT_EQ(grid.broker().agents().total_agents(), 0);
+}
+
+TEST_F(BrokerFixture, SupersededCarrierNeverStartsTheJob) {
+  // A two-rank batch MPICH-G2 job needs a carrier on each site, and site 1
+  // trusts a foreign CA, so it refuses every carrier. Each refusal
+  // resubmits the job while the attempt's carrier on site 0 still
+  // bootstraps: when that agent comes up, its reservation belongs to a
+  // superseded attempt, so the agent is dismissed and the job never starts.
+  GridScenarioConfig config = default_config();
+  config.sites = 2;
+  config.nodes_per_site = 1;
+  config.enable_gsi = true;
+  GridScenario grid{config};
+  grid.register_user(UserId{1}, "alice");
+  gsi::CertificateAuthority foreign{"/O=Elsewhere/CN=CA", SimTime::zero(),
+                                    Duration::seconds(3600 * 24 * 365), 7};
+  grid.site(1).gatekeeper().set_trust_anchor(&foreign.root_certificate());
+  obs::Observability obs;
+  grid.broker().set_observability(&obs);
+  Outcome outcome;
+  const JobId id =
+      grid.broker()
+          .submit(parse_job("Executable = \"mpi_app\"; "
+                            "JobType = {\"batch\", \"mpich-g2\"}; "
+                            "NodeNumber = 2;"),
+                  UserId{1}, lrms::Workload::cpu(60_s),
+                  GridScenario::ui_endpoint(), watch(outcome))
+          .value();
+  grid.sim().run();
+  EXPECT_TRUE(outcome.failed);
+  EXPECT_EQ(outcome.error_code, "broker.retries_exhausted");
+  EXPECT_EQ(grid.broker().record(id)->resubmissions, 3);
+  EXPECT_EQ(obs.tracer.count(obs::TraceEventKind::kStarted), 0u);
+  EXPECT_EQ(grid.broker().agents().total_agents(), 0);
+  grid.broker().set_observability(nullptr);
+}
+
+TEST_F(BrokerFixture, DuplicatedDispatchStartsTheJobOnce) {
+  // Every DispatchJob is delivered twice. The first copy starts the job on
+  // the agent's only VM; the second finds the reservation gone and is
+  // ignored instead of being refused by the busy slot.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  GridScenario grid{config};
+  sim::FaultInjector injector{grid.sim(), &grid.network()};
+  injector.register_message_sink(&grid.bus());
+  sim::FaultPlan plan;
+  plan.duplicate_messages("DispatchJob", "", "", SimTime::zero(), 3600_s);
+  injector.arm(plan);
+  CrossBroker& broker = grid.broker();
+  broker.preload_agent(grid.site(0).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(broker.agents().running_agents(), 1);
+
+  Outcome outcome;
+  const JobId id =
+      broker
+          .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                            "MachineAccess = \"shared\";"),
+                  UserId{1}, lrms::Workload::cpu(30_s),
+                  GridScenario::ui_endpoint(), watch(outcome))
+          .value();
+  grid.sim().run();
+  EXPECT_TRUE(outcome.completed) << outcome.error_code;
+  const JobRecord* record = broker.record(id);
+  EXPECT_EQ(record->resubmissions, 0);
+  EXPECT_EQ(record->placement, PlacementKind::kInteractiveVm);
+}
+
+TEST_F(BrokerFixture, WedgedAgentDeathSparesTheJobRunningElsewhere) {
+  // A wedged agent refuses the job's start, and the job runs on the other
+  // agent. The wedged agent's carrier is then killed before suspicion: its
+  // death must not touch the job, whose refused reservation belongs to a
+  // superseded attempt.
+  GridScenarioConfig config = default_config();
+  config.sites = 2;
+  config.nodes_per_site = 1;
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+  broker.preload_agent(grid.site(0).id());
+  broker.preload_agent(grid.site(1).id());
+  grid.sim().run_until(SimTime::from_seconds(60));
+  ASSERT_EQ(broker.agents().running_agents(), 2);
+  const AgentId wedged = broker.agents().begin()->first;
+  const AgentId healthy = std::next(broker.agents().begin())->first;
+  broker.agents().find(wedged)->set_wedged(true);
+
+  Outcome outcome;
+  const JobId id =
+      broker
+          .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                            "MachineAccess = \"shared\";"),
+                  UserId{1}, lrms::Workload::cpu(120_s),
+                  GridScenario::ui_endpoint(), watch(outcome))
+          .value();
+  grid.sim().run_until(SimTime::from_seconds(70));
+  ASSERT_TRUE(outcome.running);
+  ASSERT_FALSE(broker.agent_suspected(wedged));
+  const JobId carrier = broker.agents().find(wedged)->carrier_job_id();
+  ASSERT_TRUE(grid.site(0).scheduler().kill_running(carrier));
+  grid.sim().run();
+  EXPECT_EQ(broker.agents().find(wedged), nullptr);
+  EXPECT_TRUE(outcome.completed) << outcome.error_code;
+  const JobRecord* record = broker.record(id);
+  EXPECT_EQ(record->resubmissions, 1);
+  EXPECT_EQ(*record->subjobs[0].agent, healthy);
 }
 
 TEST(AgentRegistryTest, CreateFindRemove) {

@@ -15,20 +15,38 @@
 namespace cg::interpose {
 namespace {
 
+std::string encode(const Frame& frame) {
+  std::string out;
+  encode_frame_into(out, frame.type, frame.rank, frame.payload);
+  return out;
+}
+
+Frame owned(const FrameView& view) {
+  return Frame{view.type, view.rank, std::string{view.payload}};
+}
+
+/// Every frame one session over `bytes` completes.
+std::vector<Frame> decode_session(FrameDecoder& decoder, std::string_view bytes) {
+  std::vector<Frame> frames;
+  decoder.begin(bytes);
+  while (const auto view = decoder.next_view()) frames.push_back(owned(*view));
+  decoder.end();
+  return frames;
+}
+
 TEST(WireTest, EncodeDecodeRoundTrip) {
   Frame frame;
   frame.type = FrameType::kStdout;
   frame.rank = 7;
   frame.payload = "hello grid\n";
-  const std::string encoded = encode_frame(frame);
+  const std::string encoded = encode(frame);
   EXPECT_EQ(encoded.size(), kFrameHeaderBytes + frame.payload.size());
 
   FrameDecoder decoder;
-  decoder.feed(encoded);
-  const auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, frame);
-  EXPECT_FALSE(decoder.next().has_value());
+  const std::vector<Frame> decoded = decode_session(decoder, encoded);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], frame);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
 TEST(WireTest, EmptyPayloadFrames) {
@@ -36,28 +54,26 @@ TEST(WireTest, EmptyPayloadFrames) {
   hello.type = FrameType::kHello;
   hello.rank = 3;
   FrameDecoder decoder;
-  decoder.feed(encode_frame(hello));
-  const auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->type, FrameType::kHello);
-  EXPECT_EQ(decoded->rank, 3u);
-  EXPECT_TRUE(decoded->payload.empty());
+  const std::vector<Frame> decoded = decode_session(decoder, encode(hello));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].type, FrameType::kHello);
+  EXPECT_EQ(decoded[0].rank, 3u);
+  EXPECT_TRUE(decoded[0].payload.empty());
 }
 
 TEST(WireTest, IncrementalFeedByteByByte) {
   Frame frame;
   frame.type = FrameType::kStdin;
   frame.payload = "abcdef";
-  const std::string encoded = encode_frame(frame);
+  const std::string encoded = encode(frame);
   FrameDecoder decoder;
   for (std::size_t i = 0; i + 1 < encoded.size(); ++i) {
-    decoder.feed(&encoded[i], 1);
-    EXPECT_FALSE(decoder.next().has_value());
+    EXPECT_TRUE(decode_session(decoder, std::string_view{&encoded[i], 1}).empty());
   }
-  decoder.feed(&encoded.back(), 1);
-  const auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->payload, "abcdef");
+  const std::vector<Frame> decoded =
+      decode_session(decoder, std::string_view{&encoded.back(), 1});
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].payload, "abcdef");
 }
 
 TEST(WireTest, MultipleFramesInOneBuffer) {
@@ -67,16 +83,15 @@ TEST(WireTest, MultipleFramesInOneBuffer) {
     f.type = FrameType::kStdout;
     f.rank = static_cast<std::uint32_t>(i);
     f.payload = "line " + std::to_string(i);
-    buffer += encode_frame(f);
+    buffer += encode(f);
   }
   FrameDecoder decoder;
-  decoder.feed(buffer);
+  const std::vector<Frame> decoded = decode_session(decoder, buffer);
+  ASSERT_EQ(decoded.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    const auto f = decoder.next();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->rank, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(decoded[static_cast<std::size_t>(i)].rank,
+              static_cast<std::uint32_t>(i));
   }
-  EXPECT_FALSE(decoder.next().has_value());
 }
 
 TEST(WireTest, BinaryPayloadSafe) {
@@ -84,69 +99,73 @@ TEST(WireTest, BinaryPayloadSafe) {
   frame.type = FrameType::kStdout;
   frame.payload = std::string("\x00\x01\xff\n\x00", 5);
   FrameDecoder decoder;
-  decoder.feed(encode_frame(frame));
-  const auto decoded = decoder.next();
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->payload.size(), 5u);
-  EXPECT_EQ(decoded->payload, frame.payload);
+  const std::vector<Frame> decoded = decode_session(decoder, encode(frame));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].payload.size(), 5u);
+  EXPECT_EQ(decoded[0].payload, frame.payload);
 }
 
 TEST(WireTest, CorruptTypeThrows) {
   std::string bogus(kFrameHeaderBytes, '\0');
   bogus[0] = '\x7f';  // invalid frame type
   FrameDecoder decoder;
-  decoder.feed(bogus);
-  EXPECT_THROW((void)decoder.next(), std::runtime_error);
+  decoder.begin(bogus);
+  EXPECT_THROW((void)decoder.next_view(), std::runtime_error);
+  EXPECT_THROW((void)decode_frame_header(bogus.data()), std::runtime_error);
 }
 
 TEST(WireTest, ImplausibleLengthThrows) {
   Frame frame;
   frame.type = FrameType::kStdout;
-  std::string encoded = encode_frame(frame);
+  std::string encoded = encode(frame);
   encoded[5] = '\x7f';  // length high byte -> ~2 GB
   FrameDecoder decoder;
-  decoder.feed(encoded);
-  EXPECT_THROW((void)decoder.next(), std::runtime_error);
+  decoder.begin(encoded);
+  EXPECT_THROW((void)decoder.next_view(), std::runtime_error);
 }
 
 TEST(WireTest, OversizedPayloadRejectedAtEncode) {
-  Frame frame;
-  frame.payload.resize(kMaxFramePayload + 1);
-  EXPECT_THROW((void)encode_frame(frame), std::invalid_argument);
+  const std::string payload(kMaxFramePayload + 1, 'x');
+  std::string out;
+  EXPECT_THROW(encode_frame_into(out, FrameType::kStdout, 0, payload),
+               std::invalid_argument);
 }
 
 TEST(WireTest, CompactionKeepsDecoderCorrect) {
-  // Force many decode cycles so the internal compaction path runs.
+  // Frames larger than the compaction threshold straddle two sessions, so
+  // each is completed in the stash and reclaimed when its session ends.
   FrameDecoder decoder;
-  for (int i = 0; i < 2000; ++i) {
-    Frame f;
-    f.type = FrameType::kStdout;
-    f.payload = "payload payload payload";
-    decoder.feed(encode_frame(f));
-    const auto out = decoder.next();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->payload, f.payload);
+  Frame f;
+  f.type = FrameType::kStdout;
+  f.payload = std::string(6000, 'p');
+  const std::string encoded = encode(f);
+  const std::string_view wire{encoded};
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(decode_session(decoder, wire.substr(0, 3000)).empty());
+    const std::vector<Frame> out = decode_session(decoder, wire.substr(3000));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], f);
+    EXPECT_EQ(decoder.buffered_bytes(), 0u);
   }
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
 // ----------------------------------------------------- zero-copy sessions ----
 
-TEST(WireViewTest, HeaderScratchMatchesOwningEncoder) {
-  Frame frame;
-  frame.type = FrameType::kStderr;
-  frame.rank = 42;
-  frame.payload = "zero copy";
-  const std::string owning = encode_frame(frame);
+TEST(WireViewTest, HeaderScratchMatchesTheWireLayout) {
+  // [u8 type][u32 rank][u32 length], both big-endian.
+  const std::string wire_header("\x03\x00\x00\x00\x2a\x00\x00\x00\x09", 9);
   char header[kFrameHeaderBytes];
-  encode_frame_header(header, frame.type, frame.rank, frame.payload.size());
-  EXPECT_EQ(std::string_view(header, kFrameHeaderBytes),
-            std::string_view(owning).substr(0, kFrameHeaderBytes));
+  encode_frame_header(header, FrameType::kStderr, 42, 9);
+  EXPECT_EQ(std::string_view(header, kFrameHeaderBytes), wire_header);
   std::string scratch = "stale contents from a previous frame";
-  encode_frame_into(scratch, frame.type, frame.rank, frame.payload);
-  EXPECT_EQ(scratch, owning);
+  encode_frame_into(scratch, FrameType::kStderr, 42, "zero copy");
+  EXPECT_EQ(scratch, wire_header + "zero copy");
+  const FrameHeader decoded = decode_frame_header(header);
+  EXPECT_EQ(decoded.type, FrameType::kStderr);
+  EXPECT_EQ(decoded.rank, 42u);
+  EXPECT_EQ(decoded.length, 9u);
   EXPECT_THROW(
-      encode_frame_header(header, frame.type, 0, kMaxFramePayload + 1),
+      encode_frame_header(header, FrameType::kStderr, 0, kMaxFramePayload + 1),
       std::invalid_argument);
 }
 
@@ -155,7 +174,7 @@ TEST(WireViewTest, ViewsBorrowTheSessionSpan) {
   frame.type = FrameType::kStdout;
   frame.rank = 3;
   frame.payload = "borrowed bytes";
-  const std::string encoded = encode_frame(frame);
+  const std::string encoded = encode(frame);
   FrameDecoder decoder;
   decoder.begin(encoded);
   const auto view = decoder.next_view();
@@ -164,7 +183,7 @@ TEST(WireViewTest, ViewsBorrowTheSessionSpan) {
   EXPECT_EQ(view->payload, "borrowed bytes");
   // Zero-copy: the payload view points into the caller's buffer.
   EXPECT_EQ(view->payload.data(), encoded.data() + kFrameHeaderBytes);
-  EXPECT_EQ(view->to_frame(), frame);
+  EXPECT_EQ(owned(*view), frame);
   EXPECT_FALSE(decoder.next_view().has_value());
   decoder.end();
   EXPECT_EQ(decoder.buffered_bytes(), 0u);  // nothing straddled, no copy
@@ -193,7 +212,7 @@ std::string corner_stream(std::vector<Frame>& out) {
     out.push_back(f);
   }
   std::string stream;
-  for (const Frame& f : out) stream += encode_frame(f);
+  for (const Frame& f : out) stream += encode(f);
   return stream;
 }
 
@@ -206,12 +225,12 @@ std::vector<Frame> decode_pieces(const std::string& stream,
   std::size_t pos = 0;
   for (std::size_t cut : cuts) {
     decoder.begin(stream.data() + pos, cut - pos);
-    while (const auto view = decoder.next_view()) frames.push_back(view->to_frame());
+    while (const auto view = decoder.next_view()) frames.push_back(owned(*view));
     decoder.end();
     pos = cut;
   }
   decoder.begin(stream.data() + pos, stream.size() - pos);
-  while (const auto view = decoder.next_view()) frames.push_back(view->to_frame());
+  while (const auto view = decoder.next_view()) frames.push_back(owned(*view));
   decoder.end();
   return frames;
 }
@@ -252,18 +271,6 @@ TEST(WireViewTest, SeededRandomChunkingsMatchOneShot) {
     }
     ASSERT_EQ(decode_pieces(stream, cuts), expected)
         << "iteration " << iteration;
-    // The owning feed()/next() shim must agree with the session API.
-    FrameDecoder shim;
-    std::vector<Frame> shim_frames;
-    std::size_t prev = 0;
-    for (std::size_t cut : cuts) {
-      shim.feed(stream.data() + prev, cut - prev);
-      while (const auto f = shim.next()) shim_frames.push_back(*f);
-      prev = cut;
-    }
-    shim.feed(stream.data() + prev, stream.size() - prev);
-    while (const auto f = shim.next()) shim_frames.push_back(*f);
-    ASSERT_EQ(shim_frames, expected) << "shim iteration " << iteration;
   }
 }
 
@@ -348,6 +355,29 @@ TEST_F(SpoolFileFixture, RemoveFilesCleansDisk) {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   EXPECT_EQ(f, nullptr);
   if (f != nullptr) std::fclose(f);
+}
+
+TEST_F(SpoolFileFixture, CorruptFrameReadsAsTheEndOfTheSpool) {
+  {
+    auto spool = SpoolFile::open(path_);
+    ASSERT_TRUE(spool.has_value());
+    ASSERT_TRUE(spool->append(frame("good")).ok());
+  }
+  std::FILE* f = std::fopen(path_.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const char bogus[kFrameHeaderBytes] = {'\x7f'};  // invalid frame type
+  std::fwrite(bogus, 1, sizeof(bogus), f);
+  std::fclose(f);
+
+  auto spool = SpoolFile::open(path_);
+  ASSERT_TRUE(spool.has_value());
+  EXPECT_EQ(spool->pending(), 1u);
+  const auto first = spool->peek();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload, "good");
+  ASSERT_TRUE(spool->advance().ok());
+  EXPECT_FALSE(spool->peek().has_value());
+  EXPECT_EQ(spool->pending(), 0u);
 }
 
 TEST_F(SpoolFileFixture, PeekOnEmptySpool) {

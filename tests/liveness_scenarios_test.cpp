@@ -250,13 +250,12 @@ TEST(LivenessScenarioTest, WedgedAgentOnHealthyLinkIsSuspectedAndEvicts) {
   EXPECT_EQ(run.suspected, 1u);
   // Suspected within (miss_limit + 1) probe intervals of the wedge: the
   // acceptance bound of the liveness tentpole.
-  const broker::CrossBrokerConfig defaults;
   ASSERT_TRUE(run.suspected_at.has_value());
   EXPECT_GE(*run.suspected_at, SimTime::from_seconds(300.0));
   EXPECT_LE(*run.suspected_at,
             SimTime::from_seconds(300.0) +
-                defaults.liveness_probe_interval *
-                    (defaults.liveness_miss_limit + 1));
+                broker::kSupervisionInterval *
+                    (broker::kSupervisionMissLimit + 1));
   // The running resident was evicted after the 60 s grace, resubmitted, and
   // finished elsewhere; the unwedged agent was eventually restored.
   ASSERT_TRUE(run.inter_evicted_at.has_value());
@@ -303,13 +302,12 @@ TEST(LivenessScenarioTest, EchoBlackholeSuspectsWithoutHeartbeatMisses) {
   // it.
   EXPECT_GE(run.msg_drops, run.liveness_misses);
   EXPECT_EQ(run.suspected, 1u);
-  const broker::CrossBrokerConfig defaults;
   ASSERT_TRUE(run.suspected_at.has_value());
   EXPECT_GE(*run.suspected_at, SimTime::from_seconds(300.0));
   EXPECT_LE(*run.suspected_at,
             SimTime::from_seconds(300.0) +
-                defaults.liveness_probe_interval *
-                    (defaults.liveness_miss_limit + 1));
+                broker::kSupervisionInterval *
+                    (broker::kSupervisionMissLimit + 1));
   // Grace expired behind the blackhole: residents evicted and resubmitted,
   // and the agent restored once the fault healed and an echo got through.
   ASSERT_TRUE(run.inter_evicted_at.has_value());
