@@ -25,11 +25,31 @@ AgentRecord& AgentRegistry::create(SiteId site,
                                    glidein::GlideinAgentConfig config) {
   const AgentId id = ids_.next();
   auto agent = std::make_unique<glidein::GlideinAgent>(sim_, id, site, config);
-  return records_.try_emplace(id, std::move(agent)).first->second;
+  AgentRecord& rec = records_.try_emplace(id, std::move(agent)).first->second;
+  by_site_[site].push_back(&rec);
+  return rec;
 }
 
 void AgentRegistry::remove(AgentId id) {
-  records_.erase(id);
+  const auto it = records_.find(id);
+  if (it == records_.end()) return;
+  // The record's own site, never its agent: the death path moves the agent
+  // out of the record before removing it.
+  std::vector<AgentRecord*>& at = by_site_[it->second.site()];
+  at.erase(std::find(at.begin(), at.end(), &it->second));
+  records_.erase(it);
+}
+
+std::span<AgentRecord* const> AgentRegistry::at_site(SiteId site) {
+  const auto it = by_site_.find(site);
+  if (it == by_site_.end()) return {};
+  return it->second;
+}
+
+std::span<const AgentRecord* const> AgentRegistry::at_site(SiteId site) const {
+  const auto it = by_site_.find(site);
+  if (it == by_site_.end()) return {};
+  return it->second;
 }
 
 glidein::GlideinAgent* AgentRegistry::find(AgentId id) {

@@ -10,6 +10,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "broker/job_record.hpp"
@@ -17,16 +19,19 @@
 
 namespace cg::broker {
 
-/// One deployed agent and the broker's bookkeeping for it. The agent's id,
-/// site and carrier job are read from the agent itself. Reservations and
+/// One deployed agent and the broker's bookkeeping for it. The agent's id
+/// and carrier job are read from the agent itself. Reservations and
 /// residents name subjobs by SubJobRef; an entry of a superseded attempt
 /// keeps counting until it is dropped.
 struct AgentRecord {
   explicit AgentRecord(std::unique_ptr<glidein::GlideinAgent> owned)
-      : agent{std::move(owned)} {}
+      : agent{std::move(owned)}, site_{agent->site()} {}
 
   [[nodiscard]] AgentId id() const { return agent->id(); }
-  [[nodiscard]] SiteId site() const { return agent->site(); }
+  /// Kept with the record, not read from the agent: AgentRegistry::remove
+  /// files the record out of its site's list after the death path has moved
+  /// the agent out.
+  [[nodiscard]] SiteId site() const { return site_; }
   [[nodiscard]] JobId carrier_job() const { return agent->carrier_job_id(); }
 
   /// Free interactive slots minus reservations, never negative: what a new
@@ -66,6 +71,9 @@ struct AgentRecord {
   bool supervised = false;
   /// Fired (once) when the agent's AgentRegister message arrives.
   std::function<void(AgentRecord&)> on_ready;
+
+private:
+  SiteId site_;
 };
 
 class AgentRegistry {
@@ -99,10 +107,19 @@ public:
   [[nodiscard]] Table::const_iterator begin() const { return records_.begin(); }
   [[nodiscard]] Table::const_iterator end() const { return records_.end(); }
 
+  /// The records at one site, in ascending AgentId order (the table's own
+  /// order restricted to the site): per-site questions cost the agents at
+  /// that site, not the whole grid. Valid until the next create or remove.
+  [[nodiscard]] std::span<AgentRecord* const> at_site(SiteId site);
+  [[nodiscard]] std::span<const AgentRecord* const> at_site(SiteId site) const;
+
 private:
   sim::Simulation& sim_;
   IdGenerator<AgentId> ids_;
   Table records_;
+  /// Per-site index over records_. Ids only grow, so create appends and
+  /// each list stays ascending.
+  std::unordered_map<SiteId, std::vector<AgentRecord*>> by_site_;
 };
 
 }  // namespace cg::broker

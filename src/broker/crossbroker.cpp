@@ -35,7 +35,7 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
       bus_{bus},
       infosys_{infosys},
       config_{config},
-      endpoint_{std::move(endpoint)},
+      endpoint_{bus.endpoint(endpoint)},
       rng_{config.seed},
       matchmaker_{config.matchmaker},
       leases_{sim},
@@ -60,6 +60,10 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
   bus_.bind(endpoint_,
             [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
   sim_.schedule_daemon(kSupervisionInterval, [this] { supervision_tick(); });
+}
+
+const std::string& CrossBroker::endpoint() const {
+  return bus_.name(endpoint_);
 }
 
 CrossBroker::~CrossBroker() {
@@ -212,9 +216,7 @@ bool CrossBroker::cancel(JobId id) {
     bool handled = false;
     if (sub.agent) {
       if (AgentRecord* rec = agents_.record(*sub.agent)) {
-        lrms::Site* agent_site = find_site(rec->site());
-        const std::string site_dst =
-            agent_site != nullptr ? agent_site->endpoint() : std::string{};
+        const EndpointId site_dst = site_endpoint(rec->site());
         const AgentId agent_id = *sub.agent;
         const JobId lrms_id = sub.lrms_job_id;
         // Every entry the job holds on the agent goes, superseded ones too.
@@ -258,7 +260,7 @@ bool CrossBroker::cancel(JobId id) {
       if (site != nullptr) {
         const SiteId site_id = sub.site;
         const JobId lrms_id = sub.lrms_job_id;
-        bus_.send(endpoint_, site->endpoint(),
+        bus_.send(endpoint_, site->gatekeeper().endpoint(),
                   net::CancelJob{lrms_id, /*queued_only=*/false}, inline_send(),
                   [this, site_id, lrms_id](const net::Envelope&) {
                     if (lrms::Site* s = find_site(site_id)) {
@@ -303,6 +305,10 @@ CrossBroker::ManagedJob* CrossBroker::find_job(JobId id) {
 lrms::Site* CrossBroker::find_site(SiteId id) {
   const auto it = sites_.find(id);
   return it != sites_.end() ? it->second : nullptr;
+}
+
+EndpointId CrossBroker::site_endpoint(SiteId id) const {
+  return sites_.at(id)->gatekeeper().endpoint();
 }
 
 int CrossBroker::needed_cpus_per_site(const jdl::JobDescription& desc) const {
@@ -561,21 +567,29 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
       shared && desc.flavor() == jdl::JobFlavor::kMpichP4
           ? vm_site_covering(processes)
           : std::nullopt;
-  if (shared && (p4_site || desc.flavor() != jdl::JobFlavor::kMpichP4)) {
+  // With a multiprogramming degree above 1, one agent can host several
+  // subjobs at once; take as many reservable slots as still needed. Each
+  // reservation holds the slot against concurrent placements in this event
+  // cascade. Agents are visited in ascending id order: MPICH-P4 walks only
+  // its site's list, every other flavour the whole table.
+  const auto reserve_on = [&](AgentRecord& rec) {
+    if (site_health_.hard_excluded(rec.site())) return;
+    for (int slots = rec.reservable_slots(); slots > 0 && still_needed > 0;
+         --slots, --still_needed) {
+      assignments.push_back(Assignment{rec.site(), Assignment::Kind::kVm,
+                                       rec.id(), subjob_ids_.next()});
+      rec.pending_interactive.push_back(SubJobRef{id, assignments.back().sub});
+    }
+  };
+  if (shared && p4_site) {
+    for (AgentRecord* rec : agents_.at_site(*p4_site)) {
+      if (still_needed == 0) break;
+      reserve_on(*rec);
+    }
+  } else if (shared && desc.flavor() != jdl::JobFlavor::kMpichP4) {
     for (auto& [agent_id, rec] : agents_) {
       if (still_needed == 0) break;
-      if (p4_site && rec.site() != *p4_site) continue;
-      if (site_health_.hard_excluded(rec.site())) continue;
-      // With a multiprogramming degree above 1, one agent can host several
-      // subjobs at once; take as many reservable slots as still needed.
-      // Each reservation holds the slot against concurrent placements in
-      // this event cascade.
-      for (int slots = rec.reservable_slots(); slots > 0 && still_needed > 0;
-           --slots, --still_needed) {
-        assignments.push_back(Assignment{rec.site(), Assignment::Kind::kVm,
-                                         agent_id, subjob_ids_.next()});
-        rec.pending_interactive.push_back(SubJobRef{id, assignments.back().sub});
-      }
+      reserve_on(rec);
     }
   }
   // Undoes the VM reservations above. It runs before any idle-machine
@@ -773,8 +787,14 @@ lrms::TaskRunner::BarrierFn CrossBroker::barrier_handler_for(SubJobRef ref) {
 
 int CrossBroker::reservable_vms(std::optional<SiteId> site) const {
   int n = 0;
+  if (site) {
+    if (site_health_.hard_excluded(*site)) return 0;
+    for (const AgentRecord* rec : agents_.at_site(*site)) {
+      n += rec->reservable_slots();
+    }
+    return n;
+  }
   for (const auto& [agent_id, rec] : agents_) {
-    if (site && rec.site() != *site) continue;
     if (site_health_.hard_excluded(rec.site())) continue;
     n += rec.reservable_slots();
   }
@@ -896,8 +916,9 @@ void CrossBroker::dispatch_subjob_to_vm(SubJobRef ref,
   net::SendOptions options;
   options.channel_latency = config_.agent_channel_latency;
   options.payload_bytes = config_.executable_bytes;
-  options.transfer_src = find_job(ref.job)->record.submitter_endpoint;
-  bus_.send(endpoint_, sites_.at(agent.site())->endpoint(),
+  options.transfer_src =
+      bus_.endpoint(find_job(ref.job)->record.submitter_endpoint);
+  bus_.send(endpoint_, site_endpoint(agent.site()),
             net::DispatchJob{sub->lrms_job_id, sub->rank}, options,
             [this, ref, agent_id](const net::Envelope&) {
     if (current_subjob(ref) == nullptr) return;
@@ -918,7 +939,7 @@ void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
   const ManagedJob& job = *find_job(ref.job);
   glidein::GlideinAgent* agent = rec.agent.get();
   const AgentId agent_id = rec.id();
-  const std::string site_endpoint = sites_.at(rec.site())->endpoint();
+  const EndpointId site = site_endpoint(rec.site());
 
   // GSI delegation: the agent acts on the user's behalf, so the broker
   // issues a further-restricted proxy from the user's credentials. An
@@ -946,14 +967,13 @@ void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
   slot_job.workload = job.record.workload;
   slot_job.phase_observer = job.callbacks.phase_observer;
   if (job.barrier_coordinator) slot_job.barrier_handler = barrier_handler_for(ref);
-  slot_job.on_start = [this, ref, site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
+  slot_job.on_start = [this, ref, site] {
+    bus_.send(site, endpoint_,
               net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
               [this, ref](const net::Envelope&) { subjob_started(ref); });
   };
-  slot_job.on_complete = [this, ref, agent_id, interactive_slot,
-                          site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
+  slot_job.on_complete = [this, ref, agent_id, interactive_slot, site] {
+    bus_.send(site, endpoint_,
               net::JobStatus{ref.job, net::StatusPhase::kCompleted},
               inline_send(),
               [this, ref, agent_id, interactive_slot](const net::Envelope&) {
@@ -1027,14 +1047,14 @@ void CrossBroker::dispatch_subjob_exclusive(SubJobRef ref, SiteId site_id) {
   request.submitter_endpoint = job.record.submitter_endpoint;
   request.phase_observer = job.callbacks.phase_observer;
   if (job.barrier_coordinator) request.barrier_handler = barrier_handler_for(ref);
-  const std::string site_endpoint = sites_.at(site_id)->endpoint();
-  request.on_start = [this, ref, site_endpoint](NodeId) {
-    bus_.send(site_endpoint, endpoint_,
+  const EndpointId site = site_endpoint(site_id);
+  request.on_start = [this, ref, site](NodeId) {
+    bus_.send(site, endpoint_,
               net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
               [this, ref](const net::Envelope&) { subjob_started(ref); });
   };
-  request.on_complete = [this, ref, site_endpoint] {
-    bus_.send(site_endpoint, endpoint_,
+  request.on_complete = [this, ref, site] {
+    bus_.send(site, endpoint_,
               net::JobStatus{ref.job, net::StatusPhase::kCompleted},
               inline_send(),
               [this, ref](const net::Envelope&) { subjob_completed(ref); });
@@ -1077,7 +1097,7 @@ void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request,
   // never removed from sites_, so the legs need no lookup.
   lrms::Site* site = sites_.at(site_id);
   const JobId lrms_id = request.id;
-  bus_.send(endpoint_, site->endpoint(),
+  bus_.send(endpoint_, site->gatekeeper().endpoint(),
             net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare}, inline_send(),
             [this, site, lrms_id, request = std::move(request),
              on_prepared = std::move(on_prepared),
@@ -1086,7 +1106,7 @@ void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request,
                                          on_prepared, on_committed](
                                             Status prepared) mutable {
       if (!on_prepared(std::move(prepared))) return;
-      bus_.send(endpoint_, site->endpoint(),
+      bus_.send(endpoint_, site->gatekeeper().endpoint(),
                 net::SubmitJob{lrms_id, net::SubmitPhase::kCommit},
                 inline_send(),
                 [site, request = std::move(request),
@@ -1107,7 +1127,7 @@ void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
     const SubJobRecord* sub = current_subjob(ref);
     if (sub == nullptr || sub->started) return;  // superseded, or it did start
     const JobId lrms_id = sub->lrms_job_id;
-    bus_.send(endpoint_, sites_.at(site_id)->endpoint(),
+    bus_.send(endpoint_, site_endpoint(site_id),
               net::CancelJob{lrms_id, /*queued_only=*/true}, inline_send(),
               [this, site_id, lrms_id](const net::Envelope&) {
                 sites_.at(site_id)->gatekeeper().cancel(lrms_id,
@@ -1180,7 +1200,7 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
   // itself with an AgentRegister message, whose delivery starts supervision
   // and fires on_ready (handle_agent_register). The observer only needs the
   // death path.
-  agent.connect_control_plane(&bus_, site->endpoint(), endpoint_,
+  agent.connect_control_plane(&bus_, site->gatekeeper().endpoint(), endpoint_,
                               config_.agent_channel_latency);
   agent.set_state_observer([this, agent_id](glidein::AgentState state) {
     if (state == glidein::AgentState::kDead) {
@@ -1196,7 +1216,7 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
   }
   request.workload = lrms::Workload::manual();
   request.stage_bytes = config_.glidein.binary_bytes + config_.executable_bytes;
-  request.submitter_endpoint = endpoint_;
+  request.submitter_endpoint = endpoint();
   request.on_start = [this, agent_id](NodeId node) {
     glidein::GlideinAgent* a = agents_.find(agent_id);
     if (a != nullptr) a->on_carrier_started(node);
@@ -1248,9 +1268,8 @@ int CrossBroker::advertised_interactive_vms(SiteId site) {
   // What the site publishes as FreeInteractiveVMs: reservations are the
   // broker's own business and are not subtracted.
   int n = 0;
-  for (const auto& [agent_id, rec] : agents_) {
-    if (rec.site() != site || rec.suspected) continue;
-    n += rec.agent->free_interactive_slots();
+  for (const AgentRecord* rec : agents_.at_site(site)) {
+    if (!rec->suspected) n += rec->agent->free_interactive_slots();
   }
   return n;
 }
@@ -1282,7 +1301,8 @@ void CrossBroker::heartbeat_pass() {
     // The probe travels the broker <-> site link; a partitioned link means a
     // missed heartbeat whether or not the agent is actually alive.
     const bool reachable =
-        bus_.probe(endpoint_, site->endpoint(), net::Heartbeat{agent_id});
+        bus_.probe(endpoint_, site->gatekeeper().endpoint(),
+                   net::Heartbeat{agent_id});
     if (reachable) {
       rec->missed_heartbeats = 0;
       // A passing link heartbeat alone is not proof of life: a wedged agent
@@ -1336,7 +1356,7 @@ void CrossBroker::liveness_pass() {
   }
 }
 
-void CrossBroker::send_liveness_probe(AgentRecord& rec, const lrms::Site& site) {
+void CrossBroker::send_liveness_probe(AgentRecord& rec, lrms::Site& site) {
   const AgentId agent_id = rec.id();
   const std::uint64_t seq = ++rec.probe_seq;
   metrics_.liveness_probes.inc();
@@ -1347,10 +1367,14 @@ void CrossBroker::send_liveness_probe(AgentRecord& rec, const lrms::Site& site) 
   net::SendOptions options;
   options.channel_latency = config_.agent_channel_latency;
   options.drop_when_down = true;
-  bus_.send(endpoint_, site.endpoint(), net::LivenessProbe{agent_id, seq},
-            options, [this, agent_id, seq](const net::Envelope&) {
-              glidein::GlideinAgent* agent = agents_.find(agent_id);
-              if (agent != nullptr) agent->deliver_liveness_probe(seq);
+  // The continuation reads agent and seq back from the payload: capturing
+  // only `this` keeps it inside std::function's small buffer.
+  bus_.send(endpoint_, site.gatekeeper().endpoint(),
+            net::LivenessProbe{agent_id, seq}, options,
+            [this](const net::Envelope& envelope) {
+              const auto& probe = std::get<net::LivenessProbe>(envelope.payload);
+              glidein::GlideinAgent* agent = agents_.find(probe.agent);
+              if (agent != nullptr) agent->deliver_liveness_probe(probe.seq);
             });
 }
 
@@ -1459,9 +1483,7 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
     if (job != nullptr) {
-      lrms::Site* agent_site = find_site(site);
-      const std::string site_dst =
-          agent_site != nullptr ? agent_site->endpoint() : std::string{};
+      const EndpointId site_dst = site_endpoint(site);
       if (interactive) {
         for (const auto& sub : job->record.subjobs) {
           if (sub.agent == agent_id) {
@@ -1550,11 +1572,12 @@ void CrossBroker::handle_agent_death(AgentId agent_id) {
 }
 
 void CrossBroker::on_site_job_killed(SiteId site_id, JobId job_id, NodeId) {
-  // An agent carrier? Carrier kills are rare enough to walk the table.
-  for (auto& [agent_id, rec] : agents_) {
-    if (rec.carrier_job() == job_id) {
-      // The state observer runs handle_agent_death.
-      rec.agent->on_carrier_killed();
+  // An agent carrier? A carrier runs at its agent's site.
+  for (AgentRecord* rec : agents_.at_site(site_id)) {
+    if (rec->carrier_job() == job_id) {
+      // The state observer runs handle_agent_death, which edits the list
+      // this loop walks: stop here.
+      rec->agent->on_carrier_killed();
       return;
     }
   }
@@ -1647,8 +1670,9 @@ void CrossBroker::complete_job(JobId id) {
         site != nullptr ? outputs.size() * config_.output_file_bytes : 0;
     net::SendOptions options;
     options.payload_bytes = bytes;
-    bus_.send(site != nullptr ? site->endpoint() : job->record.submitter_endpoint,
-              job->record.submitter_endpoint,
+    const EndpointId submitter = bus_.endpoint(job->record.submitter_endpoint);
+    bus_.send(site != nullptr ? site->gatekeeper().endpoint() : submitter,
+              submitter,
               net::StageSandbox{id, bytes, /*inbound=*/false}, options,
               [this, id](const net::Envelope&) { complete_job(id); });
     return;

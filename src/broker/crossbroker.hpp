@@ -193,7 +193,8 @@ public:
   [[nodiscard]] const SiteHealth& site_health() const { return site_health_; }
   [[nodiscard]] AgentRegistry& agents() { return agents_; }
   [[nodiscard]] LeaseManager& leases() { return leases_; }
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
+  /// The broker's bus endpoint name.
+  [[nodiscard]] const std::string& endpoint() const;
   [[nodiscard]] std::size_t broker_queue_length() const { return waiting_batch_.size(); }
 
   /// All job records (inspection / experiment reporting).
@@ -317,7 +318,7 @@ private:
   void supervision_tick();
   void heartbeat_pass();
   void liveness_pass();
-  void send_liveness_probe(AgentRecord& rec, const lrms::Site& site);
+  void send_liveness_probe(AgentRecord& rec, lrms::Site& site);
   void on_liveness_echo(AgentId agent_id, std::uint64_t seq);
   void suspect_agent(AgentId agent_id, const char* reason);
   void restore_agent(AgentId agent_id);
@@ -333,6 +334,8 @@ private:
   [[nodiscard]] Status check_user_security(UserId user) const;
   [[nodiscard]] std::optional<gsi::CertificateChain> chain_for(UserId user) const;
   [[nodiscard]] lrms::Site* find_site(SiteId id);
+  /// A registered site's bus endpoint (its gatekeeper's).
+  [[nodiscard]] EndpointId site_endpoint(SiteId id) const;
   [[nodiscard]] ManagedJob* find_job(JobId id);
   [[nodiscard]] int needed_cpus_per_site(const jdl::JobDescription& desc) const;
 
@@ -340,7 +343,7 @@ private:
   net::ControlBus& bus_;
   infosys::InformationSystem& infosys_;
   CrossBrokerConfig config_;
-  std::string endpoint_;
+  EndpointId endpoint_;
   Rng rng_;
 
   Matchmaker matchmaker_;

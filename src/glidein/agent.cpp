@@ -63,12 +63,12 @@ void GlideinAgent::set_state_observer(StateObserver observer) {
 }
 
 void GlideinAgent::connect_control_plane(net::ControlBus* bus,
-                                         std::string site_endpoint,
-                                         std::string broker_endpoint,
+                                         EndpointId site_endpoint,
+                                         EndpointId broker_endpoint,
                                          Duration channel_latency) {
   bus_ = bus;
-  site_endpoint_ = std::move(site_endpoint);
-  broker_endpoint_ = std::move(broker_endpoint);
+  site_endpoint_ = site_endpoint;
+  broker_endpoint_ = broker_endpoint;
   channel_latency_ = channel_latency;
 }
 

@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "glidein/vm_model.hpp"
@@ -95,8 +94,8 @@ public:
   /// kRunning, and answers LivenessProbe deliveries with LivenessEcho
   /// messages over the broker <-> agent channel. The bus must outlive the
   /// agent (or be disconnected with nullptr).
-  void connect_control_plane(net::ControlBus* bus, std::string site_endpoint,
-                             std::string broker_endpoint,
+  void connect_control_plane(net::ControlBus* bus, EndpointId site_endpoint,
+                             EndpointId broker_endpoint,
                              Duration channel_latency);
 
   /// Delivery of a broker LivenessProbe message: processes it on the event
@@ -188,8 +187,8 @@ private:
   SiteId site_;
   GlideinAgentConfig config_;
   net::ControlBus* bus_ = nullptr;
-  std::string site_endpoint_;
-  std::string broker_endpoint_;
+  EndpointId site_endpoint_;
+  EndpointId broker_endpoint_;
   Duration channel_latency_ = Duration::zero();
   mutable Rng noise_rng_;  ///< execution-noise stream (dilation_for is const)
   AgentState state_ = AgentState::kPending;

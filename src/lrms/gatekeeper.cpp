@@ -9,11 +9,11 @@
 namespace cg::lrms {
 
 Gatekeeper::Gatekeeper(sim::Simulation& sim, net::ControlBus& bus,
-                       std::string endpoint, LocalScheduler& scheduler,
+                       const std::string& endpoint, LocalScheduler& scheduler,
                        GatekeeperConfig config)
     : sim_{sim},
       bus_{bus},
-      endpoint_{std::move(endpoint)},
+      endpoint_{bus.endpoint(endpoint)},
       scheduler_{scheduler},
       config_{config} {}
 
@@ -78,7 +78,7 @@ void Gatekeeper::stage_and_submit(GridJobRequest request, StatusCallback callbac
   net::SendOptions options;
   options.processing_latency = config_.jobmanager_latency;
   options.payload_bytes = request.stage_bytes;
-  const std::string submitter = request.submitter_endpoint;
+  const EndpointId submitter = bus_.endpoint(request.submitter_endpoint);
   const net::StageSandbox msg{request.id, request.stage_bytes, /*inbound=*/true};
   bus_.send(submitter, endpoint_, msg, options,
             [this, request = std::move(request),

@@ -55,7 +55,7 @@ class Gatekeeper {
 public:
   using StatusCallback = std::function<void(Status)>;
 
-  Gatekeeper(sim::Simulation& sim, net::ControlBus& bus, std::string endpoint,
+  Gatekeeper(sim::Simulation& sim, net::ControlBus& bus, const std::string& endpoint,
              LocalScheduler& scheduler, GatekeeperConfig config = {});
 
   /// Enables GSI verification: every prepare/submit must present a proxy
@@ -79,7 +79,8 @@ public:
   /// job was found in either state.
   bool cancel(JobId id, bool queued_only);
 
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
+  /// The site's bus endpoint, interned from the name given at construction.
+  [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
   [[nodiscard]] const GatekeeperConfig& config() const { return config_; }
   [[nodiscard]] LocalScheduler& scheduler() { return scheduler_; }
 
@@ -90,7 +91,7 @@ private:
   const gsi::Certificate* trust_anchor_ = nullptr;
   sim::Simulation& sim_;
   net::ControlBus& bus_;
-  std::string endpoint_;
+  EndpointId endpoint_;
   LocalScheduler& scheduler_;
   GatekeeperConfig config_;
 };

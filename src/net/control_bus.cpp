@@ -1,6 +1,7 @@
 #include "net/control_bus.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/observability.hpp"
@@ -14,12 +15,34 @@ ControlBus::ControlBus(sim::Simulation& sim, sim::Network& network)
 
 ControlBus::~ControlBus() = default;
 
-void ControlBus::bind(std::string endpoint, DeliverFn handler) {
-  handlers_[std::move(endpoint)] = std::move(handler);
+EndpointId ControlBus::endpoint(const std::string& name) {
+  const auto [it, inserted] =
+      ids_.try_emplace(name, EndpointId{names_.size() + 1});
+  if (inserted) {
+    names_.push_back(name);
+    pairs_.resize(names_.size() + 1);
+    handlers_.resize(names_.size() + 1);
+  }
+  return it->second;
 }
 
-void ControlBus::unbind(const std::string& endpoint) {
-  handlers_.erase(endpoint);
+std::size_t ControlBus::table_index(EndpointId id) const {
+  if (!id.valid() || id.value() > names_.size()) {
+    throw std::out_of_range{"ControlBus: unknown endpoint id"};
+  }
+  return static_cast<std::size_t>(id.value());
+}
+
+const std::string& ControlBus::name(EndpointId id) const {
+  return names_[table_index(id) - 1];
+}
+
+void ControlBus::bind(EndpointId endpoint, DeliverFn handler) {
+  handlers_[table_index(endpoint)] = std::move(handler);
+}
+
+void ControlBus::unbind(EndpointId endpoint) {
+  handlers_[table_index(endpoint)] = nullptr;
 }
 
 void ControlBus::set_observability(obs::Observability* obs) {
@@ -43,38 +66,52 @@ void ControlBus::set_observability(obs::Observability* obs) {
   }
 }
 
+ControlBus::PairState& ControlBus::pair(EndpointId src, EndpointId dst) {
+  std::vector<PairState>& row = pairs_[table_index(src)];
+  const std::size_t column = table_index(dst);
+  if (row.size() <= column) row.resize(column + 1);
+  return row[column];
+}
+
+sim::Link& ControlBus::link(EndpointId src, EndpointId dst) {
+  PairState& state = pair(src, dst);
+  if (state.link == nullptr || state.link_version != network_.version()) {
+    state.link = &network_.link(name(src), name(dst));
+    state.link_version = network_.version();
+  }
+  return *state.link;
+}
+
 bool ControlBus::fault_matches(const ActiveFault& fault, MsgType type,
-                               const std::string& src,
-                               const std::string& dst) const {
+                               EndpointId src, EndpointId dst) {
   if (fault.type && *fault.type != type) return false;
   // Endpoint filters are unordered (like the network's link keys): a named
   // endpoint must be one of the two ends, and a fully named pair must be
   // exactly {src, dst}.
-  const auto matches_pair = [&](const std::string& a, const std::string& b) {
-    if (a.empty() && b.empty()) return true;
-    if (b.empty()) return a == src || a == dst;
-    if (a.empty()) return b == src || b == dst;
-    return (a == src && b == dst) || (a == dst && b == src);
-  };
-  return matches_pair(fault.endpoint_a, fault.endpoint_b);
+  const EndpointId a = fault.endpoint_a;
+  const EndpointId b = fault.endpoint_b;
+  if (!a.valid() && !b.valid()) return true;
+  if (!b.valid()) return a == src || a == dst;
+  if (!a.valid()) return b == src || b == dst;
+  return (a == src && b == dst) || (a == dst && b == src);
 }
 
-bool ControlBus::drop_fault_active(MsgType type, const std::string& src,
-                                   const std::string& dst) const {
+bool ControlBus::drop_fault_active(MsgType type, EndpointId src,
+                                   EndpointId dst) const {
   return std::any_of(faults_.begin(), faults_.end(), [&](const ActiveFault& f) {
     return f.kind == sim::FaultKind::kMsgDrop && fault_matches(f, type, src, dst);
   });
 }
 
-bool ControlBus::dup_fault_active(MsgType type, const std::string& src,
-                                  const std::string& dst) const {
+bool ControlBus::dup_fault_active(MsgType type, EndpointId src,
+                                  EndpointId dst) const {
   return std::any_of(faults_.begin(), faults_.end(), [&](const ActiveFault& f) {
     return f.kind == sim::FaultKind::kMsgDup && fault_matches(f, type, src, dst);
   });
 }
 
-Duration ControlBus::reorder_delay(MsgType type, const std::string& src,
-                                   const std::string& dst) const {
+Duration ControlBus::reorder_delay(MsgType type, EndpointId src,
+                                   EndpointId dst) const {
   Duration delay = Duration::zero();
   for (const ActiveFault& f : faults_) {
     if (f.kind == sim::FaultKind::kMsgReorder && fault_matches(f, type, src, dst))
@@ -92,29 +129,27 @@ void ControlBus::count_drop(const Envelope& envelope, const char* reason) {
                         obs::LabelSet{
                             {"type", std::string{to_string(
                                          type_of(envelope.payload))}},
-                            {"src", envelope.src_endpoint},
-                            {"dst", envelope.dst_endpoint},
+                            {"src", name(envelope.src)},
+                            {"dst", name(envelope.dst)},
                         });
   }
 }
 
-std::uint64_t ControlBus::last_seq(const std::string& src,
-                                   const std::string& dst) const {
-  const auto it = seq_.find({src, dst});
-  return it == seq_.end() ? 0 : it->second;
+std::uint64_t ControlBus::last_seq(EndpointId src, EndpointId dst) const {
+  if (src.value() >= pairs_.size()) return 0;
+  const std::vector<PairState>& row = pairs_[src.value()];
+  return dst.value() < row.size() ? row[dst.value()].seq : 0;
 }
 
-bool ControlBus::send(const std::string& src, const std::string& dst,
-                      Message msg, const SendOptions& options,
-                      DeliverFn on_delivered) {
+bool ControlBus::send(EndpointId src, EndpointId dst, Message msg,
+                      const SendOptions& options, DeliverFn on_delivered) {
   const MsgType type = type_of(msg);
   const auto index = msg.index();
   sent_[index].inc();
 
-  Envelope envelope{++seq_[{src, dst}], src, dst, sim_.now(), std::move(msg)};
+  Envelope envelope{++pair(src, dst).seq, src, dst, sim_.now(), std::move(msg)};
 
-  if (options.drop_when_down &&
-      !network_.link(src, dst).is_up(sim_.now())) {
+  if (options.drop_when_down && !link(src, dst).is_up(sim_.now())) {
     count_drop(envelope, "partition");
     return false;
   }
@@ -127,10 +162,9 @@ bool ControlBus::send(const std::string& src, const std::string& dst,
   if (options.payload_bytes > 0) {
     // The transfer rides the same link (and consumes the same jitter RNG
     // draw) the pre-bus call sites used, in send order.
-    const std::string& from =
-        options.transfer_src.empty() ? src : options.transfer_src;
-    delay = delay +
-            network_.link(from, dst).transfer_duration(options.payload_bytes);
+    const EndpointId from =
+        options.transfer_src.valid() ? options.transfer_src : src;
+    delay = delay + link(from, dst).transfer_duration(options.payload_bytes);
   }
   delay = delay + reorder_delay(type, src, dst);
 
@@ -151,8 +185,8 @@ bool ControlBus::send(const std::string& src, const std::string& dst,
                           obs::TraceEventKind::kMsgDuplicated, "fault",
                           obs::LabelSet{
                               {"type", std::string{to_string(type)}},
-                              {"src", src},
-                              {"dst", dst},
+                              {"src", name(src)},
+                              {"dst", name(dst)},
                           });
     }
     schedule_delivery(envelope, on_delivered, delay);  // the copy
@@ -163,16 +197,26 @@ bool ControlBus::send(const std::string& src, const std::string& dst,
 
 void ControlBus::schedule_delivery(Envelope envelope, DeliverFn on_delivered,
                                    Duration delay) {
-  const std::uint64_t id = ++next_delivery_;
-  pending_.emplace(id, Pending{std::move(envelope), std::move(on_delivered)});
-  sim_.schedule(delay, [this, id] { deliver(id); });
+  std::uint32_t slot = 0;
+  if (free_pending_.empty()) {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.push_back(Pending{std::move(envelope), std::move(on_delivered)});
+  } else {
+    slot = free_pending_.back();
+    free_pending_.pop_back();
+    pending_[slot] = Pending{std::move(envelope), std::move(on_delivered)};
+  }
+  ++in_flight_;
+  sim_.schedule(delay, [this, slot] { deliver(slot); });
 }
 
-void ControlBus::deliver(std::uint64_t id) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Pending pending = std::move(it->second);
-  pending_.erase(it);  // before the handler runs: handlers send more messages
+void ControlBus::deliver(std::uint32_t slot) {
+  // Out of the slab before the handler runs: handlers send more messages,
+  // which may reuse the slot or grow the slab.
+  Pending pending = std::move(pending_[slot]);
+  pending_[slot].on_delivered = nullptr;
+  free_pending_.push_back(slot);
+  --in_flight_;
   const auto index = pending.envelope.payload.index();
   delivered_[index].inc();
   latency_[index].observe_duration(sim_.now() - pending.envelope.send_time);
@@ -185,17 +229,16 @@ void ControlBus::deliver_envelope(const Envelope& envelope,
     handler(envelope);
     return;
   }
-  const auto it = handlers_.find(envelope.dst_endpoint);
-  if (it != handlers_.end() && it->second) it->second(envelope);
+  const DeliverFn& bound = handlers_[envelope.dst.value()];
+  if (bound) bound(envelope);
 }
 
-bool ControlBus::probe(const std::string& src, const std::string& dst,
-                       const Message& msg) {
+bool ControlBus::probe(EndpointId src, EndpointId dst, const Message& msg) {
   const MsgType type = type_of(msg);
   const auto index = msg.index();
   sent_[index].inc();
-  const bool up = network_.link(src, dst).is_up(sim_.now()) &&
-                  !drop_fault_active(type, src, dst);
+  const bool up =
+      link(src, dst).is_up(sim_.now()) && !drop_fault_active(type, src, dst);
   if (up) {
     delivered_[index].inc();
   } else {
@@ -205,34 +248,39 @@ bool ControlBus::probe(const std::string& src, const std::string& dst,
   return up;
 }
 
-void ControlBus::apply_message_fault(const sim::FaultSpec& spec) {
-  if (!sim::is_message_fault(spec.kind)) return;
+std::optional<ControlBus::ActiveFault> ControlBus::resolve_fault(
+    const sim::FaultSpec& spec) {
   ActiveFault fault;
   fault.kind = spec.kind;
   if (!is_wildcard_type(spec.target)) {
     const auto type = type_from_name(spec.target);
-    if (!type) return;  // unknown type name: the fault can match nothing
+    if (!type) return std::nullopt;
     fault.type = *type;
   }
-  fault.endpoint_a = spec.endpoint_a;
-  fault.endpoint_b = spec.endpoint_b;
+  // Resolved now, so a filter naming an endpoint no message has used yet
+  // matches its first send: interning is idempotent.
+  if (!spec.endpoint_a.empty()) fault.endpoint_a = endpoint(spec.endpoint_a);
+  if (!spec.endpoint_b.empty()) fault.endpoint_b = endpoint(spec.endpoint_b);
   fault.extra_latency = spec.extra_latency;
-  faults_.push_back(std::move(fault));
+  return fault;
+}
+
+void ControlBus::apply_message_fault(const sim::FaultSpec& spec) {
+  if (!sim::is_message_fault(spec.kind)) return;
+  // An unknown type name can match nothing and is not armed.
+  if (const auto fault = resolve_fault(spec)) faults_.push_back(*fault);
 }
 
 void ControlBus::clear_message_fault(const sim::FaultSpec& spec) {
   if (!sim::is_message_fault(spec.kind)) return;
-  std::optional<MsgType> type;
-  if (!is_wildcard_type(spec.target)) {
-    type = type_from_name(spec.target);
-    if (!type) return;
-  }
+  const auto cleared = resolve_fault(spec);
+  if (!cleared) return;
   const auto it = std::find_if(
       faults_.begin(), faults_.end(), [&](const ActiveFault& f) {
-        return f.kind == spec.kind && f.type == type &&
-               f.endpoint_a == spec.endpoint_a &&
-               f.endpoint_b == spec.endpoint_b &&
-               f.extra_latency == spec.extra_latency;
+        return f.kind == cleared->kind && f.type == cleared->type &&
+               f.endpoint_a == cleared->endpoint_a &&
+               f.endpoint_b == cleared->endpoint_b &&
+               f.extra_latency == cleared->extra_latency;
       });
   if (it != faults_.end()) faults_.erase(it);
 }

@@ -10,20 +10,29 @@
 // with per-message-type metrics (net.msg.sent / delivered / dropped /
 // duplicated counters, net.msg.latency_s histogram) and JobTracer hooks.
 //
+// Endpoints are interned once to dense EndpointIds (endpoint(name), read back
+// with name(id)); every send, probe and binding takes ids, so the per-message
+// path indexes tables instead of comparing strings. Per-directed-pair
+// sequence numbers and cached links, bound handlers, and in-flight
+// deliveries (a slab with a free list) all live in id- or slot-indexed
+// vectors. Traces still print endpoint names.
+//
 // Determinism contract: the bus schedules exactly one simulation event per
 // (non-inline) delivery and consumes link RNG only for sends that carry
 // payload bytes — a refactor from direct schedule() calls onto the bus is
 // event-for-event identical, which is what keeps the pinned chaos-scenario
-// golden digests unchanged.
+// golden digests unchanged. A pair's link is resolved through
+// sim::Network at the pair's first use (an unknown pair's first lookup
+// forks the default link's RNG there) and again after Network::add_link.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "net/message.hpp"
@@ -35,6 +44,7 @@ namespace cg::obs {
 struct Observability;
 }
 namespace cg::sim {
+class Link;
 class Network;
 class Simulation;
 }  // namespace cg::sim
@@ -44,8 +54,8 @@ namespace cg::net {
 /// One message in flight: the typed payload plus its addressing and timing.
 struct Envelope {
   std::uint64_t seq = 0;  ///< per directed (src, dst) pair, starting at 1
-  std::string src_endpoint;
-  std::string dst_endpoint;
+  EndpointId src;         ///< ControlBus::name(src) reads the name back
+  EndpointId dst;
   SimTime send_time;
   Message payload;
 };
@@ -63,7 +73,8 @@ struct SendOptions {
   std::size_t payload_bytes = 0;
   /// Endpoint whose link to `dst` carries the transfer when it is not the
   /// message source (executable staged from the submitter, not the broker).
-  std::string transfer_src;
+  /// none(): the message source.
+  EndpointId transfer_src;
   /// Consult the link's partition schedule at send time and drop the
   /// message if the link is down (today's is_up() semantics). Sends that
   /// historically ignored partitions leave this false.
@@ -86,26 +97,32 @@ public:
   ControlBus& operator=(const ControlBus&) = delete;
   ~ControlBus() override;
 
+  /// Interns an endpoint name: the same name always yields the same id, and
+  /// ids are dense, starting at 1.
+  [[nodiscard]] EndpointId endpoint(const std::string& name);
+  /// The name `id` was interned from.
+  [[nodiscard]] const std::string& name(EndpointId id) const;
+
   /// Installs (or replaces) the delivery handler for messages addressed to
   /// `endpoint` that were sent without a continuation. The broker binds its
   /// endpoint for agent-originated traffic (AgentRegister, LivenessEcho).
-  void bind(std::string endpoint, DeliverFn handler);
-  void unbind(const std::string& endpoint);
+  void bind(EndpointId endpoint, DeliverFn handler);
+  void unbind(EndpointId endpoint);
 
   /// Sends a message. Returns false when the message was dropped at send
   /// time (partition with drop_when_down, or an active kMsgDrop fault);
   /// a dropped message's continuation never runs. `on_delivered`, when
   /// given, receives the envelope instead of the destination's bound
-  /// handler — the caller-holds-the-continuation style the broker uses.
-  bool send(const std::string& src, const std::string& dst, Message msg,
+  /// handler — the caller-holds-the-continuation style the broker uses. A
+  /// duplicated message runs its own copy of the continuation.
+  bool send(EndpointId src, EndpointId dst, Message msg,
             const SendOptions& options = {}, DeliverFn on_delivered = {});
 
   /// Synchronous reachability probe: would a message of this type survive
   /// the partition schedule and active drop faults right now? Counts into
   /// the same per-type sent/delivered/dropped metrics but delivers nothing.
   /// This is the bus form of the heartbeat's raw is_up() check.
-  [[nodiscard]] bool probe(const std::string& src, const std::string& dst,
-                           const Message& msg);
+  [[nodiscard]] bool probe(EndpointId src, EndpointId dst, const Message& msg);
 
   /// Attaches (or detaches, with nullptr) metrics + tracing. Safe to call
   /// mid-run; handles re-bind.
@@ -115,15 +132,22 @@ public:
   void apply_message_fault(const sim::FaultSpec& spec) override;
   void clear_message_fault(const sim::FaultSpec& spec) override;
 
-  [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
   [[nodiscard]] std::size_t active_message_faults() const {
     return faults_.size();
   }
   /// Last sequence number issued on a directed pair (0 if none yet).
-  [[nodiscard]] std::uint64_t last_seq(const std::string& src,
-                                       const std::string& dst) const;
+  [[nodiscard]] std::uint64_t last_seq(EndpointId src, EndpointId dst) const;
 
 private:
+  /// What the bus keeps per directed (src, dst) pair.
+  struct PairState {
+    std::uint64_t seq = 0;
+    /// The pair's link, resolved at its first use and again whenever
+    /// Network::add_link has run since (`link_version`).
+    sim::Link* link = nullptr;
+    std::uint64_t link_version = 0;
+  };
   struct Pending {
     Envelope envelope;
     DeliverFn on_delivered;  ///< empty: deliver to the bound handler
@@ -131,23 +155,34 @@ private:
   struct ActiveFault {
     sim::FaultKind kind = sim::FaultKind::kMsgDrop;
     std::optional<MsgType> type;  ///< nullopt: every type
-    std::string endpoint_a;       ///< empty: any endpoint
-    std::string endpoint_b;
+    EndpointId endpoint_a;        ///< none(): any endpoint
+    EndpointId endpoint_b;
     Duration extra_latency;  ///< kMsgReorder delay
   };
 
-  [[nodiscard]] bool fault_matches(const ActiveFault& fault, MsgType type,
-                                   const std::string& src,
-                                   const std::string& dst) const;
-  [[nodiscard]] bool drop_fault_active(MsgType type, const std::string& src,
-                                       const std::string& dst) const;
-  [[nodiscard]] Duration reorder_delay(MsgType type, const std::string& src,
-                                       const std::string& dst) const;
-  [[nodiscard]] bool dup_fault_active(MsgType type, const std::string& src,
-                                      const std::string& dst) const;
+  /// The fault filter `spec` describes, its endpoint names interned; nullopt
+  /// when the spec names an unknown message type (it can match nothing).
+  [[nodiscard]] std::optional<ActiveFault> resolve_fault(
+      const sim::FaultSpec& spec);
+  [[nodiscard]] static bool fault_matches(const ActiveFault& fault,
+                                          MsgType type, EndpointId src,
+                                          EndpointId dst);
+  [[nodiscard]] bool drop_fault_active(MsgType type, EndpointId src,
+                                       EndpointId dst) const;
+  [[nodiscard]] Duration reorder_delay(MsgType type, EndpointId src,
+                                       EndpointId dst) const;
+  [[nodiscard]] bool dup_fault_active(MsgType type, EndpointId src,
+                                      EndpointId dst) const;
+
+  /// The table index of an id this bus handed out; throws for any other.
+  [[nodiscard]] std::size_t table_index(EndpointId id) const;
+  /// The state of the directed pair (src, dst), grown on first use.
+  [[nodiscard]] PairState& pair(EndpointId src, EndpointId dst);
+  /// The link between two endpoints, cached per directed pair.
+  [[nodiscard]] sim::Link& link(EndpointId src, EndpointId dst);
 
   void count_drop(const Envelope& envelope, const char* reason);
-  void deliver(std::uint64_t id);
+  void deliver(std::uint32_t slot);
   void deliver_envelope(const Envelope& envelope, const DeliverFn& handler);
   void schedule_delivery(Envelope envelope, DeliverFn on_delivered,
                          Duration delay);
@@ -156,12 +191,20 @@ private:
   sim::Network& network_;
   obs::Observability* obs_ = nullptr;
 
-  std::map<std::pair<std::string, std::string>, std::uint64_t> seq_;
-  std::map<std::string, DeliverFn> handlers_;
-  /// In-flight deliveries, keyed by id: scheduled events capture only
-  /// [this, id] so they fit the simulation's inline-callback budget.
-  std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_delivery_ = 0;
+  /// Interned endpoints: names_[id - 1] is the name of `id`. A deque, so
+  /// the references name() hands out survive later interning.
+  std::deque<std::string> names_;
+  std::unordered_map<std::string, EndpointId> ids_;
+  /// pairs_[src][dst], indexed by id value; rows grow on demand.
+  std::vector<std::vector<PairState>> pairs_;
+  /// Bound handlers, indexed by id value.
+  std::vector<DeliverFn> handlers_;
+  /// In-flight deliveries: a slab whose slots a free list recycles, so a
+  /// scheduled event captures only [this, slot] and fits the simulation's
+  /// inline-callback budget.
+  std::vector<Pending> pending_;
+  std::vector<std::uint32_t> free_pending_;
+  std::size_t in_flight_ = 0;
   std::vector<ActiveFault> faults_;
 
   std::array<obs::CounterHandle, kMessageTypeCount> sent_{};

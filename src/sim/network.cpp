@@ -101,6 +101,7 @@ Link& Network::add_link(const std::string& a, const std::string& b, LinkSpec spe
   auto k = key(a, b);
   auto link = std::make_unique<Link>(std::move(spec), rng_.fork());
   auto [it, inserted] = links_.insert_or_assign(std::move(k), std::move(link));
+  ++version_;
   return *it->second;
 }
 

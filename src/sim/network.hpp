@@ -5,6 +5,7 @@
 // payloads, bandwidth and buffering for large ones).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -99,6 +100,10 @@ public:
 
   [[nodiscard]] bool has_link(const std::string& a, const std::string& b) const;
 
+  /// Bumped by every add_link, which may replace the link a pair resolves
+  /// to: a caller that caches Link pointers re-resolves when it changes.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
 private:
   [[nodiscard]] static std::pair<std::string, std::string> key(
       const std::string& a, const std::string& b);
@@ -106,6 +111,7 @@ private:
   Rng rng_;
   std::map<std::pair<std::string, std::string>, std::unique_ptr<Link>> links_;
   std::unique_ptr<Link> default_link_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace cg::sim

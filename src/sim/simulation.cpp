@@ -43,14 +43,7 @@ EventHandle Simulation::schedule_impl(SimTime when, Callback fn, bool daemon) {
   } else {
     ++pending_user_;
   }
-  // Every in-horizon deadline rides the wheel (O(1) insert/cancel);
-  // anything the wheel cannot hold — window already drained, or past the
-  // horizon — goes to the heap, which is always exact.
-  if (wheel_.insert(idx, s.when_us, s.seq)) {
-    s.lane = Lane::kWheel;
-  } else {
-    heap_push(idx);
-  }
+  file_event(idx);
   return EventHandle{idx, s.gen, s.seq};
 }
 

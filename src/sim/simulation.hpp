@@ -183,12 +183,25 @@ private:
     } else {
       ++pending_user_;
     }
+    file_event(idx);
+    return EventHandle{idx, s.gen, s.seq};
+  }
+
+  /// Files a booked slot into a lane. Every in-horizon deadline rides the
+  /// wheel (O(1) insert/cancel); anything the wheel cannot hold — window
+  /// already drained, or past the horizon — goes to the heap, which is
+  /// always exact. An empty wheel first raises its floor to the current
+  /// tick, so the horizon keeps moving with the clock.
+  void file_event(std::uint32_t idx) {
+    Slot& s = slots_[idx];
+    if (wheel_.empty()) {
+      wheel_.raise_floor(now_.count_micros() >> TimerWheel::kTickShift);
+    }
     if (wheel_.insert(idx, s.when_us, s.seq)) {
       s.lane = Lane::kWheel;
     } else {
       heap_push(idx);
     }
-    return EventHandle{idx, s.gen, s.seq};
   }
 
   std::uint32_t acquire_slot() {

@@ -1,10 +1,12 @@
-// Hierarchical timer wheel: the event engine's primary lane. Every event
-// whose deadline fits the horizon — user callbacks and periodic daemon work
-// alike — files here in O(1); four levels of 64 slots at a 64 µs tick cover
-// ~18 min of virtual time (longer deadlines take the engine's exact heap
-// lane), and per-level occupancy bitmasks make finding the next occupied
-// window a couple of bit scans (the result is cached, so the engine's
-// per-pop bound check is one compare).
+// Hierarchical timer wheel: the event engine's primary lane. An event whose
+// tick lies within the horizon ahead of the wheel's drained floor — user
+// callbacks and periodic daemon work alike — files here in O(1); four levels
+// of 64 slots at a 64 µs tick cover ~18 min of virtual time (the rest takes
+// the engine's exact heap lane), and per-level occupancy bitmasks make
+// finding the next occupied window a couple of bit scans (the result is
+// cached, so the engine's per-pop bound check is one compare). The engine
+// raises an empty wheel's floor to the current tick before filing, so the
+// floor keeps up with the clock.
 //
 // The wheel does not fire events itself and it never reorders them: entries
 // keep their exact (when, seq) and are *drained* window by window, strictly
@@ -97,6 +99,16 @@ public:
       next_level_ = level;
     }
     return true;
+  }
+
+  /// Raises the drained floor to `tick` (never lowers it). The engine calls
+  /// this while the wheel is empty, with the current tick: the floor only
+  /// advances as windows drain, and no entry can be filed across a
+  /// 2^24-tick boundary, so a wheel that drains empty just below one would
+  /// otherwise keep its floor there and send every later deadline to the
+  /// heap. Precondition: empty().
+  void raise_floor(std::int64_t tick) {
+    if (tick > base_tick_) base_tick_ = tick;
   }
 
   /// Unlinks a pending entry (O(1)); false if it is not in the wheel.

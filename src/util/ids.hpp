@@ -38,6 +38,7 @@ struct NodeTag { static constexpr const char* prefix = "node-"; };
 struct AgentTag { static constexpr const char* prefix = "agent-"; };
 struct UserTag { static constexpr const char* prefix = "user-"; };
 struct LeaseTag { static constexpr const char* prefix = "lease-"; };
+struct EndpointTag { static constexpr const char* prefix = "endpoint-"; };
 
 using JobId = Id<JobTag>;
 using SubJobId = Id<SubJobTag>;
@@ -46,6 +47,8 @@ using NodeId = Id<NodeTag>;
 using AgentId = Id<AgentTag>;
 using UserId = Id<UserTag>;
 using LeaseId = Id<LeaseTag>;
+/// A control-bus endpoint name interned to a dense id (net::ControlBus).
+using EndpointId = Id<EndpointTag>;
 
 /// Monotonic id generator; one per entity class, owned by its registry.
 template <typename IdType>

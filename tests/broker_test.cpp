@@ -1275,6 +1275,77 @@ TEST_F(BrokerFixture, WedgedAgentDeathSparesTheJobRunningElsewhere) {
   EXPECT_EQ(*record->subjobs[0].agent, healthy);
 }
 
+TEST_F(BrokerFixture, SiteAgentIndexMatchesTheTable) {
+  // The per-site lists must follow every way an agent enters or leaves the
+  // table: creation, a refused carrier, a carrier killed under a resident-
+  // free agent (the death path moves the record out before removing it),
+  // and an idle agent dismissed after its job.
+  GridScenarioConfig config = default_config();
+  config.sites = 3;
+  config.nodes_per_site = 2;
+  config.lrms.max_queue_length = 0;  // a third carrier on a site is refused
+  GridScenario grid{config};
+  CrossBroker& broker = grid.broker();
+
+  const auto check = [&](const char* when) {
+    std::size_t listed = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const SiteId site = grid.site(i).id();
+      std::vector<AgentId> walk;
+      int free_vms = 0;
+      for (const auto& [id, rec] : broker.agents()) {
+        if (rec.site() != site) continue;
+        walk.push_back(id);
+        if (!rec.suspected) free_vms += rec.agent->free_interactive_slots();
+      }
+      std::vector<AgentId> indexed;
+      for (const AgentRecord* rec : broker.agents().at_site(site)) {
+        indexed.push_back(rec->id());
+      }
+      EXPECT_EQ(indexed, walk) << when << ", site " << i;
+      EXPECT_EQ(broker.advertised_interactive_vms(site), free_vms)
+          << when << ", site " << i;
+      listed += indexed.size();
+    }
+    EXPECT_EQ(listed, static_cast<std::size_t>(broker.agents().total_agents()))
+        << when;
+  };
+
+  for (const std::size_t site : {0u, 1u, 2u, 2u, 1u, 2u, 0u}) {
+    broker.preload_agent(grid.site(site).id());
+  }
+  check("after creation");
+  ASSERT_EQ(broker.agents().total_agents(), 7);
+  grid.sim().run_until(SimTime::from_seconds(60));
+  check("after the refusal");
+  ASSERT_EQ(broker.agents().total_agents(), 6);
+  ASSERT_EQ(broker.agents().running_agents(), 6);
+
+  const AgentRecord* victim = broker.agents().at_site(grid.site(1).id()).front();
+  const AgentId killed = victim->id();
+  ASSERT_TRUE(grid.site(1).scheduler().kill_running(victim->carrier_job()));
+  EXPECT_EQ(broker.agents().find(killed), nullptr);
+  check("after the carrier kill");
+
+  Outcome outcome;
+  const JobId id =
+      broker
+          .submit(parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                            "MachineAccess = \"shared\";"),
+                  UserId{1}, lrms::Workload::cpu(5_s),
+                  GridScenario::ui_endpoint(), watch(outcome))
+          .value();
+  grid.sim().run_until(SimTime::from_seconds(62));
+  ASSERT_TRUE(outcome.running);
+  check("with a resident");
+  grid.sim().run_until(SimTime::from_seconds(120));
+  ASSERT_TRUE(outcome.completed);
+  const AgentId dismissed = *broker.record(id)->subjobs.front().agent;
+  EXPECT_EQ(broker.agents().find(dismissed), nullptr);
+  EXPECT_EQ(broker.agents().total_agents(), 4);
+  check("after the dismissal");
+}
+
 TEST(AgentRegistryTest, CreateFindRemove) {
   sim::Simulation sim;
   AgentRegistry registry{sim};

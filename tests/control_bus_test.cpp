@@ -1,10 +1,12 @@
-// ControlBus: the typed control-plane message bus. Covers per-link FIFO
-// delivery and sequence monotonicity, partition-drop parity with the old raw
-// is_up() checks, the latency model (channel + processing + payload
-// transfer), inline delivery, drop/dup/reorder message faults armed through
-// the FaultPlan DSL, and the per-type metrics + trace emission.
+// ControlBus: the typed control-plane message bus. Covers endpoint interning,
+// per-link FIFO delivery and sequence monotonicity, partition-drop parity
+// with the old raw is_up() checks, the latency model (channel + processing +
+// payload transfer) and its link cache, inline delivery, drop/dup/reorder
+// message faults armed through the FaultPlan DSL, and the per-type metrics +
+// trace emission.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -27,26 +29,51 @@ protected:
   sim::Simulation sim;
   sim::Network network;
   ControlBus bus;
+  const EndpointId broker = bus.endpoint("broker");
+  const EndpointId site_a = bus.endpoint("site:a");
+  const EndpointId site_b = bus.endpoint("site:b");
 };
+
+TEST_F(ControlBusTest, EndpointNamesRoundTripAndIdsAreStable) {
+  EXPECT_EQ(bus.name(broker), "broker");
+  EXPECT_EQ(bus.name(site_a), "site:a");
+  // Interning is idempotent, and a new name takes the next dense id.
+  EXPECT_EQ(bus.endpoint("broker"), broker);
+  EXPECT_EQ(bus.endpoint("site:a"), site_a);
+  EXPECT_EQ(site_a.value(), broker.value() + 1);
+  const std::string& broker_name = bus.name(broker);
+  std::vector<EndpointId> more;
+  for (int i = 0; i < 200; ++i) {
+    const std::string n = "site:" + std::to_string(i);
+    more.push_back(bus.endpoint(n));
+    EXPECT_EQ(bus.name(more.back()), n);
+    EXPECT_EQ(more.back().value(), site_b.value() + 1 + static_cast<unsigned>(i));
+  }
+  // Earlier ids and the names they read back survive later interning.
+  EXPECT_EQ(bus.endpoint("site:0"), more.front());
+  EXPECT_EQ(bus.endpoint("broker"), broker);
+  EXPECT_EQ(broker_name, "broker");
+  EXPECT_THROW((void)bus.name(EndpointId{9999}), std::out_of_range);
+}
 
 TEST_F(ControlBusTest, PerLinkFifoAndMonotonicSeq) {
   std::vector<std::uint64_t> seqs;
   SendOptions options;
   options.channel_latency = 250_ms;
   for (int i = 0; i < 3; ++i) {
-    bus.send("broker", "site:a", Heartbeat{AgentId{1}}, options,
+    bus.send(broker, site_a, Heartbeat{AgentId{1}}, options,
              [&](const Envelope& e) { seqs.push_back(e.seq); });
   }
   // A different directed pair sequences independently.
   std::uint64_t reverse_seq = 0;
-  bus.send("site:a", "broker", Heartbeat{AgentId{1}}, options,
+  bus.send(site_a, broker, Heartbeat{AgentId{1}}, options,
            [&](const Envelope& e) { reverse_seq = e.seq; });
   sim.run();
   EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(reverse_seq, 1u);
-  EXPECT_EQ(bus.last_seq("broker", "site:a"), 3u);
-  EXPECT_EQ(bus.last_seq("site:a", "broker"), 1u);
-  EXPECT_EQ(bus.last_seq("broker", "site:b"), 0u);
+  EXPECT_EQ(bus.last_seq(broker, site_a), 3u);
+  EXPECT_EQ(bus.last_seq(site_a, broker), 1u);
+  EXPECT_EQ(bus.last_seq(broker, site_b), 0u);
 }
 
 TEST_F(ControlBusTest, EqualLatencySendsDeliverInSendOrder) {
@@ -54,7 +81,7 @@ TEST_F(ControlBusTest, EqualLatencySendsDeliverInSendOrder) {
   SendOptions options;
   options.channel_latency = 100_ms;
   for (int i = 0; i < 4; ++i) {
-    bus.send("broker", "site:a", LivenessProbe{AgentId{1}, std::uint64_t(i)},
+    bus.send(broker, site_a, LivenessProbe{AgentId{1}, std::uint64_t(i)},
              options, [&, i](const Envelope&) { order.push_back(i); });
   }
   sim.run();
@@ -73,7 +100,7 @@ TEST_F(ControlBusTest, PartitionDropParityWithIsUp) {
   const auto try_send = [&](bool drop_when_down) {
     SendOptions options;
     options.drop_when_down = drop_when_down;
-    if (!bus.send("broker", "site:a", Heartbeat{AgentId{1}}, options,
+    if (!bus.send(broker, site_a, Heartbeat{AgentId{1}}, options,
                   [&](const Envelope&) { ++delivered; })) {
       ++refused;
     }
@@ -85,10 +112,10 @@ TEST_F(ControlBusTest, PartitionDropParityWithIsUp) {
   sim.schedule_at(SimTime::from_seconds(16), [&] { try_send(false); });
   sim.schedule_at(SimTime::from_seconds(35), [&] { try_send(true); });
   sim.schedule_at(SimTime::from_seconds(5), [&] {
-    EXPECT_TRUE(bus.probe("broker", "site:a", Heartbeat{AgentId{1}}));
+    EXPECT_TRUE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
   });
   sim.schedule_at(SimTime::from_seconds(15), [&] {
-    EXPECT_FALSE(bus.probe("broker", "site:a", Heartbeat{AgentId{1}}));
+    EXPECT_FALSE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
   });
   sim.run();
   EXPECT_EQ(delivered, 3);  // 5 s, 16 s (ignores partition), 35 s
@@ -101,9 +128,9 @@ TEST_F(ControlBusTest, LatencyModelSumsChannelProcessingAndTransfer) {
   options.channel_latency = 250_ms;
   options.processing_latency = 2_s;
   options.payload_bytes = 12'500'000;  // ~1 s on the 100 Mb/s campus link
-  options.transfer_src = "ui";
+  options.transfer_src = bus.endpoint("ui");
   SimTime arrived;
-  bus.send("broker", "site:a", StageSandbox{JobId{1}, 12'500'000, true},
+  bus.send(broker, site_a, StageSandbox{JobId{1}, 12'500'000, true},
            options, [&](const Envelope&) { arrived = sim.now(); });
   sim.run();
   // 0.25 s channel + 2 s processing + ~1 s serialization on the campus link.
@@ -114,7 +141,7 @@ TEST_F(ControlBusTest, InlineWhenImmediateDeliversSynchronously) {
   bool delivered = false;
   SendOptions inline_options;
   inline_options.inline_when_immediate = true;
-  bus.send("broker", "site:a", KillJob{JobId{9}}, inline_options,
+  bus.send(broker, site_a, KillJob{JobId{9}}, inline_options,
            [&](const Envelope& e) {
              delivered = true;
              EXPECT_EQ(std::get<KillJob>(e.payload).job, JobId{9});
@@ -124,7 +151,7 @@ TEST_F(ControlBusTest, InlineWhenImmediateDeliversSynchronously) {
 
   // Without the flag, a zero-latency send still schedules one event.
   bool scheduled_delivered = false;
-  bus.send("broker", "site:a", KillJob{JobId{10}}, {},
+  bus.send(broker, site_a, KillJob{JobId{10}}, {},
            [&](const Envelope&) { scheduled_delivered = true; });
   EXPECT_FALSE(scheduled_delivered);
   EXPECT_EQ(bus.in_flight(), 1u);
@@ -134,16 +161,16 @@ TEST_F(ControlBusTest, InlineWhenImmediateDeliversSynchronously) {
 
 TEST_F(ControlBusTest, BoundHandlerReceivesWhenNoContinuation) {
   std::vector<std::string> seen;
-  bus.bind("broker", [&](const Envelope& e) {
+  bus.bind(broker, [&](const Envelope& e) {
     seen.push_back(std::string{to_string(type_of(e.payload))});
   });
-  bus.send("site:a", "broker", AgentRegister{AgentId{3}});
-  bus.send("site:a", "broker", LivenessEcho{AgentId{3}, 1});
+  bus.send(site_a, broker, AgentRegister{AgentId{3}});
+  bus.send(site_a, broker, LivenessEcho{AgentId{3}, 1});
   sim.run();
   EXPECT_EQ(seen, (std::vector<std::string>{"AgentRegister", "LivenessEcho"}));
 
-  bus.unbind("broker");
-  bus.send("site:a", "broker", AgentRegister{AgentId{4}});
+  bus.unbind(broker);
+  bus.send(site_a, broker, AgentRegister{AgentId{4}});
   sim.run();  // nowhere to deliver; must not crash
   EXPECT_EQ(seen.size(), 2u);
 }
@@ -158,9 +185,9 @@ TEST_F(ControlBusTest, DropFaultFiltersByTypeAndWindow) {
   int echoes = 0;
   int probes = 0;
   const auto send_both = [&] {
-    bus.send("site:a", "broker", LivenessEcho{AgentId{1}, 1}, {},
+    bus.send(site_a, broker, LivenessEcho{AgentId{1}, 1}, {},
              [&](const Envelope&) { ++echoes; });
-    bus.send("broker", "site:a", LivenessProbe{AgentId{1}, 1}, {},
+    bus.send(broker, site_a, LivenessProbe{AgentId{1}, 1}, {},
              [&](const Envelope&) { ++probes; });
   };
   sim.schedule_at(SimTime::from_seconds(5), send_both);
@@ -181,17 +208,86 @@ TEST_F(ControlBusTest, DropFaultFiltersByEndpointPair) {
   plan.drop_messages("*", "broker", "site:a", SimTime::from_seconds(0), 100_s);
   injector.arm(plan);
 
-  int site_a = 0;
-  int site_b = 0;
+  int to_a = 0;
+  int to_b = 0;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    bus.send("broker", "site:a", Heartbeat{AgentId{1}}, {},
-             [&](const Envelope&) { ++site_a; });
-    bus.send("broker", "site:b", Heartbeat{AgentId{2}}, {},
-             [&](const Envelope&) { ++site_b; });
+    bus.send(broker, site_a, Heartbeat{AgentId{1}}, {},
+             [&](const Envelope&) { ++to_a; });
+    bus.send(broker, site_b, Heartbeat{AgentId{2}}, {},
+             [&](const Envelope&) { ++to_b; });
   });
   sim.run();
-  EXPECT_EQ(site_a, 0);
-  EXPECT_EQ(site_b, 1);
+  EXPECT_EQ(to_a, 0);
+  EXPECT_EQ(to_b, 1);
+}
+
+TEST_F(ControlBusTest, FaultArmedBeforeItsEndpointIsNamedMatchesFirstSend) {
+  sim::FaultInjector injector{sim, &network};
+  injector.register_message_sink(&bus);
+  sim::FaultPlan plan;
+  plan.drop_messages("*", "site:late", "", SimTime::from_seconds(0), 100_s);
+  injector.arm(plan);
+  sim.run_until(SimTime::from_seconds(1));
+  ASSERT_EQ(bus.active_message_faults(), 1u);
+
+  // The filter names an endpoint no message has used yet; the first send
+  // to it is still dropped, while other pairs are untouched.
+  const EndpointId late = bus.endpoint("site:late");
+  int delivered = 0;
+  EXPECT_FALSE(bus.send(broker, late, Heartbeat{AgentId{1}}, {},
+                        [&](const Envelope&) { ++delivered; }));
+  EXPECT_TRUE(bus.send(broker, site_a, Heartbeat{AgentId{1}}, {},
+                       [&](const Envelope&) { ++delivered; }));
+  sim.run();
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST_F(ControlBusTest, LinkAddedAfterFirstUseTakesEffect) {
+  SendOptions options;
+  options.payload_bytes = 1000;
+  options.drop_when_down = true;
+  const auto send_and_time = [&] {
+    const SimTime sent = sim.now();
+    SimTime arrived;
+    EXPECT_TRUE(bus.send(broker, site_a, StageSandbox{JobId{1}, 1000, true},
+                         options,
+                         [&](const Envelope&) { arrived = sim.now(); }));
+    sim.run();
+    return (arrived - sent).to_seconds();
+  };
+  // No link yet: the pair resolves to the default local link (20 us).
+  EXPECT_LT(send_and_time(), 1e-3);
+
+  // A WAN link added later replaces it for the next send (>= 9 ms)...
+  network.add_link("broker", "site:a", sim::LinkSpec::wan());
+  EXPECT_GE(send_and_time(), 9e-3);
+
+  // ...and its partition schedule is the one drop_when_down consults.
+  network.link("broker", "site:a")
+      .failures()
+      .add_outage(sim.now(), sim.now() + 10_s);
+  EXPECT_FALSE(bus.send(broker, site_a, Heartbeat{AgentId{1}}, options));
+  EXPECT_FALSE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
+}
+
+TEST_F(ControlBusTest, DuplicateRunsItsOwnCopyOfTheContinuation) {
+  sim::FaultInjector injector{sim, &network};
+  injector.register_message_sink(&bus);
+  sim::FaultPlan plan;
+  plan.duplicate_messages("JobStatus", "", "", SimTime::from_seconds(0), 10_s);
+  injector.arm(plan);
+
+  // The continuation mutates its own capture: each delivered copy must
+  // start from the capture as it was at send time.
+  std::vector<int> seen;
+  sim.schedule_at(SimTime::from_seconds(1), [&] {
+    bus.send(site_a, broker, JobStatus{JobId{1}, StatusPhase::kStarted}, {},
+             [&seen, calls = 0](const Envelope&) mutable {
+               seen.push_back(++calls);
+             });
+  });
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<int>{1, 1}));
 }
 
 TEST_F(ControlBusTest, DupFaultDeliversTwice) {
@@ -203,7 +299,7 @@ TEST_F(ControlBusTest, DupFaultDeliversTwice) {
 
   int deliveries = 0;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    bus.send("broker", "site:a", Heartbeat{AgentId{1}}, {},
+    bus.send(broker, site_a, Heartbeat{AgentId{1}}, {},
              [&](const Envelope&) { ++deliveries; });
   });
   sim.run();
@@ -220,9 +316,9 @@ TEST_F(ControlBusTest, ReorderFaultDelaysPastLaterTraffic) {
 
   std::vector<std::string> order;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    bus.send("site:a", "broker", JobStatus{JobId{1}, StatusPhase::kStarted}, {},
+    bus.send(site_a, broker, JobStatus{JobId{1}, StatusPhase::kStarted}, {},
              [&](const Envelope&) { order.push_back("status"); });
-    bus.send("site:a", "broker", Heartbeat{AgentId{1}}, {},
+    bus.send(site_a, broker, Heartbeat{AgentId{1}}, {},
              [&](const Envelope&) { order.push_back("heartbeat"); });
   });
   sim.run();
@@ -242,8 +338,8 @@ TEST_F(ControlBusTest, MetricsAndTraceEmission) {
   SendOptions options;
   options.channel_latency = 250_ms;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    bus.send("broker", "site:a", Heartbeat{AgentId{1}}, options);
-    bus.send("site:a", "broker", LivenessEcho{AgentId{1}, 1}, options);
+    bus.send(broker, site_a, Heartbeat{AgentId{1}}, options);
+    bus.send(site_a, broker, LivenessEcho{AgentId{1}, 1}, options);
   });
   sim.run();
 

@@ -1,15 +1,21 @@
 // Tests for the allocation-free event engine: slab/heap handle semantics,
-// exact pending counts, the timer-wheel daemon lane, and the small-buffer
-// callback type the engine stores events in.
+// exact pending counts, the timer-wheel lane and its floor, and the
+// small-buffer callback type the engine stores events in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
+#include "sim/timer_wheel.hpp"
 #include "util/inplace_function.hpp"
+#include "util/rng.hpp"
 
 namespace cg::sim {
 namespace {
@@ -197,6 +203,130 @@ TEST(SimulationEngineTest, ScopedTimerMoveTransfersOwnership) {
   EXPECT_TRUE(fired);
   outer.reset();  // stale handle after the fire: cancels nothing
   EXPECT_FALSE(outer.armed());
+}
+
+// ---------------------------------------------------- wheel floor ----------
+
+/// The level-4 boundary of the wheel: 64^4 ticks = 2^24 ticks = 2^30 us.
+constexpr std::int64_t kWheelBoundaryTick = std::int64_t{1} << 24;
+
+TEST(TimerWheelTest, RaisedFloorFilesPastTheLevelBoundary) {
+  using Filed = std::tuple<std::int64_t, std::uint64_t, std::uint32_t>;
+  const auto us = [](std::int64_t tick) {
+    return tick << TimerWheel::kTickShift;
+  };
+  // Drains the earliest window; level-0 windows come back sorted by
+  // (when, seq), the order the engine fires them in.
+  const auto drain_window = [](TimerWheel& wheel, std::vector<Filed>& due) {
+    std::vector<Filed> window;
+    wheel.drain_earliest(
+        [&](std::uint32_t idx, std::int64_t when, std::uint64_t seq) {
+          window.emplace_back(when, seq, idx);
+        },
+        [](std::uint32_t) { FAIL() << "nothing here belongs to the heap"; });
+    std::sort(window.begin(), window.end());
+    due.insert(due.end(), window.begin(), window.end());
+  };
+
+  // Two wheels drained empty with their floor just below the boundary.
+  TimerWheel raised;
+  TimerWheel stuck;
+  for (TimerWheel* wheel : {&raised, &stuck}) {
+    wheel->ensure_capacity(8);
+    ASSERT_TRUE(wheel->insert(0, us(kWheelBoundaryTick - 2), 1));
+    std::vector<Filed> due;
+    while (!wheel->empty()) drain_window(*wheel, due);  // cascades, then fires
+    ASSERT_EQ(due, (std::vector<Filed>{{us(kWheelBoundaryTick - 2), 1, 0}}));
+  }
+  // The clock has since reached the boundary (through a heap event). The
+  // stuck wheel's floor stays below it, so no later deadline fits.
+  const std::int64_t after = us(kWheelBoundaryTick + 3);
+  EXPECT_FALSE(stuck.insert(1, after, 2));
+
+  // The engine raises an empty wheel's floor to the current tick first.
+  raised.raise_floor(kWheelBoundaryTick);
+  ASSERT_TRUE(raised.insert(1, after, 2));
+  ASSERT_TRUE(raised.insert(2, after + 5, 3));
+  ASSERT_TRUE(raised.insert(3, after, 4));
+  ASSERT_TRUE(raised.insert(4, us(kWheelBoundaryTick + 64 * 5), 5));
+  ASSERT_TRUE(raised.insert(5, us(kWheelBoundaryTick + 64 * 64 * 7 + 1), 6));
+  EXPECT_EQ(raised.next_window_start_us(), after);
+  std::vector<Filed> due;
+  while (!raised.empty()) drain_window(raised, due);
+  const std::vector<Filed> expected{
+      {after, 2, 1},
+      {after, 4, 3},
+      {after + 5, 3, 2},
+      {us(kWheelBoundaryTick + 64 * 5), 5, 4},
+      {us(kWheelBoundaryTick + 64 * 64 * 7 + 1), 6, 5},
+  };
+  EXPECT_EQ(due, expected);
+}
+
+TEST(SimulationEngineTest, FiringOrderAcrossWheelBoundariesMatchesReference) {
+  // Seeded traffic that crosses three 2^30 us boundaries: short timers,
+  // minutes-long ones, deadlines past the wheel horizon, zero delays, and
+  // cancellations. Whatever lane each event took, the firing order must be
+  // the reference sort by (when, seq).
+  struct Event {
+    std::int64_t when_us = 0;
+    std::uint64_t seq = 0;
+    EventHandle handle;
+    bool cancelled = false;
+  };
+  Simulation sim;
+  Rng rng{20061025};
+  std::vector<Event> events;
+  std::vector<std::size_t> fired;
+  const std::int64_t end_us =
+      3 * (kWheelBoundaryTick << TimerWheel::kTickShift) + 300'000'000;
+
+  std::function<void(std::size_t)> on_fire;
+  const auto schedule_one = [&] {
+    Duration delay;
+    const double pick = rng.uniform01();
+    if (pick < 0.2) {
+      delay = Duration::zero();
+    } else if (pick < 0.6) {
+      delay = Duration::micros(rng.uniform_int(1, 5'000));
+    } else if (pick < 0.95) {
+      delay = Duration::micros(rng.uniform_int(1, 240'000'000));
+    } else {
+      delay = Duration::micros(rng.uniform_int(1'100'000'000, 1'500'000'000));
+    }
+    const std::size_t i = events.size();
+    events.push_back(Event{});
+    events[i].handle = sim.schedule(delay, [&on_fire, i] { on_fire(i); });
+    events[i].when_us = (sim.now() + delay).count_micros();
+    events[i].seq = events[i].handle.seq();
+  };
+  on_fire = [&](std::size_t i) {
+    EXPECT_EQ(sim.now().count_micros(), events[i].when_us);
+    fired.push_back(i);
+    if (sim.now().count_micros() >= end_us) return;
+    // Each event spawns one successor, and tops the population back up to
+    // 64 pending events after cancellations.
+    schedule_one();
+    while (sim.pending_events() < 64) schedule_one();
+    if (rng.chance(0.2)) {
+      const std::size_t victim = rng.pick_index(events.size());
+      if (sim.cancel(events[victim].handle)) events[victim].cancelled = true;
+    }
+  };
+  for (int i = 0; i < 64; ++i) schedule_one();
+  sim.run();
+
+  std::vector<std::size_t> reference;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].cancelled) reference.push_back(i);
+  }
+  std::sort(reference.begin(), reference.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(events[a].when_us, events[a].seq) <
+           std::tie(events[b].when_us, events[b].seq);
+  });
+  EXPECT_EQ(fired, reference);
+  ASSERT_FALSE(fired.empty());
+  EXPECT_GE(events[fired.back()].when_us, end_us);
 }
 
 // ------------------------------------------------------- InplaceFunction ---

@@ -4,6 +4,9 @@
 Walks every BENCH_*.json in the repository root and fails readably when any
 correctness field is false — a digest mismatch or a broken zero-allocation
 claim recorded into a committed result file must never slip through review.
+It also holds two recorded claims: the streaming path's coalesced speedup,
+and grid_scale's per-job host cost at 256 sites staying within 8x of the
+32-site cost.
 
 Usage:
     bench_diff.py [repo_root]
@@ -27,7 +30,14 @@ GATE_KEYWORDS = ("digest", "zero_alloc")
 REQUIRED_ROW_FIELDS = {
     "BENCH_match_scale.json": ("digest_match",),
     "BENCH_stream_scale.json": ("digest_match", "zero_alloc_steady_state"),
+    "BENCH_grid_scale.json": ("sites", "jobs", "events", "wall_s",
+                              "host_ms_per_job", "allocs_per_job",
+                              "parent_host_ms_per_job"),
 }
+
+# grid_scale: per-job host cost may grow at most this much from 32 to 256
+# sites (8x the sites: linear in sites, as per-site selection implies).
+GRID_SCALE_MAX_RATIO = 8.0
 
 
 def gate_fields(obj, path=""):
@@ -84,6 +94,14 @@ def main():
                 for row in rows
             ):
                 failures.append((f.name, "no row with sessions>=1000 and speedup>=2"))
+        if f.name == "BENCH_grid_scale.json":
+            checked += 1
+            cost = {row.get("sites"): row.get("host_ms_per_job")
+                    for row in data.get("results", [])}
+            small, large = cost.get(32), cost.get(256)
+            if not small or not large or large > GRID_SCALE_MAX_RATIO * small:
+                failures.append((f.name, "256-site host_ms_per_job <= "
+                                 f"{GRID_SCALE_MAX_RATIO:g}x the 32-site value"))
 
     if failures:
         print("bench_diff: committed benchmark results record failures:")
