@@ -123,7 +123,7 @@ RunResult run(std::size_t n_sites, std::size_t jobs) {
     } else if (i % 5 == 0) {
       health.note_suspected(SiteId{i});
     } else if (i % 3 == 0) {
-      health.note_heartbeat_miss(SiteId{i});
+      health.note_miss(SiteId{i});
     }
   }
 
@@ -168,7 +168,7 @@ RunResult run(std::size_t n_sites, std::size_t jobs) {
     // Health churn between rounds: fresh evidence against a rotating site,
     // rewards on some matched sites.
     if (j % 4 == 0) {
-      health.note_liveness_miss(SiteId{1 + (j * 13) % n_sites});
+      health.note_miss(SiteId{1 + (j * 13) % n_sites});
     }
     if (picked && j % 8 == 3) health.note_completion(picked->site);
     if (j % 16 == 15) {

@@ -5,6 +5,7 @@
 // shared mode skips the discovery and selection phases entirely.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -53,17 +54,16 @@ struct AgentRecord {
   /// Interactive subjobs reserved onto slots but not yet started.
   std::vector<SubJobRef> pending_interactive;
   std::optional<SubJobRef> pending_batch;
-  /// Heartbeat supervision (fault recovery): consecutive missed probes and
-  /// whether the agent is currently suspected unreachable.
-  int missed_heartbeats = 0;
+  /// Supervision state, written only by AgentSupervisor: consecutive misses
+  /// per AgentSupervisor::Channel, and whether the agent is currently
+  /// suspected unreachable (placement skips it).
+  std::array<int, 2> missed{};
   bool suspected = false;
-  /// Liveness-echo supervision: highest probe sequence sent / echoed back,
-  /// and consecutive unanswered probes. probe_seq > echo_seq means a probe
-  /// is outstanding when the next tick fires.
+  /// Highest liveness-probe sequence sent / echoed back: probe_seq >
+  /// echo_seq means a probe is outstanding when the next tick fires.
   std::uint64_t probe_seq = 0;
   std::uint64_t echo_seq = 0;
-  int missed_echoes = 0;
-  /// When the current suspicion began; guards the eviction timer against
+  /// When the current suspicion began; guards the grace timer against
   /// suspect -> restore -> suspect races.
   std::optional<SimTime> suspected_since;
   /// Set when the agent's AgentRegister arrives: from then on every

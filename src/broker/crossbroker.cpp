@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "gsi/auth.hpp"
@@ -41,7 +40,9 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
       leases_{sim},
       fair_share_{sim, config.fair_share},
       agents_{sim},
-      site_health_{sim, config.site_health} {
+      site_health_{sim},
+      supervisor_{sim, bus, agents_, site_health_, *this, endpoint_,
+                  config.agent_channel_latency, config.running_job_grace} {
   fair_share_.start();
   // Suspicion-aware placement: every matchmaking pass consults the health
   // scores, the coarse pass over the index reply included.
@@ -59,7 +60,7 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
   });
   bus_.bind(endpoint_,
             [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
-  sim_.schedule_daemon(kSupervisionInterval, [this] { supervision_tick(); });
+  supervisor_.start();
 }
 
 const std::string& CrossBroker::endpoint() const {
@@ -77,7 +78,7 @@ void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
   if (const auto* reg = std::get_if<net::AgentRegister>(&envelope.payload)) {
     handle_agent_register(reg->agent);
   } else if (const auto* echo = std::get_if<net::LivenessEcho>(&envelope.payload)) {
-    on_liveness_echo(echo->agent, echo->seq);
+    supervisor_.on_echo(echo->agent, echo->seq);
   }
   // Every other type is outbound-only from the broker's perspective.
 }
@@ -85,7 +86,7 @@ void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
 void CrossBroker::handle_agent_register(AgentId agent_id) {
   AgentRecord* rec = agents_.record(agent_id);
   if (rec == nullptr) return;
-  rec->supervised = true;
+  supervisor_.watch(*rec);
   if (rec->on_ready) {
     auto ready = std::move(rec->on_ready);
     rec->on_ready = nullptr;
@@ -256,18 +257,14 @@ bool CrossBroker::cancel(JobId id) {
     }
     if (!handled) {
       // Direct placement: remove from the site's queue or kill on the node.
-      lrms::Site* site = find_site(sub.site);
-      if (site != nullptr) {
-        const SiteId site_id = sub.site;
-        const JobId lrms_id = sub.lrms_job_id;
-        bus_.send(endpoint_, site->gatekeeper().endpoint(),
-                  net::CancelJob{lrms_id, /*queued_only=*/false}, inline_send(),
-                  [this, site_id, lrms_id](const net::Envelope&) {
-                    if (lrms::Site* s = find_site(site_id)) {
-                      s->gatekeeper().cancel(lrms_id, /*queued_only=*/false);
-                    }
-                  });
-      }
+      const SiteId site_id = sub.site;
+      const JobId lrms_id = sub.lrms_job_id;
+      bus_.send(endpoint_, site_endpoint(site_id),
+                net::CancelJob{lrms_id, /*queued_only=*/false}, inline_send(),
+                [this, site_id, lrms_id](const net::Envelope&) {
+                  sites_.at(site_id)->gatekeeper().cancel(lrms_id,
+                                                          /*queued_only=*/false);
+                });
     }
   }
 
@@ -300,11 +297,6 @@ std::vector<const JobRecord*> CrossBroker::all_records() const {
 CrossBroker::ManagedJob* CrossBroker::find_job(JobId id) {
   const auto it = jobs_.find(id);
   return it != jobs_.end() ? it->second.get() : nullptr;
-}
-
-lrms::Site* CrossBroker::find_site(SiteId id) {
-  const auto it = sites_.find(id);
-  return it != sites_.end() ? it->second : nullptr;
 }
 
 EndpointId CrossBroker::site_endpoint(SiteId id) const {
@@ -348,6 +340,7 @@ void CrossBroker::set_observability(obs::Observability* obs) {
   bus_.set_observability(obs);
   matchmaker_.set_metrics(obs != nullptr ? &obs->metrics : nullptr);
   site_health_.set_metrics(obs != nullptr ? &obs->metrics : nullptr);
+  supervisor_.set_observability(obs);
   // Re-bind every pre-resolved handle against the new registry (or drop them
   // all: default-constructed handles are inert no-ops).
   metrics_ = BrokerMetrics{};
@@ -360,25 +353,12 @@ void CrossBroker::set_observability(obs::Observability* obs) {
   metrics_.queue_depth = m.gauge_handle("broker.queue_depth");
   metrics_.leases_acquired = m.counter_handle("broker.leases_acquired");
   metrics_.lease_revocations = m.counter_handle("broker.lease_revocations");
-  metrics_.liveness_probes = m.counter_handle("broker.liveness_probes");
   for (std::size_t i = 0; i < metrics_.match_latency.size(); ++i) {
     metrics_.match_latency[i] = m.histogram_handle(
         "broker.match_latency_s",
         obs::LabelSet{
             {"placement", to_string(static_cast<PlacementKind>(i))}});
   }
-}
-
-obs::CounterHandle& CrossBroker::per_site_counter(
-    std::map<SiteId, obs::CounterHandle>& cache, const char* name, SiteId site) {
-  const auto it = cache.find(site);
-  if (it != cache.end()) return it->second;
-  obs::CounterHandle handle;
-  if (obs_ != nullptr) {
-    handle = obs_->metrics.counter_handle(
-        name, obs::LabelSet{{"site", std::to_string(site.value())}});
-  }
-  return cache.emplace(site, std::move(handle)).first->second;
 }
 
 namespace {
@@ -640,12 +620,9 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
     // back and routes through the no-resources path with a typed reason.
     if (config_.enable_match_leases) {
       for (const auto& placement : plan->placements) {
-        lrms::Site* lease_site = find_site(placement.site);
-        const int capacity =
-            lease_site != nullptr ? lease_site->config().worker_nodes : -1;
-        Expected<LeaseId> lease =
-            leases_.acquire(placement.site, placement.processes,
-                            config_.match_lease_ttl, capacity);
+        Expected<LeaseId> lease = leases_.acquire(
+            placement.site, placement.processes, kMatchLeaseTtl,
+            sites_.at(placement.site)->config().worker_nodes);
         if (!lease) {
           job->record.last_error = lease.error();
           tracev(id, obs::TraceEventKind::kLeaseRevoked, lease.error().message,
@@ -765,10 +742,7 @@ void CrossBroker::setup_barrier_coordination(ManagedJob& job) {
             glidein::GlideinAgent* agent = agents_.find(*sub.agent);
             if (agent != nullptr) agent->release_barrier(sub.lrms_job_id);
           } else {
-            lrms::Site* site = find_site(sub.site);
-            if (site != nullptr) {
-              site->scheduler().release_barrier(sub.lrms_job_id);
-            }
+            sites_.at(sub.site)->scheduler().release_barrier(sub.lrms_job_id);
           }
         }
       });
@@ -1122,7 +1096,7 @@ void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
   ManagedJob* job = find_job(ref.job);
   if (job->queue_timer_armed) return;
   job->queue_timer_armed = true;
-  sim_.schedule(config_.queue_detect_timeout, [this, ref, site_id] {
+  sim_.schedule(kQueueDetectTimeout, [this, ref, site_id] {
     find_job(ref.job)->queue_timer_armed = false;
     const SubJobRecord* sub = current_subjob(ref);
     if (sub == nullptr || sub->started) return;  // superseded, or it did start
@@ -1176,9 +1150,7 @@ void CrossBroker::dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site_id,
 AgentRecord& CrossBroker::create_agent_with_carrier(
     SiteId site_id, std::function<void(AgentRecord&)> on_ready,
     std::function<void()> on_carrier_failed) {
-  lrms::Site* site = find_site(site_id);
-  if (site == nullptr) throw std::invalid_argument{"create_agent: unknown site"};
-
+  lrms::Site* site = sites_.at(site_id);
   AgentRecord& rec = agents_.create(site_id, config_.glidein);
   glidein::GlideinAgent& agent = *rec.agent;
   const AgentId agent_id = agent.id();
@@ -1252,11 +1224,9 @@ void CrossBroker::maybe_dismiss_agent(AgentId agent_id) {
   if (rec == nullptr || !rec->ran_any_job) return;
   if (!rec->pending_interactive.empty() || rec->pending_batch) return;
   if (rec->agent->batch_vm_busy() || rec->agent->interactive_vm_busy()) return;
-  lrms::Site* site = find_site(rec->site());
-  if (site == nullptr) return;
   // Completing the manual carrier job frees the worker node; the carrier's
   // on_complete removes the agent from the registry.
-  site->scheduler().finish_manual(rec->carrier_job());
+  sites_.at(rec->site())->scheduler().finish_manual(rec->carrier_job());
 }
 
 bool CrossBroker::agent_suspected(AgentId id) const {
@@ -1274,157 +1244,21 @@ int CrossBroker::advertised_interactive_vms(SiteId site) {
   return n;
 }
 
-// ---------------------------------------------------------- heartbeats ----
+// -------------------------------------------------- supervision decisions ----
 
-std::vector<AgentId> CrossBroker::supervised_agents() const {
-  std::vector<AgentId> ids;
-  for (const auto& [id, rec] : agents_) {
-    if (rec.supervised) ids.push_back(id);
-  }
-  return ids;
-}
-
-void CrossBroker::supervision_tick() {
-  heartbeat_pass();
-  liveness_pass();
-  sim_.schedule_daemon(kSupervisionInterval, [this] { supervision_tick(); });
-}
-
-void CrossBroker::heartbeat_pass() {
-  for (const AgentId agent_id : supervised_agents()) {
-    AgentRecord* rec = agents_.record(agent_id);
-    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
-      continue;
-    }
-    lrms::Site* site = find_site(rec->site());
-    if (site == nullptr) continue;
-    // The probe travels the broker <-> site link; a partitioned link means a
-    // missed heartbeat whether or not the agent is actually alive.
-    const bool reachable =
-        bus_.probe(endpoint_, site->gatekeeper().endpoint(),
-                   net::Heartbeat{agent_id});
-    if (reachable) {
-      rec->missed_heartbeats = 0;
-      // A passing link heartbeat alone is not proof of life: a wedged agent
-      // behind a healthy link stays suspected until its liveness echo
-      // returns too.
-      if (rec->suspected && clear_of_suspicion(*rec)) restore_agent(agent_id);
-    } else {
-      ++rec->missed_heartbeats;
-      site_health_.note_heartbeat_miss(rec->site());
-      per_site_counter(metrics_.heartbeat_misses, "broker.heartbeat_misses",
-                       rec->site())
-          .inc();
-      tracev(JobId::none(), obs::TraceEventKind::kHeartbeatMiss,
-             "agent " + std::to_string(agent_id.value()) + " missed probe " +
-                 std::to_string(rec->missed_heartbeats),
-             obs::LabelSet{{"site", std::to_string(rec->site().value())}});
-      if (!rec->suspected && rec->missed_heartbeats >= kSupervisionMissLimit) {
-        suspect_agent(agent_id, "heartbeat");
-      }
-    }
-  }
-}
-
-void CrossBroker::liveness_pass() {
-  for (const AgentId agent_id : supervised_agents()) {
-    AgentRecord* rec = agents_.record(agent_id);
-    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
-      continue;
-    }
-    lrms::Site* site = find_site(rec->site());
-    if (site == nullptr) continue;
-    if (rec->probe_seq > rec->echo_seq) {
-      // The previous probe was never echoed: the agent's event loop is
-      // stalled or the path is down. Either way the application-level
-      // liveness contract failed, whatever the link heartbeat says.
-      ++rec->missed_echoes;
-      site_health_.note_liveness_miss(rec->site());
-      per_site_counter(metrics_.liveness_misses, "broker.liveness_misses",
-                       rec->site())
-          .inc();
-      tracev(JobId::none(), obs::TraceEventKind::kLivenessMiss,
-             "agent " + std::to_string(agent_id.value()) + " missed echo " +
-                 std::to_string(rec->missed_echoes) + " (probe " +
-                 std::to_string(rec->probe_seq) + ")",
-             obs::LabelSet{{"site", std::to_string(rec->site().value())}});
-      if (!rec->suspected && rec->missed_echoes >= kSupervisionMissLimit) {
-        suspect_agent(agent_id, "liveness");
-      }
-    }
-    send_liveness_probe(*rec, *site);
-  }
-}
-
-void CrossBroker::send_liveness_probe(AgentRecord& rec, lrms::Site& site) {
-  const AgentId agent_id = rec.id();
-  const std::uint64_t seq = ++rec.probe_seq;
-  metrics_.liveness_probes.inc();
-  // The probe rides the direct broker <-> agent channel; on a partitioned
-  // link it is simply lost and counted missing at the next tick. The echo
-  // leg is the agent's (deliver_liveness_probe sends LivenessEcho back to
-  // this broker's bus endpoint — a wedged or dead agent never answers).
-  net::SendOptions options;
-  options.channel_latency = config_.agent_channel_latency;
-  options.drop_when_down = true;
-  // The continuation reads agent and seq back from the payload: capturing
-  // only `this` keeps it inside std::function's small buffer.
-  bus_.send(endpoint_, site.gatekeeper().endpoint(),
-            net::LivenessProbe{agent_id, seq}, options,
-            [this](const net::Envelope& envelope) {
-              const auto& probe = std::get<net::LivenessProbe>(envelope.payload);
-              glidein::GlideinAgent* agent = agents_.find(probe.agent);
-              if (agent != nullptr) agent->deliver_liveness_probe(probe.seq);
-            });
-}
-
-void CrossBroker::on_liveness_echo(AgentId agent_id, std::uint64_t seq) {
-  AgentRecord* rec = agents_.record(agent_id);
-  if (rec == nullptr) return;
-  if (seq > rec->echo_seq) rec->echo_seq = seq;
-  rec->missed_echoes = 0;
-  if (rec->suspected && clear_of_suspicion(*rec)) restore_agent(agent_id);
-}
-
-bool CrossBroker::clear_of_suspicion(const AgentRecord& rec) const {
-  return rec.missed_heartbeats < kSupervisionMissLimit &&
-         rec.missed_echoes < kSupervisionMissLimit;
-}
-
-void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
-  AgentRecord* rec = agents_.record(agent_id);
-  if (rec == nullptr || rec->suspected) return;
-  const SiteId site = rec->site();
-  rec->suspected = true;
-  rec->suspected_since = sim_.now();
-  site_health_.note_suspected(site);
-  const bool by_liveness = std::string_view{reason} == "liveness";
-  const std::string cause =
-      by_liveness ? std::to_string(rec->missed_echoes) + " missed liveness echoes"
-                  : std::to_string(rec->missed_heartbeats) + " missed heartbeats";
-  log_warn(kLog, "agent ", agent_id.value(), " suspected (", cause, ")");
-  tracev(JobId::none(), obs::TraceEventKind::kAgentSuspected,
-         "agent " + std::to_string(agent_id.value()) + " after " + cause,
-         obs::LabelSet{{"site", std::to_string(site.value())},
-                       {"reason", reason}});
-  count("broker.agents_suspected", obs::LabelSet{{"reason", reason}});
-  if (config_.running_job_grace > Duration::zero()) {
-    const SimTime since = sim_.now();
-    sim_.schedule(config_.running_job_grace, [this, agent_id, since] {
-      evict_suspected_residents(agent_id, since);
-    });
-  }
-
+void CrossBroker::on_suspected(AgentRecord& rec) {
   // Revoke the exclusive-temporal-access matches of subjobs still waiting to
   // start on this agent: their leases are released inside resubmit_job and
   // the suspected agent is excluded from the fresh placement. A reservation
   // of a superseded attempt (left by a start the agent refused; the job may
   // be running elsewhere by now) only kept the slot blocked, and is dropped
   // without touching the job.
-  std::vector<SubJobRef> revoked = rec->pending_interactive;
-  if (rec->pending_batch) revoked.push_back(*rec->pending_batch);
-  rec->pending_interactive.clear();
-  rec->pending_batch.reset();
+  const AgentId agent_id = rec.id();
+  const SiteId site = rec.site();
+  std::vector<SubJobRef> revoked = rec.pending_interactive;
+  if (rec.pending_batch) revoked.push_back(*rec.pending_batch);
+  rec.pending_interactive.clear();
+  rec.pending_batch.reset();
   for (const SubJobRef ref : revoked) {
     const SubJobRecord* sub = current_subjob(ref);
     if (sub == nullptr || sub->started) continue;
@@ -1439,72 +1273,52 @@ void CrossBroker::suspect_agent(AgentId agent_id, const char* reason) {
   // if the agent really died the carrier-kill path takes over on arrival.
 }
 
-void CrossBroker::restore_agent(AgentId agent_id) {
-  AgentRecord* rec = agents_.record(agent_id);
-  if (rec == nullptr || !rec->suspected) return;
-  rec->suspected = false;
-  rec->missed_heartbeats = 0;
-  rec->missed_echoes = 0;
-  rec->suspected_since.reset();
-  site_health_.note_restored(rec->site());
-  log_info(kLog, "agent ", agent_id.value(), " re-registered");
-  tracev(JobId::none(), obs::TraceEventKind::kAgentRestored,
-         "agent " + std::to_string(agent_id.value()) + " re-registered",
-         obs::LabelSet{{"site", std::to_string(rec->site().value())}});
-  count("broker.agents_restored");
+void CrossBroker::on_restored(AgentRecord& rec) {
   // Residents may have been evicted while the agent was suspected, leaving
   // it idle: now that it is reachable again the usual idle-dismissal applies,
   // or its worker node would stay occupied by an empty carrier forever.
-  maybe_dismiss_agent(agent_id);
+  maybe_dismiss_agent(rec.id());
 }
 
-void CrossBroker::evict_suspected_residents(AgentId agent_id,
-                                            SimTime suspected_since) {
-  AgentRecord* rec = agents_.record(agent_id);
-  if (rec == nullptr) return;  // the agent died; the death path ran
-  if (!rec->suspected || !rec->suspected_since ||
-      *rec->suspected_since != suspected_since) {
-    return;  // healed (or re-suspected anew) before the grace expired
-  }
-  const SiteId site = rec->site();
+void CrossBroker::on_grace_expired(AgentRecord& rec) {
+  const AgentId agent_id = rec.id();
+  const SiteId site = rec.site();
   // Time out every running resident: the agent has been suspected for the
   // whole grace window, so its residents are treated as orphaned.
   std::vector<std::pair<SubJobRef, bool>> victims;  // (resident, interactive)
-  for (const SubJobRef resident : rec->interactive_residents) {
+  for (const SubJobRef resident : rec.interactive_residents) {
     victims.emplace_back(resident, true);
   }
-  if (rec->batch_resident) victims.emplace_back(*rec->batch_resident, false);
-  rec->interactive_residents.clear();
-  rec->batch_resident.reset();
-  if (!victims.empty()) rec->ran_any_job = true;
+  if (rec.batch_resident) victims.emplace_back(*rec.batch_resident, false);
+  rec.interactive_residents.clear();
+  rec.batch_resident.reset();
+  if (!victims.empty()) rec.ran_any_job = true;
   for (const auto& [ref, interactive] : victims) {
     const JobId job_id = ref.job;
     ManagedJob* job = find_job(job_id);
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
-    if (job != nullptr) {
-      const EndpointId site_dst = site_endpoint(site);
-      if (interactive) {
-        for (const auto& sub : job->record.subjobs) {
-          if (sub.agent == agent_id) {
-            const JobId lrms_id = sub.lrms_job_id;
-            bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                      inline_send(),
-                      [this, agent_id, lrms_id](const net::Envelope&) {
-                        if (auto* a = agents_.find(agent_id)) {
-                          a->cancel_interactive_job(lrms_id);
-                        }
-                      });
-          }
+    const EndpointId site_dst = site_endpoint(site);
+    if (interactive) {
+      for (const auto& sub : job->record.subjobs) {
+        if (sub.agent == agent_id) {
+          const JobId lrms_id = sub.lrms_job_id;
+          bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
+                    inline_send(),
+                    [this, agent_id, lrms_id](const net::Envelope&) {
+                      if (auto* a = agents_.find(agent_id)) {
+                        a->cancel_interactive_job(lrms_id);
+                      }
+                    });
         }
-      } else {
-        bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                  inline_send(), [this, agent_id](const net::Envelope&) {
-                    if (auto* a = agents_.find(agent_id)) {
-                      a->cancel_slot(glidein::SlotType::kBatch);
-                    }
-                  });
       }
+    } else {
+      bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
+                inline_send(), [this, agent_id](const net::Envelope&) {
+                  if (auto* a = agents_.find(agent_id)) {
+                    a->cancel_slot(glidein::SlotType::kBatch);
+                  }
+                });
     }
     if (current_subjob(ref) == nullptr) continue;
     // The strongest health evidence: a running resident lost to a
@@ -1521,14 +1335,9 @@ void CrossBroker::evict_suspected_residents(AgentId agent_id,
     // Subjobs on other agents cannot be rewound from here; resubmit_job then
     // reports the partial failure. The single-agent job — the normal
     // interactive case — is rewound and rescheduled from scratch.
-    bool all_on_this_agent = true;
-    for (const auto& sub : job->record.subjobs) {
-      if (!sub.completed && sub.agent != agent_id) {
-        all_on_this_agent = false;
-        break;
-      }
-    }
-    if (all_on_this_agent) {
+    if (std::ranges::all_of(job->record.subjobs, [agent_id](const auto& sub) {
+          return sub.completed || sub.agent == agent_id;
+        })) {
       restart_job(job_id);
     } else {
       resubmit_job(job_id);
@@ -1664,15 +1473,11 @@ void CrossBroker::complete_job(JobId id) {
   const auto& outputs = job->record.description.output_sandbox();
   if (!outputs.empty() && !job->staging_out) {
     job->staging_out = true;
-    const std::optional<SiteId> site_id = job->record.site();
-    lrms::Site* site = site_id ? find_site(*site_id) : nullptr;
-    const std::size_t bytes =
-        site != nullptr ? outputs.size() * config_.output_file_bytes : 0;
+    const std::size_t bytes = outputs.size() * kOutputFileBytes;
     net::SendOptions options;
     options.payload_bytes = bytes;
-    const EndpointId submitter = bus_.endpoint(job->record.submitter_endpoint);
-    bus_.send(site != nullptr ? site->gatekeeper().endpoint() : submitter,
-              submitter,
+    bus_.send(site_endpoint(*job->record.site()),
+              bus_.endpoint(job->record.submitter_endpoint),
               net::StageSandbox{id, bytes, /*inbound=*/false}, options,
               [this, id](const net::Envelope&) { complete_job(id); });
     return;
@@ -1745,17 +1550,12 @@ void CrossBroker::resubmit_job(JobId id) {
   }
   ++job->record.resubmissions;
   // Bounded exponential backoff: attempt n waits base * 2^(n-1), capped.
-  Duration backoff = Duration::zero();
-  if (config_.resubmit_backoff_base > Duration::zero()) {
-    backoff = config_.resubmit_backoff_base;
-    for (int i = 1; i < job->record.resubmissions; ++i) {
-      if (backoff >= config_.resubmit_backoff_max) break;
-      backoff = backoff + backoff;
-    }
-    if (backoff > config_.resubmit_backoff_max) {
-      backoff = config_.resubmit_backoff_max;
-    }
+  Duration backoff = kResubmitBackoffBase;
+  for (int i = 1; i < job->record.resubmissions && backoff < kResubmitBackoffMax;
+       ++i) {
+    backoff = backoff + backoff;
   }
+  backoff = std::min(backoff, kResubmitBackoffMax);
   tracev(id, obs::TraceEventKind::kResubmitted,
          "attempt " + std::to_string(job->record.resubmissions),
          obs::LabelSet{

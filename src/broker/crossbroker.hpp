@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "broker/agent_registry.hpp"
+#include "broker/agent_supervisor.hpp"
 #include "broker/fair_share.hpp"
 #include "broker/job_record.hpp"
 #include "broker/submit_error.hpp"
@@ -51,33 +52,26 @@ struct Envelope;
 
 namespace cg::broker {
 
-/// Supervision of glide-in agents: every interval one daemon probes each
-/// registered agent's link (Heartbeat over the broker <-> site link) and then
-/// its event loop (a sequenced LivenessProbe the agent must echo). An agent
-/// is suspected after the miss limit of consecutive misses on either
-/// channel: its reservations are revoked and it is excluded from placement.
-/// A wedged agent on a healthy link misses only echoes, and is restored only
-/// once both channels pass again.
-inline constexpr Duration kSupervisionInterval = Duration::seconds(10);
-inline constexpr int kSupervisionMissLimit = 3;
+/// TTL of the exclusive-temporal-access lease taken at selection time.
+inline constexpr Duration kMatchLeaseTtl = Duration::seconds(60);
+/// Modelled size of each OutputSandbox file staged back on completion.
+inline constexpr std::size_t kOutputFileBytes = 1u << 20;
+/// Interactive exclusive mode: if the job has not started this long after
+/// the LRMS accepted it, it is queued, not running — cancel and resubmit.
+inline constexpr Duration kQueueDetectTimeout = Duration::seconds(8);
+/// Bounded exponential backoff between resubmissions: attempt n waits
+/// base * 2^(n-1), capped at the max.
+inline constexpr Duration kResubmitBackoffBase = Duration::millis(500);
+inline constexpr Duration kResubmitBackoffMax = Duration::seconds(30);
 
 struct CrossBrokerConfig {
   FairShareConfig fair_share;
   MatchmakerConfig matchmaker;
   glidein::GlideinAgentConfig glidein;
-  /// Suspicion-aware placement: per-site health scores fed by the
-  /// supervision paths (suspicions, misses, partition evictions,
-  /// restorations, completions) and consulted by matchmaking as a rank
-  /// penalty plus a hard-exclusion window, so eviction-driven resubmission
-  /// steers replacement agents off the partitioned site until its score
-  /// decays back under the threshold.
-  SiteHealthConfig site_health;
 
   /// Exclusive temporal access (Section 3). Disabling it lets concurrent
   /// submissions double-book stale "free" CPUs (ablation A1).
   bool enable_match_leases = true;
-  /// TTL of the exclusive-temporal-access lease taken at selection time.
-  Duration match_lease_ttl = Duration::seconds(60);
   /// One-way latency of the direct broker <-> agent channel (no Globus).
   Duration agent_channel_latency = Duration::millis(250);
   /// Local processing to match a job against the in-broker VM registry
@@ -85,19 +79,7 @@ struct CrossBrokerConfig {
   Duration vm_lookup_cost = Duration::millis(50);
   /// Default size of the executable + input sandbox staged per job.
   std::size_t executable_bytes = 5u << 20;
-  /// Modelled size of each OutputSandbox file staged back on completion.
-  std::size_t output_file_bytes = 1u << 20;
-
-  /// Interactive exclusive mode: if the job has not started this long after
-  /// the LRMS accepted it, it is queued, not running — cancel and resubmit.
-  Duration queue_detect_timeout = Duration::seconds(8);
   int max_resubmissions = 3;
-
-  /// Bounded exponential backoff between resubmissions: attempt n waits
-  /// base * 2^(n-1), capped at max. A zero base keeps the paper-era
-  /// immediate resubmission.
-  Duration resubmit_backoff_base = Duration::millis(500);
-  Duration resubmit_backoff_max = Duration::seconds(30);
 
   /// Partition-aware eviction of *running* residents: when an agent stays
   /// suspected past this grace, its running jobs are timed out — killed on
@@ -134,12 +116,15 @@ struct CrossBrokerConfig {
   std::uint64_t seed = 0x5eed;
 };
 
-class CrossBroker {
+/// The broker applies its AgentSupervisor's decisions: a suspicion revokes
+/// the agent's reservations, a restoration dismisses it if idle, and an
+/// expired grace evicts its residents.
+class CrossBroker : private SupervisionDecisions {
 public:
   CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
               infosys::InformationSystem& infosys, CrossBrokerConfig config = {},
               std::string endpoint = "broker");
-  ~CrossBroker();
+  ~CrossBroker() override;
   CrossBroker(const CrossBroker&) = delete;
   CrossBroker& operator=(const CrossBroker&) = delete;
 
@@ -200,7 +185,7 @@ public:
   /// All job records (inspection / experiment reporting).
   [[nodiscard]] std::vector<const JobRecord*> all_records() const;
 
-  /// True while heartbeat supervision considers the agent unreachable.
+  /// True while supervision considers the agent unreachable.
   [[nodiscard]] bool agent_suspected(AgentId id) const;
 
   /// Free interactive VM slots on a site as the broker advertises them:
@@ -309,31 +294,16 @@ private:
   void handle_bus_message(const net::Envelope& envelope);
   void handle_agent_register(AgentId agent_id);
 
-  // -- heartbeat + liveness supervision --------------------------------------
-  /// The supervised agents in ascending id order, snapshotted at the start
-  /// of a pass: an agent registering during the pass waits for the next
-  /// tick, and the visit body may erase entries from the agent table.
-  [[nodiscard]] std::vector<AgentId> supervised_agents() const;
-  /// The supervision daemon: the heartbeat pass, then the liveness pass.
-  void supervision_tick();
-  void heartbeat_pass();
-  void liveness_pass();
-  void send_liveness_probe(AgentRecord& rec, lrms::Site& site);
-  void on_liveness_echo(AgentId agent_id, std::uint64_t seq);
-  void suspect_agent(AgentId agent_id, const char* reason);
-  void restore_agent(AgentId agent_id);
-  /// True when nothing (link heartbeats, liveness echoes) still accuses the
-  /// agent; gates restoration so a wedged agent on a healthy link is not
-  /// resurrected by passing heartbeats alone.
-  [[nodiscard]] bool clear_of_suspicion(const AgentRecord& rec) const;
-  void evict_suspected_residents(AgentId agent_id, SimTime suspected_since);
+  // -- supervision decisions -------------------------------------------------
+  void on_suspected(AgentRecord& rec) override;
+  void on_restored(AgentRecord& rec) override;
+  void on_grace_expired(AgentRecord& rec) override;
 
   [[nodiscard]] double application_factor(const ManagedJob& job) const;
   /// Pre-flight credential check (security enabled only); also used before
   /// delegating to agents.
   [[nodiscard]] Status check_user_security(UserId user) const;
   [[nodiscard]] std::optional<gsi::CertificateChain> chain_for(UserId user) const;
-  [[nodiscard]] lrms::Site* find_site(SiteId id);
   /// A registered site's bus endpoint (its gatekeeper's).
   [[nodiscard]] EndpointId site_endpoint(SiteId id) const;
   [[nodiscard]] ManagedJob* find_job(JobId id);
@@ -351,6 +321,7 @@ private:
   FairShare fair_share_;
   AgentRegistry agents_;
   SiteHealth site_health_;
+  AgentSupervisor supervisor_;
 
   /// Typed lifecycle event into the attached obs::JobTracer (no-op without).
   void tracev(JobId job, obs::TraceEventKind kind, std::string detail,
@@ -360,24 +331,16 @@ private:
   void observe(const char* name, double value, obs::LabelSet labels = {});
 
   /// Pre-resolved handles for the per-event hot paths (bound in
-  /// set_observability; inert while no registry is attached). Everything
-  /// labeled per-site is cached per site on first use.
+  /// set_observability; inert while no registry is attached).
   struct BrokerMetrics {
     obs::CounterHandle invalidations_republish;
     obs::CounterHandle invalidations_unregister;
     obs::CounterHandle leases_acquired;
     obs::CounterHandle lease_revocations;
-    obs::CounterHandle liveness_probes;
     obs::GaugeHandle queue_depth;
     /// Indexed by PlacementKind (the histogram's "placement" label).
     std::array<obs::HistogramHandle, 5> match_latency;
-    std::map<SiteId, obs::CounterHandle> heartbeat_misses;
-    std::map<SiteId, obs::CounterHandle> liveness_misses;
   };
-  /// The cached per-site counter handle, binding it on first use.
-  obs::CounterHandle& per_site_counter(
-      std::map<SiteId, obs::CounterHandle>& cache, const char* name,
-      SiteId site);
 
   obs::Observability* obs_ = nullptr;
   const gsi::Certificate* trust_anchor_ = nullptr;

@@ -28,7 +28,7 @@ bool Matchmaker::health_excluded(SiteId site, std::size_t& excluded) const {
 }
 
 double Matchmaker::health_penalty(SiteId site) const {
-  return health_ != nullptr ? health_->rank_penalty(site) : 0.0;
+  return health_ != nullptr ? health_->suspicion(site) : 0.0;
 }
 
 std::vector<Candidate> Matchmaker::filter(

@@ -109,7 +109,8 @@ public:
 private:
   /// True when health scoring vetoes the site outright; counts the skip.
   [[nodiscard]] bool health_excluded(SiteId site, std::size_t& excluded) const;
-  /// Rank penalty for the site (0 without an attached SiteHealth).
+  /// Rank penalty for the site: its decayed suspicion, so any nonzero
+  /// suspicion breaks rank ties away from it (0 without a SiteHealth).
   [[nodiscard]] double health_penalty(SiteId site) const;
 
   /// Symmetric tie test: |best - rank| within margin relative to the larger

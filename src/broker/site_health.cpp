@@ -11,13 +11,12 @@ namespace {
 constexpr double kSuspicionFloor = 1e-6;
 }  // namespace
 
-double SiteHealth::suspicion_at(SiteId site, SimTime when) const {
-  if (!config_.enabled) return 0.0;
+double SiteHealth::suspicion(SiteId site) const {
   const auto it = entries_.find(site);
   if (it == entries_.end()) return 0.0;
-  const Duration dt = when - it->second.updated;
+  const Duration dt = sim_.now() - it->second.updated;
   if (dt <= Duration::zero()) return it->second.suspicion;
-  const double halves = dt.to_seconds() / config_.half_life.to_seconds();
+  const double halves = dt.to_seconds() / kHalfLife.to_seconds();
   return it->second.suspicion * std::pow(0.5, halves);
 }
 
@@ -26,21 +25,18 @@ double SiteHealth::score_of(double suspicion) const {
 }
 
 void SiteHealth::apply(SiteId site, double delta) {
-  if (!config_.enabled) return;
-  const SimTime now = sim_.now();
-  const double current = suspicion_at(site, now);
+  const double current = suspicion(site);
   if (delta < 0.0) {
     if (current == 0.0) return;  // nothing to reward away
     // Reward gating (see header): while the site is hard-excluded, only
     // decay may lower its suspicion.
-    if (current >= config_.exclusion_threshold) return;
+    if (current >= kExclusionThreshold) return;
   }
-  const double next =
-      std::clamp(current + delta, 0.0, config_.max_suspicion);
+  const double next = std::clamp(current + delta, 0.0, kMaxSuspicion);
   if (next < kSuspicionFloor) {
     entries_.erase(site);
   } else {
-    entries_[site] = Entry{next, now};
+    entries_[site] = Entry{next, sim_.now()};
   }
   if (metrics_ != nullptr) {
     metrics_

@@ -72,10 +72,11 @@ void GlideinAgent::connect_control_plane(net::ControlBus* bus,
   channel_latency_ = channel_latency;
 }
 
-bool GlideinAgent::deliver_liveness_probe(std::uint64_t seq) {
+void GlideinAgent::deliver_liveness_probe(std::uint64_t seq) {
   // The echo must come out of the agent's event loop: a wedged (or dead)
   // agent never answers even though the probe arrived.
-  if (!echo_liveness_probe(seq)) return false;
+  if (state_ != AgentState::kRunning || wedged_) return;
+  if (seq > last_echoed_probe_) last_echoed_probe_ = seq;
   if (bus_ != nullptr) {
     net::SendOptions options;
     options.channel_latency = channel_latency_;
@@ -83,7 +84,6 @@ bool GlideinAgent::deliver_liveness_probe(std::uint64_t seq) {
     bus_->send(site_endpoint_, broker_endpoint_, net::LivenessEcho{id_, seq},
                options);
   }
-  return true;
 }
 
 void GlideinAgent::set_metrics(obs::MetricsRegistry* metrics,
@@ -172,12 +172,6 @@ Status GlideinAgent::start_interactive_job(SlotJob job, int performance_loss) {
     }
   }
   return make_error("glidein.slot_busy", "all interactive VMs are occupied");
-}
-
-bool GlideinAgent::echo_liveness_probe(std::uint64_t seq) {
-  if (state_ != AgentState::kRunning || wedged_) return false;
-  if (seq > last_echoed_probe_) last_echoed_probe_ = seq;
-  return true;
 }
 
 Status GlideinAgent::start_on_slot(int slot_index, SlotJob job,
@@ -291,18 +285,6 @@ bool GlideinAgent::cancel_interactive_job(JobId id) {
     }
   }
   return false;
-}
-
-std::optional<JobId> GlideinAgent::batch_job_id() const {
-  if (!batch_job_) return std::nullopt;
-  return batch_job_->job.id;
-}
-
-std::optional<JobId> GlideinAgent::interactive_job_id() const {
-  for (const auto& resident : interactive_) {
-    if (resident) return resident->job.id;
-  }
-  return std::nullopt;
 }
 
 std::vector<JobId> GlideinAgent::interactive_job_ids() const {

@@ -98,11 +98,14 @@ public:
                              EndpointId broker_endpoint,
                              Duration channel_latency);
 
-  /// Delivery of a broker LivenessProbe message: processes it on the event
-  /// loop (echo_liveness_probe) and, when connected, sends the LivenessEcho
-  /// back over the bus. Returns false when the loop is wedged or not running
-  /// — the probe dies unanswered, exactly the supervision signal.
-  bool deliver_liveness_probe(std::uint64_t seq);
+  /// The gatekeeper endpoint of the agent's site, as connected.
+  [[nodiscard]] EndpointId site_endpoint() const { return site_endpoint_; }
+
+  /// Delivery of a broker LivenessProbe message: the agent's event loop
+  /// processes it and, when connected, sends the LivenessEcho back over the
+  /// bus. A wedged or stopped loop drops it — the probe dies unanswered,
+  /// exactly the supervision signal.
+  void deliver_liveness_probe(std::uint64_t seq);
 
   /// Fault injection (kAgentWedge): a wedged agent's event loop is stalled —
   /// it stops echoing liveness probes and refuses new slot starts — while
@@ -111,10 +114,6 @@ public:
   void set_wedged(bool wedged) { wedged_ = wedged; }
   [[nodiscard]] bool wedged() const { return wedged_; }
 
-  /// Delivery of a sequenced broker liveness probe. Returns true when the
-  /// event loop processed it (the probe will be echoed), false when the
-  /// agent is not running or its loop is wedged.
-  [[nodiscard]] bool echo_liveness_probe(std::uint64_t seq);
   /// Highest probe sequence the loop has processed (0 before the first).
   [[nodiscard]] std::uint64_t last_echoed_probe() const {
     return last_echoed_probe_;
@@ -158,10 +157,7 @@ public:
   /// (0 when none run). Governs the batch slot and fair-share demotion.
   [[nodiscard]] int max_running_performance_loss() const;
 
-  /// Ids of the jobs currently resident (for bookkeeping / kill fan-out).
-  [[nodiscard]] std::optional<JobId> batch_job_id() const;
-  /// First resident interactive job (degree-1 convenience).
-  [[nodiscard]] std::optional<JobId> interactive_job_id() const;
+  /// Ids of the interactive jobs currently resident.
   [[nodiscard]] std::vector<JobId> interactive_job_ids() const;
 
 private:

@@ -84,9 +84,6 @@ struct SiteRecord {
   /// publication so every handed-out copy shares one view.
   void prime_cache() const { (void)machine_view(); }
 
-  /// Drops the cached view (tests).
-  void invalidate_cache() const { cached_view_.reset(); }
-
 private:
   mutable std::shared_ptr<const MachineView> cached_view_;
 };

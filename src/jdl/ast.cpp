@@ -71,12 +71,16 @@ std::string to_source(const Expr& expr) {
              to_source(*u.operand) + ")";
     }
     std::string operator()(const Expr::Binary& b) const {
-      return "(" + to_source(*b.lhs) + " " + op_text(b.op) + " " +
-             to_source(*b.rhs) + ")";
+      std::string out = "(";
+      out.append(to_source(*b.lhs)).append(" ").append(op_text(b.op));
+      out.append(" ").append(to_source(*b.rhs)).append(")");
+      return out;
     }
     std::string operator()(const Expr::Ternary& t) const {
-      return "(" + to_source(*t.cond) + " ? " + to_source(*t.if_true) + " : " +
-             to_source(*t.if_false) + ")";
+      std::string out = "(";
+      out.append(to_source(*t.cond)).append(" ? ").append(to_source(*t.if_true));
+      out.append(" : ").append(to_source(*t.if_false)).append(")");
+      return out;
     }
     std::string operator()(const Expr::ListExpr& l) const {
       std::string out = "{";

@@ -45,15 +45,11 @@ public:
   /// Releases a task blocked at a barrier; no-op otherwise.
   void release_barrier();
 
-  [[nodiscard]] bool waiting_at_barrier() const { return at_barrier_; }
-
   /// Abandons execution without firing the completion callback.
   void cancel();
 
   [[nodiscard]] bool running() const { return state_ == State::kRunning; }
   [[nodiscard]] bool finished() const { return state_ == State::kFinished; }
-  /// Index of the phase currently executing (== phase count when done).
-  [[nodiscard]] std::size_t current_phase() const { return phase_index_; }
 
 private:
   enum class State { kIdle, kRunning, kFinished, kCancelled };

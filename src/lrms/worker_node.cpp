@@ -32,10 +32,6 @@ void WorkerNode::reserve() {
   reserved_ = true;
 }
 
-void WorkerNode::release_reservation() {
-  reserved_ = false;
-}
-
 void WorkerNode::run(LocalJob job) {
   if (runner_) throw std::logic_error{"WorkerNode::run: node is busy"};
   if (failed_) throw std::logic_error{"WorkerNode::run: node is failed"};

@@ -72,7 +72,6 @@ public:
   /// Marks the node as promised to an in-flight dispatch so concurrent
   /// dispatches cannot double-book it.
   void reserve();
-  void release_reservation();
 
   /// Starts a job. The node must be idle or reserved.
   void run(LocalJob job);

@@ -240,13 +240,12 @@ TEST(FaultInjectionTest, AgentCrashMidJobResubmitsInteractiveWithinBackoff) {
   const AgentCrashRun run = run_agent_crash_scenario();
   EXPECT_TRUE(run.interactive_completed);
   EXPECT_GE(run.interactive_resubmissions, 1);
-  // The resubmission decision lands within the configured backoff bound of
-  // the crash instant (attempt 1 waits only resubmit_backoff_base).
+  // The resubmission decision lands within the backoff cap of the crash
+  // instant (attempt 1 waits only kResubmitBackoffBase).
   ASSERT_TRUE(run.resubmit_at.has_value());
-  const broker::CrossBrokerConfig defaults;
   EXPECT_GE(*run.resubmit_at, SimTime::from_seconds(300.0));
   EXPECT_LE(*run.resubmit_at,
-            SimTime::from_seconds(300.0) + defaults.resubmit_backoff_max);
+            SimTime::from_seconds(300.0) + broker::kResubmitBackoffMax);
 }
 
 TEST(FaultInjectionTest, AgentCrashScenarioIsBitForBitReproducible) {

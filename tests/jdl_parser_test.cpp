@@ -130,6 +130,19 @@ TEST(ParserTest, TrailingGarbageFails) {
   EXPECT_FALSE(parse_expression("1 + 2 extra").has_value());
 }
 
+TEST(ParserTest, ToSourcePinsBinaryAndTernaryText) {
+  // The round trip below checks meaning; this pins the rendered bytes: every
+  // binary and ternary node is parenthesized, operands spaced.
+  auto binary = parse_expression("other.FreeCPUs * 2 >= 4 && Arch != \"x86\"");
+  ASSERT_TRUE(binary.has_value());
+  EXPECT_EQ(to_source(*binary.value()),
+            "(((other.FreeCPUs * 2) >= 4) && (Arch != \"x86\"))");
+  auto ternary = parse_expression("self.Load > 1 ? Rank : Rank - 1");
+  ASSERT_TRUE(ternary.has_value());
+  EXPECT_EQ(to_source(*ternary.value()),
+            "((self.Load > 1) ? Rank : (Rank - 1))");
+}
+
 TEST(ParserTest, RoundTripThroughSource) {
   auto ad = parse_classad(
       "Requirements = other.Arch == \"i686\" && other.FreeCPUs >= 2;\n"

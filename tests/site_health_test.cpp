@@ -1,7 +1,7 @@
-// SiteHealth unit tests: exponential suspicion decay, the hard-exclusion
-// window and its end-by-decay, reward gating above the exclusion threshold,
-// the suspicion cap and erase floor, the disabled no-op mode, and the
-// matchmaker wiring (hard-excluded sites skipped, ranks penalized), including
+// SiteHealth unit tests: exponential suspicion decay at the 600 s half-life,
+// the hard-exclusion window and its end-by-decay, reward gating above the
+// exclusion threshold, the suspicion cap and erase floor, and the matchmaker
+// wiring (hard-excluded sites skipped, ranks penalized), including
 // the coarse pass over a real index reply.
 #include <gtest/gtest.h>
 
@@ -19,22 +19,16 @@ using namespace cg::literals;
 
 constexpr SiteId kSite{7};
 
-SiteHealthConfig tuned() {
-  SiteHealthConfig c;
-  c.half_life = Duration::seconds(100);
-  return c;
-}
-
 TEST(SiteHealthTest, SuspicionHalvesEveryHalfLife) {
   sim::Simulation sim;
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   health.note_suspected(kSite);  // +1.0
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 1.0);
   EXPECT_DOUBLE_EQ(health.score(kSite), 0.5);
 
-  sim.run_until(SimTime::from_seconds(100));
+  sim.run_until(SimTime::from_seconds(600));
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 0.5);
-  sim.run_until(SimTime::from_seconds(300));
+  sim.run_until(SimTime::from_seconds(1800));
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 0.125);
   // Untracked sites are perfectly healthy.
   EXPECT_DOUBLE_EQ(health.suspicion(SiteId{8}), 0.0);
@@ -43,22 +37,22 @@ TEST(SiteHealthTest, SuspicionHalvesEveryHalfLife) {
 
 TEST(SiteHealthTest, HardExclusionEndsByDecay) {
   sim::Simulation sim;
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   health.note_eviction(kSite);   // +2.0
   health.note_suspected(kSite);  // +1.0 -> 3.0, above the 1.5 threshold
   EXPECT_TRUE(health.hard_excluded(kSite));
   // 3.0 halves to 1.5 after one half-life: still at the threshold...
-  sim.run_until(SimTime::from_seconds(100));
+  sim.run_until(SimTime::from_seconds(600));
   EXPECT_TRUE(health.hard_excluded(kSite));
   // ...and strictly below it any moment later.
-  sim.run_until(SimTime::from_seconds(101));
+  sim.run_until(SimTime::from_seconds(601));
   EXPECT_FALSE(health.hard_excluded(kSite));
   EXPECT_GT(health.suspicion(kSite), 0.0);
 }
 
 TEST(SiteHealthTest, RewardsAreDroppedWhileHardExcluded) {
   sim::Simulation sim;
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   health.note_eviction(kSite);  // 2.0 >= threshold
   health.note_completion(kSite);
   health.note_restored(kSite);
@@ -66,7 +60,7 @@ TEST(SiteHealthTest, RewardsAreDroppedWhileHardExcluded) {
   // closes it.
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 2.0);
 
-  sim.run_until(SimTime::from_seconds(100));  // decayed to 1.0, back in play
+  sim.run_until(SimTime::from_seconds(600));  // decayed to 1.0, back in play
   health.note_completion(kSite);              // -0.25 now applies
   EXPECT_DOUBLE_EQ(health.suspicion(kSite), 0.75);
   // Rewards for untracked sites stay no-ops (no negative suspicion).
@@ -76,37 +70,23 @@ TEST(SiteHealthTest, RewardsAreDroppedWhileHardExcluded) {
 
 TEST(SiteHealthTest, SuspicionIsCappedAndTinyResidueIsErased) {
   sim::Simulation sim;
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   for (int i = 0; i < 10; ++i) health.note_eviction(kSite);
-  EXPECT_DOUBLE_EQ(health.suspicion(kSite), health.config().max_suspicion);
+  EXPECT_DOUBLE_EQ(health.suspicion(kSite), SiteHealth::kMaxSuspicion);
 
   sim::Simulation sim2;
-  SiteHealth small{sim2, tuned()};
-  small.note_heartbeat_miss(kSite);  // 0.1, well under the threshold
-  sim2.run_until(SimTime::from_seconds(100));
+  SiteHealth small{sim2};
+  small.note_miss(kSite);  // 0.1, well under the threshold
+  sim2.run_until(SimTime::from_seconds(600));
   small.note_completion(kSite);  // 0.05 - 0.25 clamps to 0 -> erased
   EXPECT_EQ(small.tracked_sites(), 0u);
   EXPECT_DOUBLE_EQ(small.suspicion(kSite), 0.0);
 }
 
-TEST(SiteHealthTest, DisabledConfigIsANoOp) {
-  sim::Simulation sim;
-  SiteHealthConfig config = tuned();
-  config.enabled = false;
-  SiteHealth health{sim, config};
-  health.note_eviction(kSite);
-  health.note_suspected(kSite);
-  EXPECT_EQ(health.tracked_sites(), 0u);
-  EXPECT_DOUBLE_EQ(health.suspicion(kSite), 0.0);
-  EXPECT_DOUBLE_EQ(health.score(kSite), 1.0);
-  EXPECT_FALSE(health.hard_excluded(kSite));
-  EXPECT_DOUBLE_EQ(health.rank_penalty(kSite), 0.0);
-}
-
 TEST(SiteHealthTest, PublishesHealthGauge) {
   sim::Simulation sim;
   obs::MetricsRegistry metrics;
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   health.set_metrics(&metrics);
   health.note_suspected(kSite);
   const auto snapshot = metrics.snapshot(sim.now());
@@ -139,7 +119,7 @@ class SiteHealthMatchFixture : public ::testing::Test {
 protected:
   sim::Simulation sim;
   LeaseManager leases{sim};
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   Matchmaker matchmaker;
 
   void SetUp() override { matchmaker.set_site_health(&health); }
@@ -155,9 +135,9 @@ protected:
 };
 
 TEST_F(SiteHealthMatchFixture, PenaltyBreaksTiesAwayFromDegradedSite) {
-  // Equal capacity: without health both sites tie. A single heartbeat miss
-  // (suspicion 0.1, far below exclusion) must break the tie the other way.
-  health.note_heartbeat_miss(SiteId{1});
+  // Equal capacity: without health both sites tie. A single miss (suspicion
+  // 0.1, far below exclusion) must break the tie the other way.
+  health.note_miss(SiteId{1});
   const auto job = make_job();
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(pick(job, {make_record(1, 4), make_record(2, 4)}), SiteId{2});
@@ -174,7 +154,7 @@ TEST_F(SiteHealthMatchFixture, HardExcludedSiteIsSkippedEvenWhenBest) {
   EXPECT_EQ(pick(job, {make_record(1, 8), make_record(2, 2)}), std::nullopt);
   // Decay re-admits: after two half-lives site 1 (2.0 -> 0.5) is back and
   // wins on rank despite the residual penalty (8 - 0.5 > 2 - 0.5).
-  sim.run_until(SimTime::from_seconds(200));
+  sim.run_until(SimTime::from_seconds(1200));
   EXPECT_EQ(pick(job, {make_record(1, 8), make_record(2, 2)}), SiteId{1});
 }
 
@@ -197,7 +177,7 @@ TEST(SiteHealthCoarsePassTest, IndexListsExcludedSiteAndFilterSitesSkipsIt) {
     is.register_site(record.static_info, [record] { return record; });
     is.publish(record);
   }
-  SiteHealth health{sim, tuned()};
+  SiteHealth health{sim};
   health.note_eviction(SiteId{2});  // 2.0: hard-excluded
   ASSERT_TRUE(health.hard_excluded(SiteId{2}));
 

@@ -29,6 +29,7 @@ GATE_KEYWORDS = ("digest", "zero_alloc")
 # correctness fields.
 REQUIRED_ROW_FIELDS = {
     "BENCH_match_scale.json": ("digest_match",),
+    "BENCH_sim_scale.json": ("digest_match", "zero_alloc_steady_state"),
     "BENCH_stream_scale.json": ("digest_match", "zero_alloc_steady_state"),
     "BENCH_grid_scale.json": ("sites", "jobs", "events", "wall_s",
                               "host_ms_per_job", "allocs_per_job",
