@@ -90,12 +90,6 @@ void GlideinAgent::set_metrics(obs::MetricsRegistry* metrics,
                                obs::LabelSet labels) {
   metrics_ = MetricHandles{};
   if (metrics != nullptr) {
-    obs::LabelSet per_agent = labels;
-    per_agent.set("agent", std::to_string(id_.value()));
-    metrics_.interactive_vms_occupied =
-        metrics->gauge_handle("glidein.interactive_vms_occupied", per_agent);
-    metrics_.batch_vm_occupied =
-        metrics->gauge_handle("glidein.batch_vm_occupied", std::move(per_agent));
     // The occupancy histogram feeds mean/peak utilisation of the interactive
     // VMs per site without per-agent cardinality.
     metrics_.interactive_occupancy =
@@ -118,8 +112,6 @@ void GlideinAgent::update_occupancy_metrics() {
   for (const auto& slot : interactive_) {
     if (slot) ++occupied;
   }
-  metrics_.interactive_vms_occupied.set(static_cast<double>(occupied));
-  metrics_.batch_vm_occupied.set(batch_job_ ? 1.0 : 0.0);
   metrics_.interactive_occupancy.observe(static_cast<double>(occupied));
 }
 

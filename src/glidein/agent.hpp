@@ -120,8 +120,8 @@ public:
   }
 
   /// Attaches a metrics registry (must outlive the agent, or be detached
-  /// with nullptr): VM occupancy gauges plus slot start/demotion counters,
-  /// labelled with `labels` (typically {"site": ...}).
+  /// with nullptr): the VM occupancy histogram plus slot start/demotion
+  /// counters, labelled with `labels` (typically {"site": ...}).
   void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
 
   // -- Virtual machine occupancy. ------------------------------------------
@@ -203,8 +203,6 @@ private:
   /// occupancy updates fire on every slot change, so the hot path must not
   /// rebuild label sets or walk the registry maps.
   struct MetricHandles {
-    obs::GaugeHandle interactive_vms_occupied;
-    obs::GaugeHandle batch_vm_occupied;
     obs::HistogramHandle interactive_occupancy;
     obs::CounterHandle slot_starts_batch;
     obs::CounterHandle slot_starts_interactive;

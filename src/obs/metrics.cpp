@@ -214,38 +214,50 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
+detail::HandleSlot* MetricsRegistry::bind_slot(MetricKind kind, std::string name,
+                                               LabelSet labels,
+                                               Histogram::Buckets buckets) {
+  // The key takes the caller's strings by move: a repeated bind is one
+  // lookup and no allocation.
+  detail::SeriesKey key{kind, std::move(name), std::move(labels)};
+  auto it = handle_slots_.lower_bound(key);
+  if (it == handle_slots_.end() || it->first != key) {
+    it = handle_slots_.emplace_hint(it, std::move(key),
+                                    detail::HandleSlot{this, nullptr, buckets, nullptr});
+    it->second.key = &it->first;
+  }
+  return &it->second;
+}
+
 CounterHandle MetricsRegistry::counter_handle(std::string name,
                                               LabelSet labels) {
-  handle_slots_.push_back(detail::HandleSlot{
-      this, std::move(name), std::move(labels), {}, nullptr});
-  return CounterHandle{&handle_slots_.back()};
+  return CounterHandle{
+      bind_slot(MetricKind::kCounter, std::move(name), std::move(labels))};
 }
 
 GaugeHandle MetricsRegistry::gauge_handle(std::string name, LabelSet labels) {
-  handle_slots_.push_back(detail::HandleSlot{
-      this, std::move(name), std::move(labels), {}, nullptr});
-  return GaugeHandle{&handle_slots_.back()};
+  return GaugeHandle{
+      bind_slot(MetricKind::kGauge, std::move(name), std::move(labels))};
 }
 
 HistogramHandle MetricsRegistry::histogram_handle(std::string name,
                                                   LabelSet labels,
                                                   Histogram::Buckets buckets) {
-  handle_slots_.push_back(detail::HandleSlot{
-      this, std::move(name), std::move(labels), buckets, nullptr});
-  return HistogramHandle{&handle_slots_.back()};
+  return HistogramHandle{bind_slot(MetricKind::kHistogram, std::move(name),
+                                   std::move(labels), buckets)};
 }
 
 void CounterHandle::materialize() {
-  slot_->instrument = &slot_->owner->counter(slot_->name, slot_->labels);
+  slot_->instrument = &slot_->owner->counter(slot_->key->name, slot_->key->labels);
 }
 
 void GaugeHandle::materialize() {
-  slot_->instrument = &slot_->owner->gauge(slot_->name, slot_->labels);
+  slot_->instrument = &slot_->owner->gauge(slot_->key->name, slot_->key->labels);
 }
 
 void HistogramHandle::materialize() {
-  slot_->instrument =
-      &slot_->owner->histogram(slot_->name, slot_->labels, slot_->buckets);
+  slot_->instrument = &slot_->owner->histogram(slot_->key->name, slot_->key->labels,
+                                               slot_->buckets);
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name,

@@ -7,10 +7,13 @@
 //
 // Determinism contract: instruments live in ordered containers and exports
 // are sorted, so the same run produces byte-identical snapshots/JSON.
+//
+// Memory follows the series, not the binds: each (kind, name, labels) series
+// has one handle slot however many components bind it, so a registry serving
+// thousands of short-lived consoles holds one slot per distinct series.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -154,15 +157,24 @@ struct MetricsSnapshot {
 class MetricsRegistry;
 
 namespace detail {
-/// Backing state for a pre-resolved metric handle. The instrument pointer is
+/// Identity of one bound series.
+struct SeriesKey {
+  MetricKind kind = MetricKind::kCounter;
+  std::string name;
+  LabelSet labels;
+
+  auto operator<=>(const SeriesKey&) const = default;
+};
+
+/// Backing state for the pre-resolved handles of one series; every handle
+/// bound to the same series shares it. The instrument pointer is
 /// materialized lazily on first update: a handle merely *bound* to a name
 /// must not create the instrument, so snapshots keep listing exactly the
 /// instruments the run actually touched.
 struct HandleSlot {
   MetricsRegistry* owner = nullptr;
-  std::string name;
-  LabelSet labels;
-  Histogram::Buckets buckets{};
+  const SeriesKey* key = nullptr;  ///< the slot's own key in the registry
+  Histogram::Buckets buckets{};    ///< fixed by the series' first bind
   void* instrument = nullptr;
 };
 }  // namespace detail
@@ -247,7 +259,9 @@ public:
   /// Pre-resolved handles for hot paths: bind (name, labels) once, update
   /// through a stable slot thereafter. Handles stay valid for the registry's
   /// lifetime and may be copied freely. The underlying instrument is created
-  /// on first update, not at bind time.
+  /// on first update, not at bind time. Binding a series that was bound
+  /// before returns its existing slot and allocates nothing; a histogram's
+  /// buckets are those of its first bind.
   [[nodiscard]] CounterHandle counter_handle(std::string name,
                                              LabelSet labels = {});
   [[nodiscard]] GaugeHandle gauge_handle(std::string name, LabelSet labels = {});
@@ -274,15 +288,22 @@ public:
   void merge(const MetricsRegistry& other);
 
   [[nodiscard]] std::size_t instrument_count() const;
+  /// Distinct series ever bound to a handle (one slot each).
+  [[nodiscard]] std::size_t handle_slot_count() const { return handle_slots_.size(); }
 
 private:
   using Key = std::pair<std::string, LabelSet>;
 
+  [[nodiscard]] detail::HandleSlot* bind_slot(MetricKind kind, std::string name,
+                                              LabelSet labels,
+                                              Histogram::Buckets buckets = {});
+
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
-  /// Handle backing slots; deque for pointer stability under growth.
-  std::deque<detail::HandleSlot> handle_slots_;
+  /// One handle slot per bound series; map nodes keep slots (and the keys
+  /// they point back to) at stable addresses.
+  std::map<detail::SeriesKey, detail::HandleSlot> handle_slots_;
 };
 
 }  // namespace cg::obs

@@ -1,10 +1,34 @@
 #include "stream/chunk.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <stdexcept>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace cg::stream {
+
+namespace {
+
+// ASan cannot see reuse inside the pool: a slab on the free list is live heap
+// memory to it. Poisoning the payload while the slab is free turns a read
+// through a dangling ChunkRef into a report instead of some later line's bytes.
+void poison_payload([[maybe_unused]] detail::ChunkHeader* chunk) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(chunk->data(), chunk->capacity);
+#endif
+}
+
+void unpoison_payload([[maybe_unused]] detail::ChunkHeader* chunk) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(chunk->data(), chunk->capacity);
+#endif
+}
+
+}  // namespace
 
 namespace detail {
 
@@ -24,9 +48,13 @@ ChunkPool::ChunkPool(std::size_t slab_bytes) : slab_bytes_{slab_bytes} {
 }
 
 ChunkPool::~ChunkPool() {
+  publish(-1.0);
   // Chunks reference the pool; by construction (FlushBuffers and in-flight
   // ChunkRefs are torn down first) everything is back on the free list here.
-  for (detail::ChunkHeader* slab : slabs_) ::operator delete(slab);
+  for (detail::ChunkHeader* slab : slabs_) {
+    unpoison_payload(slab);
+    ::operator delete(slab);
+  }
 }
 
 ChunkPool& ChunkPool::shared() {
@@ -46,6 +74,7 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
     if (!free_.empty()) {
       chunk = free_.back();
       free_.pop_back();
+      unpoison_payload(chunk);
       chunk->refs = 1;
       chunk->write_pos = 0;
     } else {
@@ -54,7 +83,7 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
       // Every slab may be on the free list at once; reserving here keeps
       // release() allocation-free however the in-use count fluctuates.
       free_.reserve(slabs_.size());
-      metrics_.allocated.set(static_cast<double>(slabs_.size()));
+      metrics_.allocated.add(1.0);
     }
   } else {
     if (min_bytes > UINT32_MAX) {
@@ -65,18 +94,16 @@ detail::ChunkHeader* ChunkPool::acquire(std::size_t min_bytes) {
     metrics_.oversize_allocs.inc();
   }
   ++in_use_;
-  metrics_.in_use.set(static_cast<double>(in_use_));
-  if (in_use_ > high_water_) {
-    high_water_ = in_use_;
-    metrics_.high_water.set(static_cast<double>(high_water_));
-  }
+  metrics_.in_use.add(1.0);
+  high_water_ = std::max(high_water_, in_use_);
   return chunk;
 }
 
 void ChunkPool::release(detail::ChunkHeader* chunk) {
   --in_use_;
-  metrics_.in_use.set(static_cast<double>(in_use_));
+  metrics_.in_use.add(-1.0);
   if (chunk->capacity == slab_bytes_) {
+    poison_payload(chunk);
     free_.push_back(chunk);
   } else {
     ::operator delete(chunk);  // oversize one-off (header is trivial)
@@ -84,16 +111,19 @@ void ChunkPool::release(detail::ChunkHeader* chunk) {
 }
 
 void ChunkPool::set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels) {
+  publish(-1.0);
   metrics_ = MetricHandles{};
   if (metrics == nullptr) return;
   metrics_.in_use = metrics->gauge_handle("stream.chunk_pool.in_use", labels);
   metrics_.allocated = metrics->gauge_handle("stream.chunk_pool.allocated", labels);
-  metrics_.high_water = metrics->gauge_handle("stream.chunk_pool.high_water", labels);
   metrics_.oversize_allocs =
       metrics->counter_handle("stream.chunk_pool.oversize_allocs", std::move(labels));
-  metrics_.in_use.set(static_cast<double>(in_use_));
-  metrics_.allocated.set(static_cast<double>(slabs_.size()));
-  metrics_.high_water.set(static_cast<double>(high_water_));
+  publish(1.0);
+}
+
+void ChunkPool::publish(double sign) {
+  metrics_.in_use.add(sign * static_cast<double>(in_use_));
+  metrics_.allocated.add(sign * static_cast<double>(slabs_.size()));
 }
 
 ChunkRef ChunkRef::copy_of(std::string_view data, ChunkPool& pool) {

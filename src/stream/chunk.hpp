@@ -1,11 +1,12 @@
 // Pooled, reference-counted payload chunks for the interactive streaming
-// path. A FlushBuffer writes application bytes into a slab-sized chunk; each
-// flush becomes a ChunkRef — a cheap (24-byte) view of the flushed segment —
-// that travels through ReliableChannel / SimChannel delivery callbacks to the
-// ConsoleShadow without the payload ever being copied. Chunks return to the
-// pool's free list when the last reference drops, so the steady-state output
-// path performs zero heap allocations (see docs/performance.md, "The
-// streaming path").
+// path. A FlushBuffer packs the segments it flushes back to back into one
+// page-sized slab; each flush becomes a ChunkRef — a cheap (24-byte) view of
+// the flushed segment — that travels through ReliableChannel / SimChannel
+// delivery callbacks to the ConsoleShadow without the payload ever being
+// copied. A slab returns to the pool's free list when the last reference to
+// any segment in it drops, so the steady-state output path performs zero heap
+// allocations and a console's footprint follows the lines in flight, not the
+// lines written (see docs/performance.md, "The streaming path").
 //
 // Single-threaded by design: chunks and refs belong to the simulation side
 // (everything runs on one Simulation loop). The real OS-level agents in
@@ -47,12 +48,16 @@ void chunk_unref(ChunkHeader* chunk);
 /// Fixed-size slab allocator with a free list. acquire() pops a recycled slab
 /// (or allocates one when the pool is dry — only during warm-up); the last
 /// ChunkRef to a chunk pushes it back. Requests larger than the slab size are
-/// served by one-off oversize chunks that are freed on release; size the pool
-/// at least as large as the biggest FlushBuffer capacity to stay
-/// allocation-free.
+/// served by one-off oversize chunks that are freed on release. The default
+/// slab is one page: FlushBuffers pack many short segments into each, and only
+/// a segment that outgrows a slab pays a heap allocation.
+///
+/// Under AddressSanitizer a slab's payload is poisoned while it sits on the
+/// free list, so a ChunkRef that outlives its chunk's release faults instead
+/// of reading whichever segment the recycled slab carries next.
 class ChunkPool {
 public:
-  static constexpr std::size_t kDefaultSlabBytes = 64 * 1024;
+  static constexpr std::size_t kDefaultSlabBytes = 4 * 1024;
 
   explicit ChunkPool(std::size_t slab_bytes = kDefaultSlabBytes);
   ~ChunkPool();
@@ -73,10 +78,12 @@ public:
   /// Requests that exceeded the slab size (each one heap-allocates).
   [[nodiscard]] std::size_t oversize_allocations() const { return oversize_; }
 
-  /// Attaches a metrics registry: pool occupancy gauges
-  /// ("stream.chunk_pool.in_use" / ".allocated" / ".high_water") and the
-  /// "stream.chunk_pool.oversize_allocs" counter on top of `labels`. Must
-  /// outlive the pool (or be detached with nullptr).
+  /// Attaches a metrics registry: the "stream.chunk_pool.in_use" and
+  /// ".allocated" gauges and the "stream.chunk_pool.oversize_allocs" counter
+  /// on top of `labels`. The gauges are sums over every pool bound to the
+  /// same series: a pool adds its chunks as it takes them and withdraws what
+  /// it still holds when it is detached or destroyed. Must outlive the pool
+  /// (or be detached with nullptr).
   void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
 
   /// Process-wide fallback pool (default slab size) used by FlushBuffers
@@ -88,6 +95,8 @@ private:
 
   [[nodiscard]] detail::ChunkHeader* allocate(std::size_t payload_bytes);
   void release(detail::ChunkHeader* chunk);
+  /// Adds (sign +1) or withdraws (-1) this pool's chunks to/from the gauges.
+  void publish(double sign);
 
   std::size_t slab_bytes_;
   std::vector<detail::ChunkHeader*> slabs_;  ///< every slab chunk, for teardown
@@ -98,7 +107,6 @@ private:
   struct MetricHandles {
     obs::GaugeHandle in_use;
     obs::GaugeHandle allocated;
-    obs::GaugeHandle high_water;
     obs::CounterHandle oversize_allocs;
   };
   MetricHandles metrics_;

@@ -58,7 +58,7 @@ void FlushBuffer::append(std::string_view data) {
       }
     }
 
-    ensure_segment_chunk();
+    make_room(take);
     std::memcpy(chunk_->data() + chunk_->write_pos, data.data(), take);
     chunk_->write_pos += static_cast<std::uint32_t>(take);
     buffered_ += take;
@@ -72,20 +72,22 @@ void FlushBuffer::append(std::string_view data) {
   }
 }
 
-void FlushBuffer::ensure_segment_chunk() {
-  // Mid-segment appends always fit: the segment reserved `capacity` bytes of
-  // room when it opened, and a segment flushes before exceeding capacity.
-  if (buffered_ > 0) return;
-  if (chunk_ != nullptr &&
-      chunk_->capacity - chunk_->write_pos >= config_.capacity) {
-    seg_start_ = chunk_->write_pos;
-    return;
-  }
+void FlushBuffer::make_room(std::size_t bytes) {
+  if (chunk_ != nullptr && chunk_->capacity - chunk_->write_pos >= bytes) return;
+  // The open segment would overflow the chunk: move it whole into a fresh
+  // one. A pool slab holds it if the grown segment fits one; otherwise a
+  // one-off chunk of the full capacity does, and it never moves again
+  // because a segment flushes before exceeding capacity.
+  const std::size_t segment = buffered_ + bytes;
   detail::ChunkHeader* fresh =
-      pool_->acquire(std::max(config_.capacity, pool_->slab_bytes()));
-  if (chunk_ != nullptr) detail::chunk_unref(chunk_);
+      pool_->acquire(segment <= pool_->slab_bytes() ? segment : config_.capacity);
+  if (chunk_ != nullptr) {
+    std::memcpy(fresh->data(), chunk_->data() + chunk_->write_pos - buffered_,
+                buffered_);
+    detail::chunk_unref(chunk_);
+  }
+  fresh->write_pos = static_cast<std::uint32_t>(buffered_);
   chunk_ = fresh;
-  seg_start_ = 0;
 }
 
 void FlushBuffer::flush() {
@@ -100,17 +102,17 @@ void FlushBuffer::arm_timeout() {
 
 void FlushBuffer::emit(FlushReason reason) {
   timer_.reset();
+  const std::uint32_t seg_start =
+      chunk_->write_pos - static_cast<std::uint32_t>(buffered_);
   ChunkRef out;
   if (buffered_ <= ChunkRef::kInlineCapacity) {
     // Tiny flushes (keystroke echoes, short lines) detach from the chunk so
     // a long-lived consumer cannot pin a whole slab for a few bytes.
     out = ChunkRef::copy_of(
-        std::string_view{chunk_->data() + seg_start_, buffered_}, *pool_);
+        std::string_view{chunk_->data() + seg_start, buffered_}, *pool_);
   } else {
-    out = ChunkRef{chunk_, static_cast<std::uint32_t>(seg_start_),
-                   static_cast<std::uint32_t>(buffered_)};
+    out = ChunkRef{chunk_, seg_start, static_cast<std::uint32_t>(buffered_)};
   }
-  seg_start_ += buffered_;
   buffered_ = 0;
   ++flushes_;
   ++reason_counts_[static_cast<std::size_t>(reason)];

@@ -6,10 +6,11 @@
 // submitting machine (Job Shadow buffer flushed to the screen).
 //
 // The buffer writes directly into pooled chunks (see chunk.hpp): append() is
-// a single pass over the input — each byte is copied exactly once into the
-// current chunk — and every flush hands out a ChunkRef view of the flushed
-// segment instead of a freshly allocated string, so the steady-state flush
-// path never touches the heap.
+// a single pass over the input that copies each byte into the current chunk,
+// and every flush hands out a ChunkRef view of the flushed segment instead of
+// a freshly allocated string, so the steady-state flush path never touches
+// the heap. Segments pack back to back: each one opens at the chunk's write
+// position, so a page-sized slab carries many short lines.
 #pragma once
 
 #include <array>
@@ -68,7 +69,7 @@ public:
   void set_metrics(obs::MetricsRegistry* metrics, obs::LabelSet labels = {});
 
 private:
-  void ensure_segment_chunk();
+  void make_room(std::size_t bytes);
   void arm_timeout();
   void emit(FlushReason reason);
 
@@ -77,11 +78,11 @@ private:
   ChunkPool* pool_;  ///< resolved (config_.pool or the shared pool)
   FlushFn on_flush_;
   /// Current write chunk (one writer reference held) and the open segment:
-  /// bytes [seg_start_, seg_start_ + buffered_) are appended-but-unflushed.
-  /// A segment never spans chunks — a fresh segment only opens in a chunk
-  /// with at least `capacity` bytes of room.
+  /// its last `buffered_` written bytes are appended-but-unflushed. A segment
+  /// never spans chunks — an append that would overflow the chunk first moves
+  /// the open segment whole into a fresh one (make_room), so every flush is
+  /// one contiguous ChunkRef.
   detail::ChunkHeader* chunk_ = nullptr;
-  std::size_t seg_start_ = 0;
   std::size_t buffered_ = 0;
   std::size_t flushes_ = 0;
   std::array<std::size_t, 4> reason_counts_{};

@@ -1,6 +1,5 @@
 #include "stream/grid_console.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -237,9 +236,7 @@ GridConsole::GridConsole(sim::Simulation& sim, sim::Network& network,
       network_{network},
       config_{std::move(config)},
       ui_endpoint_{std::move(ui_endpoint)},
-      rng_{std::move(rng)},
-      pool_{std::max({ChunkPool::kDefaultSlabBytes, config_.agent_buffer.capacity,
-                      config_.shadow_buffer.capacity})} {
+      rng_{std::move(rng)} {
   init_pool();
   shadow_ = std::make_unique<ConsoleShadow>(
       sim_, config_,
@@ -254,9 +251,7 @@ GridConsole::GridConsole(sim::Simulation& sim, sim::Network& network,
       network_{network},
       config_{std::move(config)},
       ui_endpoint_{std::move(ui_endpoint)},
-      rng_{std::move(rng)},
-      pool_{std::max({ChunkPool::kDefaultSlabBytes, config_.agent_buffer.capacity,
-                      config_.shadow_buffer.capacity})} {
+      rng_{std::move(rng)} {
   init_pool();
   shadow_ = std::make_unique<ConsoleShadow>(
       sim_, config_,

@@ -7,7 +7,10 @@
 //
 // Output payloads travel as pooled ChunkRefs end to end: the agent's flush
 // buffer hands the shadow a view of the same chunk it filled, so relaying a
-// frame performs no per-hop payload copy or heap allocation.
+// frame performs no per-hop payload copy or heap allocation. Every buffer in
+// a console packs its lines into the console's page-sized slabs, so a
+// console holds a few slabs whatever it prints; only a segment longer than a
+// page takes a one-off chunk.
 //
 // This is the *simulated* console used by the grid-side experiments; the
 // real OS-level implementation lives in src/interpose.
@@ -192,8 +195,8 @@ private:
 };
 
 /// Convenience bundle: a shadow plus its agents for one (possibly parallel)
-/// interactive job. Owns all components, including the chunk pool every
-/// flush buffer in the console draws from.
+/// interactive job. Owns all components, including the chunk pool (default,
+/// one-page slabs) every flush buffer in the console draws from.
 class GridConsole {
 public:
   GridConsole(sim::Simulation& sim, sim::Network& network, GridConsoleConfig config,

@@ -6,6 +6,7 @@
 // the recovery.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,45 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndQueryable) {
   EXPECT_DOUBLE_EQ(sample->value, 2.0);
   EXPECT_FALSE(snap.to_jsonl().empty());
   EXPECT_FALSE(snap.render().empty());
+}
+
+TEST(MetricsRegistryTest, RebindingASeriesReusesItsSlot) {
+  MetricsRegistry registry;
+  const LabelSet labels{{"rank", "0"}, {"side", "agent"}};
+  obs::CounterHandle first = registry.counter_handle("stream.flushes", labels);
+  for (int i = 0; i < 10000; ++i) {
+    obs::CounterHandle again = registry.counter_handle("stream.flushes", labels);
+    ASSERT_TRUE(again);
+  }
+  EXPECT_EQ(registry.handle_slot_count(), 1u);
+  // Binding alone still creates no instrument.
+  EXPECT_EQ(registry.instrument_count(), 0u);
+  // The kind is part of the series: a gauge of the same name is its own.
+  ASSERT_TRUE(registry.gauge_handle("stream.flushes", labels));
+  EXPECT_EQ(registry.handle_slot_count(), 2u);
+  EXPECT_EQ(registry.instrument_count(), 0u);
+  // Every handle of a series updates the one instrument.
+  first.inc();
+  registry.counter_handle("stream.flushes", labels).inc(2);
+  ASSERT_NE(registry.find_counter("stream.flushes", labels), nullptr);
+  EXPECT_EQ(registry.find_counter("stream.flushes", labels)->value(), 3u);
+  EXPECT_EQ(registry.find_gauge("stream.flushes", labels), nullptr);
+  EXPECT_EQ(registry.instrument_count(), 1u);
+}
+
+TEST(MetricsRegistryTest, HandleBoundAfterTheInstrumentWritesIntoIt) {
+  MetricsRegistry registry;
+  const LabelSet site{{"site", "1"}};
+  registry.counter("lrms.dispatches", site).inc(2);
+  registry.gauge("lrms.queue_depth", site).set(4.0);
+  registry.histogram("lrms.dispatch_latency_s", site).observe(1.0);
+  registry.counter_handle("lrms.dispatches", site).inc();
+  registry.gauge_handle("lrms.queue_depth", site).add(1.0);
+  registry.histogram_handle("lrms.dispatch_latency_s", site).observe(3.0);
+  EXPECT_EQ(registry.counter("lrms.dispatches", site).value(), 3u);
+  EXPECT_DOUBLE_EQ(registry.gauge("lrms.queue_depth", site).value(), 5.0);
+  EXPECT_EQ(registry.histogram("lrms.dispatch_latency_s", site).count(), 2u);
+  EXPECT_EQ(registry.instrument_count(), 3u);
 }
 
 // --------------------------------------------------------------- tracer ----
@@ -263,6 +303,85 @@ TEST(ObsDeterminismTest, SameSeedRunsYieldByteIdenticalExports) {
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
   EXPECT_EQ(a.chrome, b.chrome);
   EXPECT_EQ(a.metrics_jsonl, b.metrics_jsonl);
+}
+
+TEST(InstrumentCountTest, BoundedBySitesNotAgentsOrJobs) {
+  // Per-agent or per-job series would make a long run's registry grow with
+  // its traffic. Everything the stack binds is global or per site (and per
+  // label value of a fixed enum), so the count stays under a per-site bound
+  // however many agents and jobs the run churns through.
+  GridConfig config;
+  config.sites = 2;
+  config.nodes_per_site = 2;
+  Grid grid{config};
+  auto batch = jdl::JobDescription::parse("Executable = \"sim\";");
+  auto interactive = jdl::JobDescription::parse(
+      "Executable = \"viz\"; JobType = \"interactive\";");
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_TRUE(interactive.has_value());
+  // Every batch job travels inside a fresh glide-in agent.
+  constexpr int kJobs = 100;
+  for (int i = 0; i < kJobs; ++i) {
+    const jdl::JobDescription& jd = i % 2 == 0 ? batch.value() : interactive.value();
+    grid.sim().schedule(Duration::seconds(100 * i), [&grid, &jd] {
+      EXPECT_TRUE(grid.submit(jd, UserId{1}, lrms::Workload::cpu(60_s)).has_value());
+    });
+  }
+  grid.run();
+  EXPECT_EQ(grid.metrics().counter_total("broker.jobs_completed"),
+            static_cast<std::uint64_t>(kJobs));
+  const std::uint64_t agents = grid.metrics().counter_total("broker.agents_deployed");
+  // This run ends with 50 instruments; on 1 and 4 sites it ends with 44 and 62.
+  constexpr std::size_t kGlobalSeries = 40;
+  constexpr std::size_t kSeriesPerSite = 10;
+  const std::size_t bound = kGlobalSeries + kSeriesPerSite * 2;
+  EXPECT_LE(grid.metrics().instrument_count(), bound);
+  // Two series per agent would have broken the bound.
+  EXPECT_GT(2 * agents, bound);
+}
+
+TEST(ChunkPoolGaugeTest, GaugesSumEveryConsolesPool) {
+  // Consoles bind one shared, unlabelled pool series: the gauges must add
+  // up every live pool rather than echo whichever pool changed last.
+  sim::Simulation sim;
+  sim::Network network{Rng{5}};
+  network.add_link("ui", "wn0", sim::LinkSpec::campus());
+  network.add_link("ui", "wn1", sim::LinkSpec::campus());
+  obs::Observability obs;
+  stream::GridConsoleConfig config;
+  config.obs = &obs;
+  std::string screen;
+  const auto sink = [&screen](std::string data) { screen += data; };
+  auto first = std::make_unique<stream::GridConsole>(sim, network, config, "ui",
+                                                     sink, Rng{1});
+  stream::GridConsole second{sim, network, config, "ui", sink, Rng{2}};
+  first->add_agent(0, "wn0").write_stdout("first console, first line\n");
+  stream::ConsoleAgent& agent = second.add_agent(0, "wn1");
+  agent.write_stdout("second console, first line\n");
+  agent.write_stdout("second console, second line\n");
+  sim.run();
+
+  const auto gauge = [&obs](const char* name) {
+    const Gauge* g = obs.metrics.find_gauge(name);
+    return g != nullptr ? g->value() : -1.0;
+  };
+  const stream::ChunkPool& a = first->chunk_pool();
+  const stream::ChunkPool& b = second.chunk_pool();
+  ASSERT_GT(a.in_use_chunks(), 0u);
+  ASSERT_GT(b.in_use_chunks(), 0u);
+  EXPECT_DOUBLE_EQ(gauge("stream.chunk_pool.in_use"),
+                   static_cast<double>(a.in_use_chunks() + b.in_use_chunks()));
+  EXPECT_DOUBLE_EQ(gauge("stream.chunk_pool.allocated"),
+                   static_cast<double>(a.allocated_chunks() + b.allocated_chunks()));
+  // A per-pool peak cannot be summed, so there is no high-water gauge.
+  EXPECT_EQ(obs.metrics.find_gauge("stream.chunk_pool.high_water"), nullptr);
+
+  // A destroyed console withdraws what its pool still held.
+  first.reset();
+  EXPECT_DOUBLE_EQ(gauge("stream.chunk_pool.in_use"),
+                   static_cast<double>(b.in_use_chunks()));
+  EXPECT_DOUBLE_EQ(gauge("stream.chunk_pool.allocated"),
+                   static_cast<double>(b.allocated_chunks()));
 }
 
 // ----------------------------------- partition during fast streaming ------

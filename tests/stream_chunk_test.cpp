@@ -3,6 +3,8 @@
 // "The streaming path").
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "sim/disk.hpp"
 #include "stream/chunk.hpp"
 #include "stream/flush_buffer.hpp"
+#include "stream/grid_console.hpp"
 #include "stream/spool.hpp"
 #include "util/ring.hpp"
 
@@ -101,6 +104,36 @@ TEST(ChunkPoolTest, HighWaterTracksPeakOccupancy) {
   EXPECT_EQ(pool.free_chunks(), 5u);
 }
 
+TEST(ChunkPoolTest, DefaultSlabIsOnePage) {
+  EXPECT_EQ(ChunkPool::kDefaultSlabBytes, 4096u);
+  EXPECT_EQ(ChunkPool{}.slab_bytes(), ChunkPool::kDefaultSlabBytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+/// A refcount slip: the chunk goes back to the free list while a ref still
+/// views it. The next buffer to take the slab would overwrite these bytes;
+/// ASan must stop the read instead.
+void read_through_released_chunk() {
+  ChunkPool pool{256};
+  detail::ChunkHeader* chunk = pool.acquire(64);
+  std::memset(chunk->data(), 'x', 64);
+  chunk->write_pos = 64;
+  const ChunkRef ref{chunk, 0, 64};
+  detail::chunk_unref(chunk);
+  detail::chunk_unref(chunk);
+  const std::string stale = ref.to_string();
+  std::fprintf(stderr, "read %zu stale bytes\n", stale.size());
+}
+#endif
+
+TEST(ChunkPoolTest, ReadThroughAReleasedChunkIsCaughtUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(read_through_released_chunk(), "use-after-poison");
+#else
+  GTEST_SKIP() << "free-slab poisoning is only observable under AddressSanitizer";
+#endif
+}
+
 // ----------------------------------------------------- flush buffer + pool ----
 
 TEST(ChunkFlushTest, FlushedSegmentsBorrowThePool) {
@@ -121,6 +154,100 @@ TEST(ChunkFlushTest, FlushedSegmentsBorrowThePool) {
   EXPECT_EQ(flushed[1].view(), "second line\n");
   // Both segments fit the same 4 KiB chunk: one slab serves many flushes.
   EXPECT_EQ(pool.allocated_chunks(), 1u);
+}
+
+TEST(ChunkFlushTest, SegmentThatOutgrowsItsSlabMovesWhole) {
+  sim::Simulation sim;
+  ChunkPool pool{64};
+  FlushBufferConfig config;
+  config.capacity = 64;
+  config.pool = &pool;
+  std::vector<ChunkRef> flushed;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    flushed.push_back(std::move(data));
+                  }}};
+  const std::string first = std::string(40, 'a') + "\n";
+  buf.append(first);  // slab A: [0, 41)
+  ASSERT_EQ(flushed.size(), 1u);
+  // 20 bytes still fit slab A; the next 11 do not, so the open segment
+  // moves to a fresh slab and the line flushes from there in one piece.
+  buf.append(std::string(20, 'b'));
+  EXPECT_EQ(pool.allocated_chunks(), 1u);
+  buf.append(std::string(10, 'c') + "\n");
+  ASSERT_EQ(flushed.size(), 2u);
+  EXPECT_EQ(flushed[0].view(), first);
+  EXPECT_EQ(flushed[1].view(), std::string(20, 'b') + std::string(10, 'c') + "\n");
+  EXPECT_EQ(pool.allocated_chunks(), 2u);
+  // The writer let go of slab A when the segment moved: dropping the last
+  // ref to its first line returns it to the free list.
+  EXPECT_EQ(pool.free_chunks(), 0u);
+  flushed.erase(flushed.begin());
+  EXPECT_EQ(pool.free_chunks(), 1u);
+  EXPECT_EQ(pool.in_use_chunks(), 1u);
+  EXPECT_EQ(pool.oversize_allocations(), 0u);
+}
+
+TEST(ChunkFlushTest, SegmentLargerThanASlabUsesOneOneOffChunk) {
+  sim::Simulation sim;
+  ChunkPool pool{64};
+  FlushBufferConfig config;
+  config.capacity = 256;
+  config.pool = &pool;
+  std::vector<ChunkRef> flushed;
+  std::string line;
+  {
+    FlushBuffer buf{sim, config,
+                    FlushBuffer::FlushFn{[&](ChunkRef data) {
+                      flushed.push_back(std::move(data));
+                    }}};
+    // Four 50-byte writes build one 201-byte line: the second write
+    // outgrows the 64-byte slab, so the segment moves to a one-off chunk of
+    // the buffer's capacity and stays there.
+    for (const char c : {'p', 'q', 'r', 's'}) {
+      const std::string piece(50, c);
+      line += piece;
+      buf.append(piece);
+    }
+    line += '\n';
+    buf.append("\n");
+    ASSERT_EQ(flushed.size(), 1u);
+    EXPECT_EQ(flushed[0].view(), line);
+    EXPECT_EQ(pool.oversize_allocations(), 1u);
+  }
+  // The buffer is gone; the flushed line still pins the one-off chunk.
+  EXPECT_EQ(pool.in_use_chunks(), 1u);
+  flushed.clear();
+  // Freed, not pooled: only the first slab is left, back on the free list.
+  EXPECT_EQ(pool.in_use_chunks(), 0u);
+  EXPECT_EQ(pool.allocated_chunks(), 1u);
+  EXPECT_EQ(pool.free_chunks(), 1u);
+  EXPECT_EQ(pool.oversize_allocations(), 1u);
+}
+
+TEST(ChunkFlushTest, ConsoleBurstPacksIntoAFewSlabs) {
+  // 200 lines written before virtual time runs are all in flight at once.
+  // Packed into one-page slabs they pin two agent slabs plus the shadow's.
+  sim::Simulation sim;
+  sim::Network network{Rng{3}};
+  network.add_link("ui", "wn0", sim::LinkSpec::campus());
+  std::string screen;
+  GridConsole console{sim, network, GridConsoleConfig{}, "ui",
+                      [&](std::string data) { screen += data; }, Rng{5}};
+  ConsoleAgent& agent = console.add_agent(0, "wn0");
+  std::string expected;
+  for (int i = 0; i < 200; ++i) {
+    char line[64];
+    const int n = std::snprintf(line, sizeof line, "line %03d: burst output\n", i);
+    ASSERT_GT(n, static_cast<int>(ChunkRef::kInlineCapacity));
+    expected.append(line, static_cast<std::size_t>(n));
+    agent.write_stdout(std::string_view{line, static_cast<std::size_t>(n)});
+  }
+  EXPECT_LE(console.chunk_pool().in_use_chunks(), 3u);
+  sim.run();
+  EXPECT_EQ(screen, expected);
+  EXPECT_LE(console.chunk_pool().high_water_in_use(), 3u);
+  EXPECT_EQ(console.chunk_pool().oversize_allocations(), 0u);
 }
 
 // ------------------------------------------------------------------- ring ----
