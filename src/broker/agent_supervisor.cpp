@@ -72,21 +72,16 @@ void AgentSupervisor::pass(Channel channel) {
     if (rec->probe_seq > rec->echo_seq) note_miss(*rec, channel);
     const std::uint64_t seq = ++rec->probe_seq;
     liveness_probes_.inc();
-    // The probe rides the direct broker <-> agent channel; on a partitioned
-    // link it is simply lost and counted missing at the next tick. The echo
-    // leg is the agent's (deliver_liveness_probe sends LivenessEcho back to
-    // the broker endpoint — a wedged or dead agent never answers).
+    // The probe rides the direct broker <-> agent channel to the agent's
+    // site endpoint, whose glide-in host passes it to the agent; on a
+    // partitioned link it is simply lost and counted missing at the next
+    // tick. The echo leg is the agent's (deliver_liveness_probe sends
+    // LivenessEcho back to the broker endpoint — a wedged or dead agent never
+    // answers).
     net::SendOptions options;
     options.channel_latency = channel_latency_;
     options.drop_when_down = true;
-    // The continuation reads agent and seq back from the payload: capturing
-    // only `this` keeps it inside std::function's small buffer.
-    bus_.send(broker_, site, net::LivenessProbe{agent_id, seq}, options,
-              [this](const net::Envelope& envelope) {
-      const auto& probe = std::get<net::LivenessProbe>(envelope.payload);
-      glidein::GlideinAgent* agent = agents_.find(probe.agent);
-      if (agent != nullptr) agent->deliver_liveness_probe(probe.seq);
-    });
+    bus_.send(broker_, site, net::LivenessProbe{agent_id, seq}, options);
   }
 }
 

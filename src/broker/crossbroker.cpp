@@ -68,19 +68,81 @@ const std::string& CrossBroker::endpoint() const {
 }
 
 CrossBroker::~CrossBroker() {
-  // The bus and information system outlive the broker; drop the callbacks
-  // that capture `this`.
+  // The bus, the sites and the information system outlive the broker; drop
+  // the callbacks that capture `this`.
   bus_.unbind(endpoint_);
+  for (const EndpointId submitter : submitters_) bus_.unbind(submitter);
+  for (const auto& [id, site] : sites_) {
+    site->gatekeeper().set_glidein_host(nullptr);
+  }
   infosys_.set_invalidation_listener(nullptr);
 }
 
-void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
-  if (const auto* reg = std::get_if<net::AgentRegister>(&envelope.payload)) {
-    handle_agent_register(reg->agent);
-  } else if (const auto* echo = std::get_if<net::LivenessEcho>(&envelope.payload)) {
-    supervisor_.on_echo(echo->agent, echo->seq);
+void CrossBroker::bind_submitter(EndpointId submitter) {
+  if (submitter == endpoint_ ||
+      std::find(submitters_.begin(), submitters_.end(), submitter) !=
+          submitters_.end()) {
+    return;
   }
-  // Every other type is outbound-only from the broker's perspective.
+  bus_.bind(submitter,
+            [this](const net::Envelope& envelope) { handle_bus_message(envelope); });
+  submitters_.push_back(submitter);
+}
+
+void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
+  const net::Message& msg = envelope.payload;
+  if (const auto* status = std::get_if<net::JobStatus>(&msg)) {
+    handle_job_status(*status);
+  } else if (const auto* reg = std::get_if<net::AgentRegister>(&msg)) {
+    handle_agent_register(reg->agent);
+  } else if (const auto* echo = std::get_if<net::LivenessEcho>(&msg)) {
+    supervisor_.on_echo(echo->agent, echo->seq);
+  } else if (const auto* sandbox = std::get_if<net::StageSandbox>(&msg)) {
+    // The OutputSandbox reached the submitter: the job may now complete
+    // (complete_job acts once, like any terminal transition).
+    if (!sandbox->inbound) complete_job(sandbox->job);
+  }
+}
+
+void CrossBroker::handle_job_status(const net::JobStatus& status) {
+  const SubJobRef ref{status.job, status.sub};
+  if (status.phase == net::StatusPhase::kStarted) {
+    subjob_started(ref);
+    return;
+  }
+  if (AgentRecord* done = agents_.record(status.agent)) {
+    done->ran_any_job = true;
+    if (!status.interactive_slot) {
+      if (done->batch_resident == ref) done->batch_resident.reset();
+    } else if (std::erase(done->interactive_residents, ref) > 0 &&
+               done->batch_resident && done->interactive_residents.empty()) {
+      // The last interactive job finished: the batch job's original
+      // priority (and application factor) are restored.
+      fair_share_.set_application_factor(done->batch_resident->job,
+                                         application_factor_batch());
+    }
+  }
+  subjob_completed(ref);
+  if (status.agent.valid()) maybe_dismiss_agent(status.agent);
+}
+
+void CrossBroker::handle_agent_message(const net::Envelope& envelope) {
+  const auto* dispatch = std::get_if<net::DispatchJob>(&envelope.payload);
+  if (dispatch == nullptr) {
+    if (auto* agent = agents_.find(net::agent_of(envelope.payload))) {
+      agent->receive(envelope.payload);
+    }
+    return;
+  }
+  const SubJobRef ref{dispatch->broker_job, dispatch->sub};
+  if (current_subjob(ref) == nullptr) return;
+  AgentRecord* rec = agents_.record(dispatch->agent);
+  if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
+    // The agent died while we were dispatching; try again from scratch.
+    resubmit_job(ref.job);
+    return;
+  }
+  start_job_on_agent(ref, *rec, /*interactive_slot=*/true);
 }
 
 void CrossBroker::handle_agent_register(AgentId agent_id) {
@@ -143,6 +205,8 @@ void CrossBroker::add_site(lrms::Site& site) {
   });
   site.set_interactive_vm_counter(
       [this, site_id] { return advertised_interactive_vms(site_id); });
+  site.gatekeeper().set_glidein_host(
+      [this](const net::Envelope& envelope) { handle_agent_message(envelope); });
   int total = 0;
   for (const auto& [id, s] : sites_) total += s->config().worker_nodes;
   fair_share_.set_total_resources(std::max(total, 1));
@@ -168,6 +232,8 @@ Expected<JobId, SubmitError> CrossBroker::submit(jdl::JobDescription description
   // where the proxy may have expired in the meantime.)
   const Status security = check_user_security(user);
   if (!security.ok()) return classify_submit_error(security.error());
+  // The OutputSandbox comes back to the submitter's endpoint.
+  bind_submitter(bus_.endpoint(submitter_endpoint));
   const JobId id = job_ids_.next();
   auto managed = std::make_unique<ManagedJob>();
   managed->record.id = id;
@@ -212,6 +278,15 @@ bool CrossBroker::cancel(JobId id) {
       waiting_batch_.end());
 
   // Tear down every subjob wherever it is.
+  const auto of_job = [id](SubJobRef ref) { return ref.job == id; };
+  // Entries of a superseded attempt go with the first subjob that visits
+  // the agent; each current rank's resident waits for its own subjob.
+  const auto superseded = [job, id](SubJobRef ref) {
+    return ref.job == id &&
+           std::ranges::none_of(job->record.subjobs, [ref](const auto& sub) {
+             return sub.id == ref.sub;
+           });
+  };
   for (auto& sub : job->record.subjobs) {
     if (sub.completed) continue;
     bool handled = false;
@@ -220,19 +295,17 @@ bool CrossBroker::cancel(JobId id) {
         const EndpointId site_dst = site_endpoint(rec->site());
         const AgentId agent_id = *sub.agent;
         const JobId lrms_id = sub.lrms_job_id;
+        const SubJobRef ref{id, sub.id};
         // Every entry the job holds on the agent goes, superseded ones too.
-        const auto of_job = [id](SubJobRef ref) { return ref.job == id; };
         std::erase_if(rec->pending_interactive, of_job);
         if (rec->pending_batch && of_job(*rec->pending_batch)) {
           rec->pending_batch.reset();
         }
-        if (std::erase_if(rec->interactive_residents, of_job) > 0) {
-          bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
-                    [this, agent_id, lrms_id](const net::Envelope&) {
-                      if (auto* a = agents_.find(agent_id)) {
-                        a->cancel_interactive_job(lrms_id);
-                      }
-                    });
+        std::erase_if(rec->interactive_residents, superseded);
+        if (std::erase(rec->interactive_residents, ref) > 0) {
+          bus_.send(endpoint_, site_dst,
+                    net::KillJob{lrms_id, agent_id, /*interactive_slot=*/true},
+                    inline_send());
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
           if (rec->batch_resident && rec->interactive_residents.empty()) {
@@ -242,12 +315,9 @@ bool CrossBroker::cancel(JobId id) {
           handled = true;
         }
         if (rec->batch_resident && of_job(*rec->batch_resident)) {
-          bus_.send(endpoint_, site_dst, net::KillJob{lrms_id}, inline_send(),
-                    [this, agent_id](const net::Envelope&) {
-                      if (auto* a = agents_.find(agent_id)) {
-                        a->cancel_slot(glidein::SlotType::kBatch);
-                      }
-                    });
+          bus_.send(endpoint_, site_dst,
+                    net::KillJob{lrms_id, agent_id, /*interactive_slot=*/false},
+                    inline_send());
           rec->batch_resident.reset();
           handled = true;
         }
@@ -257,14 +327,9 @@ bool CrossBroker::cancel(JobId id) {
     }
     if (!handled) {
       // Direct placement: remove from the site's queue or kill on the node.
-      const SiteId site_id = sub.site;
-      const JobId lrms_id = sub.lrms_job_id;
-      bus_.send(endpoint_, site_endpoint(site_id),
-                net::CancelJob{lrms_id, /*queued_only=*/false}, inline_send(),
-                [this, site_id, lrms_id](const net::Envelope&) {
-                  sites_.at(site_id)->gatekeeper().cancel(lrms_id,
-                                                          /*queued_only=*/false);
-                });
+      bus_.send(endpoint_, site_endpoint(sub.site),
+                net::CancelJob{sub.lrms_job_id, /*queued_only=*/false},
+                inline_send());
     }
   }
 
@@ -885,25 +950,17 @@ void CrossBroker::dispatch_subjob_to_vm(SubJobRef ref,
   sub->agent = agent.id();
 
   // Direct broker -> agent channel (no Globus, no LRMS), then stage the
-  // executable from the submitter, then spawn on the interactive-vm.
-  const AgentId agent_id = agent.id();
+  // executable from the submitter, then spawn on the interactive-vm
+  // (handle_agent_message).
   net::SendOptions options;
   options.channel_latency = config_.agent_channel_latency;
   options.payload_bytes = config_.executable_bytes;
   options.transfer_src =
       bus_.endpoint(find_job(ref.job)->record.submitter_endpoint);
   bus_.send(endpoint_, site_endpoint(agent.site()),
-            net::DispatchJob{sub->lrms_job_id, sub->rank}, options,
-            [this, ref, agent_id](const net::Envelope&) {
-    if (current_subjob(ref) == nullptr) return;
-    AgentRecord* rec = agents_.record(agent_id);
-    if (rec == nullptr || rec->agent->state() != glidein::AgentState::kRunning) {
-      // The agent died while we were dispatching; try again from scratch.
-      resubmit_job(ref.job);
-      return;
-    }
-    start_job_on_agent(ref, *rec, /*interactive_slot=*/true);
-  });
+            net::DispatchJob{sub->lrms_job_id, sub->rank, ref.job, ref.sub,
+                             agent.id()},
+            options);
 }
 
 void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
@@ -941,33 +998,18 @@ void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
   slot_job.workload = job.record.workload;
   slot_job.phase_observer = job.callbacks.phase_observer;
   if (job.barrier_coordinator) slot_job.barrier_handler = barrier_handler_for(ref);
-  slot_job.on_start = [this, ref, site] {
-    bus_.send(site, endpoint_,
-              net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
-              [this, ref](const net::Envelope&) { subjob_started(ref); });
+  // The slot's upcalls report to the broker endpoint (handle_job_status).
+  slot_job.on_start = [this, site,
+                       started = net::JobStatus{ref.job, net::StatusPhase::kStarted,
+                                                ref.sub, agent_id,
+                                                interactive_slot}] {
+    bus_.send(site, endpoint_, started, inline_send());
   };
-  slot_job.on_complete = [this, ref, agent_id, interactive_slot, site] {
-    bus_.send(site, endpoint_,
-              net::JobStatus{ref.job, net::StatusPhase::kCompleted},
-              inline_send(),
-              [this, ref, agent_id, interactive_slot](const net::Envelope&) {
-      if (AgentRecord* done = agents_.record(agent_id)) {
-        done->ran_any_job = true;
-        if (interactive_slot) {
-          std::erase(done->interactive_residents, ref);
-          // The last interactive job finished: the batch job's original
-          // priority (and application factor) are restored.
-          if (done->batch_resident && done->interactive_residents.empty()) {
-            fair_share_.set_application_factor(done->batch_resident->job,
-                                               application_factor_batch());
-          }
-        } else {
-          done->batch_resident.reset();
-        }
-      }
-      subjob_completed(ref);
-      maybe_dismiss_agent(agent_id);
-    });
+  slot_job.on_complete = [this, site,
+                          completed = net::JobStatus{
+                              ref.job, net::StatusPhase::kCompleted, ref.sub,
+                              agent_id, interactive_slot}] {
+    bus_.send(site, endpoint_, completed, inline_send());
   };
 
   Status status = Status::ok_status();
@@ -1021,75 +1063,63 @@ void CrossBroker::dispatch_subjob_exclusive(SubJobRef ref, SiteId site_id) {
   request.submitter_endpoint = job.record.submitter_endpoint;
   request.phase_observer = job.callbacks.phase_observer;
   if (job.barrier_coordinator) request.barrier_handler = barrier_handler_for(ref);
+  // The LRMS upcalls report to the broker endpoint (handle_job_status).
   const EndpointId site = site_endpoint(site_id);
-  request.on_start = [this, ref, site](NodeId) {
-    bus_.send(site, endpoint_,
-              net::JobStatus{ref.job, net::StatusPhase::kStarted}, inline_send(),
-              [this, ref](const net::Envelope&) { subjob_started(ref); });
+  request.on_start = [this, site,
+                      started = net::JobStatus{ref.job, net::StatusPhase::kStarted,
+                                               ref.sub}](NodeId) {
+    bus_.send(site, endpoint_, started, inline_send());
   };
-  request.on_complete = [this, ref, site] {
-    bus_.send(site, endpoint_,
-              net::JobStatus{ref.job, net::StatusPhase::kCompleted},
-              inline_send(),
-              [this, ref](const net::Envelope&) { subjob_completed(ref); });
+  request.on_complete = [this, site,
+                         completed = net::JobStatus{
+                             ref.job, net::StatusPhase::kCompleted, ref.sub}] {
+    bus_.send(site, endpoint_, completed, inline_send());
   };
 
   // A superseded attempt commits nothing, and its acks change nothing.
-  submit_two_phase(
-      site_id, std::move(request),
-      [this, ref, site_id](Status prepared) {
-        if (current_subjob(ref) == nullptr) return false;
-        if (!prepared.ok()) {
-          find_job(ref.job)->excluded_sites.push_back(site_id);
-          resubmit_job(ref.job);
-          return false;
-        }
-        return true;
-      },
-      [this, ref, site_id](Status accepted) {
-        if (current_subjob(ref) == nullptr) return;
-        ManagedJob& j = *find_job(ref.job);
-        if (!accepted.ok()) {
-          j.excluded_sites.push_back(site_id);
-          resubmit_job(ref.job);
-          return;
-        }
-        // On-line scheduling: an interactive job must start immediately; if
-        // it landed in the queue, cancel and resubmit elsewhere.
-        if (j.record.description.is_interactive() &&
-            j.record.subjobs.size() == 1) {
-          arm_queue_detection(ref, site_id);
-        }
-      });
+  request.on_prepared = [this, ref, site_id](Status prepared) {
+    if (current_subjob(ref) == nullptr) return false;
+    if (!prepared.ok()) {
+      find_job(ref.job)->excluded_sites.push_back(site_id);
+      resubmit_job(ref.job);
+      return false;
+    }
+    return true;
+  };
+  request.on_committed = [this, ref, site_id](Status accepted) {
+    if (current_subjob(ref) == nullptr) return;
+    ManagedJob& j = *find_job(ref.job);
+    if (!accepted.ok()) {
+      j.excluded_sites.push_back(site_id);
+      resubmit_job(ref.job);
+      return;
+    }
+    // On-line scheduling: an interactive job must start immediately; if
+    // it landed in the queue, cancel and resubmit elsewhere.
+    if (j.record.description.is_interactive() && j.record.subjobs.size() == 1) {
+      arm_queue_detection(ref, site_id);
+    }
+  };
+  submit_two_phase(site_id, std::move(request));
 }
 
-void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request,
-                                   std::function<bool(Status)> on_prepared,
-                                   std::function<void(Status)> on_committed) {
+void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request) {
   // Prepare detects error conditions (full site, auth failure) before any
-  // state is moved. Both legs ride the bus as SubmitJob messages. Sites are
-  // never removed from sites_, so the legs need no lookup.
-  lrms::Site* site = sites_.at(site_id);
+  // state is moved. The gatekeeper holds the one copy of the request; both
+  // legs ride the bus as SubmitJob messages naming its LRMS id.
+  lrms::Gatekeeper& gatekeeper = sites_.at(site_id)->gatekeeper();
+  const EndpointId site = gatekeeper.endpoint();
   const JobId lrms_id = request.id;
-  bus_.send(endpoint_, site->gatekeeper().endpoint(),
-            net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare}, inline_send(),
-            [this, site, lrms_id, request = std::move(request),
-             on_prepared = std::move(on_prepared),
-             on_committed = std::move(on_committed)](const net::Envelope&) {
-    site->gatekeeper().prepare(request, [this, site, lrms_id, request,
-                                         on_prepared, on_committed](
-                                            Status prepared) mutable {
-      if (!on_prepared(std::move(prepared))) return;
-      bus_.send(endpoint_, site->gatekeeper().endpoint(),
-                net::SubmitJob{lrms_id, net::SubmitPhase::kCommit},
-                inline_send(),
-                [site, request = std::move(request),
-                 on_committed = std::move(on_committed)](
-                    const net::Envelope&) mutable {
-        site->gatekeeper().commit(std::move(request), std::move(on_committed));
-      });
-    });
-  });
+  request.on_prepared = [this, site, lrms_id,
+                         accept = std::move(request.on_prepared)](Status prepared) {
+    if (!accept(std::move(prepared))) return false;
+    bus_.send(endpoint_, site, net::SubmitJob{lrms_id, net::SubmitPhase::kCommit},
+              inline_send());
+    return true;
+  };
+  gatekeeper.file(std::move(request));
+  bus_.send(endpoint_, site, net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare},
+            inline_send());
 }
 
 void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
@@ -1100,13 +1130,9 @@ void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
     find_job(ref.job)->queue_timer_armed = false;
     const SubJobRecord* sub = current_subjob(ref);
     if (sub == nullptr || sub->started) return;  // superseded, or it did start
-    const JobId lrms_id = sub->lrms_job_id;
     bus_.send(endpoint_, site_endpoint(site_id),
-              net::CancelJob{lrms_id, /*queued_only=*/true}, inline_send(),
-              [this, site_id, lrms_id](const net::Envelope&) {
-                sites_.at(site_id)->gatekeeper().cancel(lrms_id,
-                                                        /*queued_only=*/true);
-              });
+              net::CancelJob{sub->lrms_job_id, /*queued_only=*/true},
+              inline_send());
     log_info(kLog, ref.job, " was queued at site ", site_id.value(),
              "; resubmitting (on-line scheduling)");
     find_job(ref.job)->excluded_sites.push_back(site_id);
@@ -1199,22 +1225,20 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
   };
 
   // Either leg may refuse the carrier, which then never reaches the LRMS:
-  // the agent leaves the table before the refusal goes back to its job. The
-  // copy for the prepare leg is taken before the call, whose arguments may be
-  // evaluated in any order.
+  // the agent leaves the table before the refusal goes back to its job.
   auto refused = [this, agent_id,
                   on_carrier_failed = std::move(on_carrier_failed)] {
     agents_.remove(agent_id);
     on_carrier_failed();
   };
-  std::function<bool(Status)> on_prepared = [refused](Status prepared) {
+  request.on_prepared = [refused](Status prepared) {
     if (!prepared.ok()) refused();
     return prepared.ok();
   };
-  submit_two_phase(site_id, std::move(request), std::move(on_prepared),
-                   [refused = std::move(refused)](Status accepted) {
-                     if (!accepted.ok()) refused();
-                   });
+  request.on_committed = [refused = std::move(refused)](Status accepted) {
+    if (!accepted.ok()) refused();
+  };
+  submit_two_phase(site_id, std::move(request));
   return rec;
 }
 
@@ -1299,28 +1323,25 @@ void CrossBroker::on_grace_expired(AgentRecord& rec) {
     // Best-effort local kill: behind a real partition the command may never
     // arrive, but the broker stops accounting for the resident either way.
     const EndpointId site_dst = site_endpoint(site);
+    const SubJobRecord* victim = current_subjob(ref);
     if (interactive) {
       for (const auto& sub : job->record.subjobs) {
         if (sub.agent == agent_id) {
-          const JobId lrms_id = sub.lrms_job_id;
-          bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                    inline_send(),
-                    [this, agent_id, lrms_id](const net::Envelope&) {
-                      if (auto* a = agents_.find(agent_id)) {
-                        a->cancel_interactive_job(lrms_id);
-                      }
-                    });
+          bus_.send(endpoint_, site_dst,
+                    net::EvictNotice{job_id, agent_id, sub.lrms_job_id,
+                                     /*interactive_slot=*/true},
+                    inline_send());
         }
       }
     } else {
-      bus_.send(endpoint_, site_dst, net::EvictNotice{job_id, agent_id},
-                inline_send(), [this, agent_id](const net::Envelope&) {
-                  if (auto* a = agents_.find(agent_id)) {
-                    a->cancel_slot(glidein::SlotType::kBatch);
-                  }
-                });
+      bus_.send(endpoint_, site_dst,
+                net::EvictNotice{job_id, agent_id,
+                                 victim != nullptr ? victim->lrms_job_id
+                                                   : JobId::none(),
+                                 /*interactive_slot=*/false},
+                inline_send());
     }
-    if (current_subjob(ref) == nullptr) continue;
+    if (victim == nullptr) continue;
     // The strongest health evidence: a running resident lost to a
     // partition. The resulting score pushes the site past the exclusion
     // threshold so the resubmitted job's replacement agent avoids it.
@@ -1476,10 +1497,11 @@ void CrossBroker::complete_job(JobId id) {
     const std::size_t bytes = outputs.size() * kOutputFileBytes;
     net::SendOptions options;
     options.payload_bytes = bytes;
+    // Its arrival at the submitter's endpoint completes the job
+    // (handle_bus_message).
     bus_.send(site_endpoint(*job->record.site()),
               bus_.endpoint(job->record.submitter_endpoint),
-              net::StageSandbox{id, bytes, /*inbound=*/false}, options,
-              [this, id](const net::Envelope&) { complete_job(id); });
+              net::StageSandbox{id, bytes, /*inbound=*/false}, options);
     return;
   }
 

@@ -48,6 +48,7 @@ class RuntimeBarrierCoordinator;
 namespace cg::net {
 class ControlBus;
 struct Envelope;
+struct JobStatus;
 }  // namespace cg::net
 
 namespace cg::broker {
@@ -128,14 +129,18 @@ public:
   CrossBroker(const CrossBroker&) = delete;
   CrossBroker& operator=(const CrossBroker&) = delete;
 
-  /// Registers a site with the broker (and wires the glide-in bookkeeping).
+  /// Registers a site with the broker (and wires the glide-in bookkeeping,
+  /// the glide-in host of its endpoint included). The site must outlive the
+  /// broker.
   void add_site(lrms::Site& site);
 
   /// Submits a job. The workload is what the job does once running; the
   /// description is its JDL. Returns the broker-assigned job id, or a typed
   /// reason when the submission is refused up front (invalid user or
   /// description, failed GSI pre-flight). Failures later in the pipeline
-  /// surface through the callbacks and the record's last_error.
+  /// surface through the callbacks and the record's last_error. The broker
+  /// receives the job's OutputSandbox at `submitter_endpoint`, so that
+  /// endpoint must have no other receiver (binding it throws otherwise).
   [[nodiscard]] Expected<JobId, SubmitError> submit(jdl::JobDescription description,
                                                     UserId user,
                                                     lrms::Workload workload,
@@ -244,12 +249,11 @@ private:
   void dispatch_interactive_on_vms(JobId id);
   void dispatch_subjob_to_vm(SubJobRef ref, glidein::GlideinAgent& agent);
   void dispatch_subjob_exclusive(SubJobRef ref, SiteId site);
-  /// Two-phase-commit submission over the bus: a SubmitJob prepare leg,
-  /// then, when `on_prepared` returns true, a SubmitJob commit leg whose
-  /// result goes to `on_committed`.
-  void submit_two_phase(SiteId site, lrms::GridJobRequest request,
-                        std::function<bool(Status)> on_prepared,
-                        std::function<void(Status)> on_committed);
+  /// Two-phase-commit submission over the bus: files `request` with the
+  /// site's gatekeeper and sends the SubmitJob prepare leg. When the
+  /// request's on_prepared returns true, the commit leg follows; its result
+  /// goes to the request's on_committed.
+  void submit_two_phase(SiteId site, lrms::GridJobRequest request);
   void dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site,
                                       bool interactive_slot);
   void arm_queue_detection(SubJobRef ref, SiteId site);
@@ -289,10 +293,21 @@ private:
   void on_site_job_killed(SiteId site, JobId job, NodeId node);
 
   // -- control plane ---------------------------------------------------------
-  /// Dispatcher for messages arriving at the broker's bus endpoint
-  /// (AgentRegister announcements, LivenessEcho replies).
+  /// The receiver bound at the broker's endpoint and at every submitter's:
+  /// JobStatus, AgentRegister, LivenessEcho, and the outbound StageSandbox
+  /// that lets a job complete.
   void handle_bus_message(const net::Envelope& envelope);
+  /// Frees the agent slot a completed subjob held (only the resident the
+  /// message names), then records the lifecycle edge.
+  void handle_job_status(const net::JobStatus& status);
   void handle_agent_register(AgentId agent_id);
+  /// The glide-in host of every site: the agent-side messages addressed to
+  /// a site endpoint. DispatchJob starts a subjob on its reserved VM; the
+  /// other types go to the agent they name.
+  void handle_agent_message(const net::Envelope& envelope);
+  /// Binds a submitter's endpoint (once) to handle_bus_message: the
+  /// simulated UI has no component of its own.
+  void bind_submitter(EndpointId submitter);
 
   // -- supervision decisions -------------------------------------------------
   void on_suspected(AgentRecord& rec) override;
@@ -350,6 +365,8 @@ private:
   BrokerMetrics metrics_;
 
   std::map<SiteId, lrms::Site*> sites_;
+  /// Submitter endpoints this broker bound (besides its own).
+  std::vector<EndpointId> submitters_;
   std::map<JobId, std::unique_ptr<ManagedJob>> jobs_;
   std::deque<JobId> waiting_batch_;
   IdGenerator<JobId> job_ids_;

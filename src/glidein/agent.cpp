@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <variant>
 
 #include "net/control_bus.hpp"
 #include "util/log.hpp"
@@ -70,6 +71,24 @@ void GlideinAgent::connect_control_plane(net::ControlBus* bus,
   site_endpoint_ = site_endpoint;
   broker_endpoint_ = broker_endpoint;
   channel_latency_ = channel_latency;
+}
+
+void GlideinAgent::receive(const net::Message& msg) {
+  // The kill rule KillJob and EvictNotice share.
+  const auto kill_resident = [this](JobId id, bool interactive_slot) {
+    if (interactive_slot) {
+      cancel_interactive_job(id);
+    } else {
+      cancel_slot(SlotType::kBatch);
+    }
+  };
+  if (const auto* probe = std::get_if<net::LivenessProbe>(&msg)) {
+    deliver_liveness_probe(probe->seq);
+  } else if (const auto* kill_job = std::get_if<net::KillJob>(&msg)) {
+    kill_resident(kill_job->job, kill_job->interactive_slot);
+  } else if (const auto* evict = std::get_if<net::EvictNotice>(&msg)) {
+    kill_resident(evict->lrms_job_id, evict->interactive_slot);
+  }
 }
 
 void GlideinAgent::deliver_liveness_probe(std::uint64_t seq) {

@@ -13,6 +13,7 @@
 
 #include "glidein/vm_model.hpp"
 #include "lrms/task_runner.hpp"
+#include "net/message.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 #include "util/expected.hpp"
@@ -21,7 +22,7 @@
 
 namespace cg::net {
 class ControlBus;
-}
+}  // namespace cg::net
 
 namespace cg::glidein {
 
@@ -100,6 +101,12 @@ public:
 
   /// The gatekeeper endpoint of the agent's site, as connected.
   [[nodiscard]] EndpointId site_endpoint() const { return site_endpoint_; }
+
+  /// Serves a message addressed to this agent, as passed on by its site's
+  /// glide-in host: a LivenessProbe goes to deliver_liveness_probe, and a
+  /// KillJob or EvictNotice kills the interactive job it names, or
+  /// whatever runs on the batch slot. Other types are ignored.
+  void receive(const net::Message& msg);
 
   /// Delivery of a broker LivenessProbe message: the agent's event loop
   /// processes it and, when connected, sends the LivenessEcho back over the

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "net/control_bus.hpp"
 #include "util/log.hpp"
@@ -15,15 +16,45 @@ Gatekeeper::Gatekeeper(sim::Simulation& sim, net::ControlBus& bus,
       bus_{bus},
       endpoint_{bus.endpoint(endpoint)},
       scheduler_{scheduler},
-      config_{config} {}
+      config_{config} {
+  bus_.bind(endpoint_, [this](const net::Envelope& envelope) { handle(envelope); });
+}
 
-Status Gatekeeper::check_credentials(const GridJobRequest& request) const {
+Gatekeeper::~Gatekeeper() { bus_.unbind(endpoint_); }
+
+void Gatekeeper::handle(const net::Envelope& envelope) {
+  const net::Message& msg = envelope.payload;
+  if (const auto* submit = std::get_if<net::SubmitJob>(&msg)) {
+    const auto it = filed_.find(submit->job);
+    if (it == filed_.end()) return;
+    Filed& filed = it->second;
+    if (submit->phase == net::SubmitPhase::kPrepare &&
+        filed.phase == Phase::kFiled) {
+      filed.phase = Phase::kPreparing;
+      prepare(filed.request, [this, id = submit->job](Status status) {
+        prepared(id, std::move(status));
+      });
+    } else if (submit->phase == net::SubmitPhase::kCommit &&
+               filed.phase == Phase::kPrepared) {
+      stage(filed);
+    }
+  } else if (const auto* sandbox = std::get_if<net::StageSandbox>(&msg)) {
+    if (sandbox->inbound) submit_staged(sandbox->job);
+  } else if (const auto* cancel_job = std::get_if<net::CancelJob>(&msg)) {
+    cancel(cancel_job->job, cancel_job->queued_only);
+  } else if (glidein_host_) {
+    glidein_host_(envelope);
+  }
+}
+
+Status Gatekeeper::check_credentials(
+    const std::optional<gsi::CertificateChain>& proxy_chain) const {
   if (trust_anchor_ == nullptr) return Status::ok_status();
-  if (!request.proxy_chain) {
+  if (!proxy_chain) {
     return make_error("gatekeeper.auth", "no proxy credentials presented");
   }
   const Status chain_ok =
-      gsi::verify_chain(*request.proxy_chain, *trust_anchor_, sim_.now());
+      gsi::verify_chain(*proxy_chain, *trust_anchor_, sim_.now());
   if (!chain_ok.ok()) {
     return make_error("gatekeeper.auth",
                       "credential verification failed: " +
@@ -32,14 +63,32 @@ Status Gatekeeper::check_credentials(const GridJobRequest& request) const {
   return Status::ok_status();
 }
 
+void Gatekeeper::insert(GridJobRequest request, Phase phase) {
+  if (!request.on_committed) {
+    throw std::invalid_argument{"Gatekeeper: request without on_committed"};
+  }
+  const JobId id = request.id;
+  if (!filed_.try_emplace(id, Filed{std::move(request), phase}).second) {
+    throw std::logic_error{"Gatekeeper: request filed twice"};
+  }
+}
+
+void Gatekeeper::file(GridJobRequest request) {
+  if (!request.on_prepared) {
+    throw std::invalid_argument{"Gatekeeper::file: null on_prepared"};
+  }
+  insert(std::move(request), Phase::kFiled);
+}
+
 void Gatekeeper::prepare(const GridJobRequest& request, StatusCallback callback) {
   if (!callback) throw std::invalid_argument{"prepare: null callback"};
   const Duration cost = config_.gsi_auth_latency + config_.prepare_overhead;
   const bool can_accept = scheduler_.has_capacity_or_queue_space();
   // Mutual authentication happens during the auth latency; the verdict is
   // evaluated against the chain's validity when the handshake completes.
-  sim_.schedule(cost, [this, request, cb = std::move(callback), can_accept] {
-    const Status auth = check_credentials(request);
+  sim_.schedule(cost, [this, chain = request.proxy_chain,
+                       cb = std::move(callback), can_accept] {
+    const Status auth = check_credentials(chain);
     if (!auth.ok()) {
       cb(auth);
       return;
@@ -53,52 +102,67 @@ void Gatekeeper::prepare(const GridJobRequest& request, StatusCallback callback)
   });
 }
 
-void Gatekeeper::commit(GridJobRequest request, StatusCallback callback) {
-  // Auth was already paid in prepare; commit stages and submits.
-  stage_and_submit(std::move(request), std::move(callback));
+void Gatekeeper::prepared(JobId id, Status status) {
+  const auto it = filed_.find(id);
+  if (it == filed_.end()) return;
+  // Prepared before the verdict: a submitter that commits sends the commit
+  // leg, which may arrive inline, before on_prepared returns.
+  it->second.phase = Phase::kPrepared;
+  if (!it->second.request.on_prepared(std::move(status))) filed_.erase(id);
 }
 
 void Gatekeeper::submit_direct(GridJobRequest request, StatusCallback callback) {
-  const Duration auth = config_.gsi_auth_latency;
-  sim_.schedule(auth, [this, request = std::move(request),
-                       callback = std::move(callback)]() mutable {
-    const Status auth_ok = check_credentials(request);
-    if (!auth_ok.ok()) {
-      callback(auth_ok);
+  const JobId id = request.id;
+  request.on_committed = std::move(callback);
+  // Filed as preparing: no SubmitJob acts on it; the auth below stands in
+  // for the prepare.
+  insert(std::move(request), Phase::kPreparing);
+  sim_.schedule(config_.gsi_auth_latency, [this, id] {
+    Filed& filed = filed_.at(id);
+    const Status auth_ok = check_credentials(filed.request.proxy_chain);
+    if (auth_ok.ok()) {
+      stage(filed);
       return;
     }
-    stage_and_submit(std::move(request), std::move(callback));
+    const StatusCallback refused = std::move(filed.request.on_committed);
+    filed_.erase(id);
+    refused(auth_ok);
   });
 }
 
-void Gatekeeper::stage_and_submit(GridJobRequest request, StatusCallback callback) {
-  if (!callback) throw std::invalid_argument{"commit: null callback"};
+void Gatekeeper::stage(Filed& filed) {
+  filed.phase = Phase::kStaging;
   // The sandbox transfer rides the submitter's link; the jobmanager
   // processing is paid on arrival. Both travel as one StageSandbox message.
+  const GridJobRequest& request = filed.request;
   net::SendOptions options;
   options.processing_latency = config_.jobmanager_latency;
   options.payload_bytes = request.stage_bytes;
   const EndpointId submitter = bus_.endpoint(request.submitter_endpoint);
   const net::StageSandbox msg{request.id, request.stage_bytes, /*inbound=*/true};
-  bus_.send(submitter, endpoint_, msg, options,
-            [this, request = std::move(request),
-             callback = std::move(callback)](const net::Envelope&) mutable {
-              LocalJob job;
-              job.id = request.id;
-              job.owner = request.owner;
-              job.workload = std::move(request.workload);
-              job.on_start = std::move(request.on_start);
-              job.on_complete = std::move(request.on_complete);
-              job.phase_observer = std::move(request.phase_observer);
-              job.dilation = std::move(request.dilation);
-              job.barrier_handler = std::move(request.barrier_handler);
-              if (scheduler_.submit(std::move(job))) {
-                callback(Status::ok_status());
-              } else {
-                callback(make_error("gatekeeper.rejected",
-                                    "LRMS queue rejected the job"));
-              }
-            });
+  bus_.send(submitter, endpoint_, msg, options);
+}
+
+void Gatekeeper::submit_staged(JobId id) {
+  const auto it = filed_.find(id);
+  if (it == filed_.end() || it->second.phase != Phase::kStaging) return;
+  GridJobRequest request = std::move(it->second.request);
+  filed_.erase(it);
+  LocalJob job;
+  job.id = request.id;
+  job.owner = request.owner;
+  job.workload = std::move(request.workload);
+  job.on_start = std::move(request.on_start);
+  job.on_complete = std::move(request.on_complete);
+  job.phase_observer = std::move(request.phase_observer);
+  job.dilation = std::move(request.dilation);
+  job.barrier_handler = std::move(request.barrier_handler);
+  if (scheduler_.submit(std::move(job))) {
+    request.on_committed(Status::ok_status());
+  } else {
+    request.on_committed(
+        make_error("gatekeeper.rejected", "LRMS queue rejected the job"));
+  }
 }
 
 bool Gatekeeper::cancel(JobId id, bool queued_only) {

@@ -3,12 +3,18 @@
 // submitter's link before the job even reaches the local queue — the layers
 // whose cost Table I exposes and whose bypass (direct broker-to-agent
 // submission) makes shared-mode startup more than twice as fast.
+//
+// The gatekeeper is the one receiver bound at its site's endpoint. It serves
+// SubmitJob, the inbound StageSandbox and CancelJob itself, and passes the
+// agent-side messages to the site's glide-in host. A submitter files a
+// request once under its LRMS id, the way a GRAM jobmanager holds a job
+// under its contact; the SubmitJob and StageSandbox messages name that id.
 #pragma once
 
 #include <functional>
-#include <string>
-
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "gsi/credential.hpp"
 #include "lrms/local_scheduler.hpp"
@@ -17,7 +23,8 @@
 
 namespace cg::net {
 class ControlBus;
-}
+struct Envelope;
+}  // namespace cg::net
 
 namespace cg::lrms {
 
@@ -49,29 +56,48 @@ struct GridJobRequest {
   TaskRunner::PhaseObserver phase_observer;
   TaskRunner::DilationFn dilation;
   TaskRunner::BarrierFn barrier_handler;
+  /// The two-phase-commit results of a filed request. on_prepared returns
+  /// whether the submitter goes on to commit; on_committed reports queue
+  /// acceptance (not job start).
+  std::function<bool(Status)> on_prepared;
+  std::function<void(Status)> on_committed;
 };
 
 class Gatekeeper {
 public:
   using StatusCallback = std::function<void(Status)>;
+  /// Receives the agent-side messages addressed to the site endpoint.
+  using GlideinHost = std::function<void(const net::Envelope&)>;
 
+  /// Binds the endpoint named `endpoint` on `bus`; the bus must outlive the
+  /// gatekeeper.
   Gatekeeper(sim::Simulation& sim, net::ControlBus& bus, const std::string& endpoint,
              LocalScheduler& scheduler, GatekeeperConfig config = {});
+  ~Gatekeeper();
+  Gatekeeper(const Gatekeeper&) = delete;
+  Gatekeeper& operator=(const Gatekeeper&) = delete;
 
   /// Enables GSI verification: every prepare/submit must present a proxy
   /// chain valid against this trust anchor at arrival time.
   void set_trust_anchor(const gsi::Certificate* anchor) { trust_anchor_ = anchor; }
+
+  /// Files a request under its LRMS id for the two-phase commit; both of
+  /// its status callbacks must be set. A SubmitJob prepare naming the id
+  /// runs prepare() and reports through on_prepared; once the submitter
+  /// commits, a SubmitJob commit stages the input sandbox, and the inbound
+  /// StageSandbox hands the job to the LRMS and reports through
+  /// on_committed. Each phase acts once: a copy that finds the request past
+  /// its phase, or gone, is ignored. Throws when the id is already filed.
+  void file(GridJobRequest request);
 
   /// Two-phase commit, phase 1: authenticate and check the site can take the
   /// job (free node or queue space). Reserves nothing; the check guards
   /// against submitting into a full site.
   void prepare(const GridJobRequest& request, StatusCallback callback);
 
-  /// Two-phase commit, phase 2: stage the input sandbox and hand the job to
-  /// the LRMS. The callback reports queue acceptance (not job start).
-  void commit(GridJobRequest request, StatusCallback callback);
-
-  /// One-shot submission without the 2PC prepare (the Glogin-style path).
+  /// One-shot submission without the 2PC prepare (the Glogin-style path):
+  /// authenticate, then stage like a commit. The callback reports queue
+  /// acceptance.
   void submit_direct(GridJobRequest request, StatusCallback callback);
 
   /// Serves a CancelJob message: removes the job from the local queue, or —
@@ -79,14 +105,37 @@ public:
   /// job was found in either state.
   bool cancel(JobId id, bool queued_only);
 
+  /// Hook installed by the broker, which keeps the site's glide-in agents:
+  /// receives every other message addressed to the site endpoint
+  /// (DispatchJob, KillJob, EvictNotice, LivenessProbe). nullptr
+  /// uninstalls it.
+  void set_glidein_host(GlideinHost host) { glidein_host_ = std::move(host); }
+
   /// The site's bus endpoint, interned from the name given at construction.
   [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
   [[nodiscard]] const GatekeeperConfig& config() const { return config_; }
   [[nodiscard]] LocalScheduler& scheduler() { return scheduler_; }
 
 private:
-  void stage_and_submit(GridJobRequest request, StatusCallback callback);
-  [[nodiscard]] Status check_credentials(const GridJobRequest& request) const;
+  /// How far a filed request has come. Each message acts only on the phase
+  /// it advances.
+  enum class Phase { kFiled, kPreparing, kPrepared, kStaging };
+  struct Filed {
+    GridJobRequest request;
+    Phase phase = Phase::kFiled;
+  };
+
+  void handle(const net::Envelope& envelope);
+  void insert(GridJobRequest request, Phase phase);
+  /// The prepare of filed request `id` finished with `status`.
+  void prepared(JobId id, Status status);
+  /// Sends the inbound StageSandbox of a filed request.
+  void stage(Filed& filed);
+  /// The input sandbox of filed request `id` arrived: the job goes to the
+  /// LRMS.
+  void submit_staged(JobId id);
+  [[nodiscard]] Status check_credentials(
+      const std::optional<gsi::CertificateChain>& proxy_chain) const;
 
   const gsi::Certificate* trust_anchor_ = nullptr;
   sim::Simulation& sim_;
@@ -94,6 +143,8 @@ private:
   EndpointId endpoint_;
   LocalScheduler& scheduler_;
   GatekeeperConfig config_;
+  std::unordered_map<JobId, Filed> filed_;
+  GlideinHost glidein_host_;
 };
 
 }  // namespace cg::lrms

@@ -37,7 +37,8 @@ public:
 
   [[nodiscard]] SiteId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
-  /// Network endpoint of the gatekeeper ("site:<name>").
+  /// Network endpoint of the gatekeeper ("site:<name>"). The site's glide-in
+  /// agents send and receive under it too.
   [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
   [[nodiscard]] const SiteConfig& config() const { return config_; }
 

@@ -38,7 +38,12 @@ const std::string& ControlBus::name(EndpointId id) const {
 }
 
 void ControlBus::bind(EndpointId endpoint, DeliverFn handler) {
-  handlers_[table_index(endpoint)] = std::move(handler);
+  DeliverFn& bound = handlers_[table_index(endpoint)];
+  if (bound) {
+    throw std::logic_error{"ControlBus: endpoint " + name(endpoint) +
+                           " already has a receiver"};
+  }
+  bound = std::move(handler);
 }
 
 void ControlBus::unbind(EndpointId endpoint) {
@@ -142,12 +147,13 @@ std::uint64_t ControlBus::last_seq(EndpointId src, EndpointId dst) const {
 }
 
 bool ControlBus::send(EndpointId src, EndpointId dst, Message msg,
-                      const SendOptions& options, DeliverFn on_delivered) {
+                      const SendOptions& options) {
   const MsgType type = type_of(msg);
   const auto index = msg.index();
   sent_[index].inc();
 
-  Envelope envelope{++pair(src, dst).seq, src, dst, sim_.now(), std::move(msg)};
+  const Envelope envelope{++pair(src, dst).seq, src, dst, sim_.now(),
+                          std::move(msg)};
 
   if (options.drop_when_down && !link(src, dst).is_up(sim_.now())) {
     count_drop(envelope, "partition");
@@ -174,7 +180,7 @@ bool ControlBus::send(EndpointId src, EndpointId dst, Message msg,
       !duplicate) {
     delivered_[index].inc();
     latency_[index].observe(0.0);
-    deliver_envelope(envelope, on_delivered);
+    deliver_envelope(envelope);
     return true;
   }
 
@@ -189,22 +195,21 @@ bool ControlBus::send(EndpointId src, EndpointId dst, Message msg,
                               {"dst", name(dst)},
                           });
     }
-    schedule_delivery(envelope, on_delivered, delay);  // the copy
+    schedule_delivery(envelope, delay);  // the copy
   }
-  schedule_delivery(std::move(envelope), std::move(on_delivered), delay);
+  schedule_delivery(envelope, delay);
   return true;
 }
 
-void ControlBus::schedule_delivery(Envelope envelope, DeliverFn on_delivered,
-                                   Duration delay) {
+void ControlBus::schedule_delivery(const Envelope& envelope, Duration delay) {
   std::uint32_t slot = 0;
   if (free_pending_.empty()) {
     slot = static_cast<std::uint32_t>(pending_.size());
-    pending_.push_back(Pending{std::move(envelope), std::move(on_delivered)});
+    pending_.push_back(envelope);
   } else {
     slot = free_pending_.back();
     free_pending_.pop_back();
-    pending_[slot] = Pending{std::move(envelope), std::move(on_delivered)};
+    pending_[slot] = envelope;
   }
   ++in_flight_;
   sim_.schedule(delay, [this, slot] { deliver(slot); });
@@ -213,24 +218,18 @@ void ControlBus::schedule_delivery(Envelope envelope, DeliverFn on_delivered,
 void ControlBus::deliver(std::uint32_t slot) {
   // Out of the slab before the handler runs: handlers send more messages,
   // which may reuse the slot or grow the slab.
-  Pending pending = std::move(pending_[slot]);
-  pending_[slot].on_delivered = nullptr;
+  const Envelope envelope = pending_[slot];
   free_pending_.push_back(slot);
   --in_flight_;
-  const auto index = pending.envelope.payload.index();
+  const auto index = envelope.payload.index();
   delivered_[index].inc();
-  latency_[index].observe_duration(sim_.now() - pending.envelope.send_time);
-  deliver_envelope(pending.envelope, pending.on_delivered);
+  latency_[index].observe_duration(sim_.now() - envelope.send_time);
+  deliver_envelope(envelope);
 }
 
-void ControlBus::deliver_envelope(const Envelope& envelope,
-                                  const DeliverFn& handler) {
-  if (handler) {
-    handler(envelope);
-    return;
-  }
-  const DeliverFn& bound = handlers_[envelope.dst.value()];
-  if (bound) bound(envelope);
+void ControlBus::deliver_envelope(const Envelope& envelope) {
+  const DeliverFn& handler = handlers_[envelope.dst.value()];
+  if (handler) handler(envelope);
 }
 
 bool ControlBus::probe(EndpointId src, EndpointId dst, const Message& msg) {

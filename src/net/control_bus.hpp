@@ -10,12 +10,15 @@
 // with per-message-type metrics (net.msg.sent / delivered / dropped /
 // duplicated counters, net.msg.latency_s histogram) and JobTracer hooks.
 //
+// Every delivery goes to the one handler its destination endpoint binds: a
+// message's effect is written once, in its receiver, never in the sender.
+//
 // Endpoints are interned once to dense EndpointIds (endpoint(name), read back
 // with name(id)); every send, probe and binding takes ids, so the per-message
 // path indexes tables instead of comparing strings. Per-directed-pair
 // sequence numbers and cached links, bound handlers, and in-flight
-// deliveries (a slab with a free list) all live in id- or slot-indexed
-// vectors. Traces still print endpoint names.
+// envelopes (a slab with a free list) all live in id- or slot-indexed
+// tables. Traces still print endpoint names.
 //
 // Determinism contract: the bus schedules exactly one simulation event per
 // (non-inline) delivery and consumes link RNG only for sends that carry
@@ -103,20 +106,18 @@ public:
   /// The name `id` was interned from.
   [[nodiscard]] const std::string& name(EndpointId id) const;
 
-  /// Installs (or replaces) the delivery handler for messages addressed to
-  /// `endpoint` that were sent without a continuation. The broker binds its
-  /// endpoint for agent-originated traffic (AgentRegister, LivenessEcho).
+  /// Installs the one receiver of the messages addressed to `endpoint`.
+  /// Throws std::logic_error when the endpoint already has one: unbind it
+  /// first, so a second receiver never silently replaces the first.
   void bind(EndpointId endpoint, DeliverFn handler);
   void unbind(EndpointId endpoint);
 
   /// Sends a message. Returns false when the message was dropped at send
-  /// time (partition with drop_when_down, or an active kMsgDrop fault);
-  /// a dropped message's continuation never runs. `on_delivered`, when
-  /// given, receives the envelope instead of the destination's bound
-  /// handler — the caller-holds-the-continuation style the broker uses. A
-  /// duplicated message runs its own copy of the continuation.
+  /// time (partition with drop_when_down, or an active kMsgDrop fault).
+  /// Each delivered copy (a kMsgDup fault delivers two) runs the handler
+  /// bound at `dst`; a message to an unbound endpoint runs nothing.
   bool send(EndpointId src, EndpointId dst, Message msg,
-            const SendOptions& options = {}, DeliverFn on_delivered = {});
+            const SendOptions& options = {});
 
   /// Synchronous reachability probe: would a message of this type survive
   /// the partition schedule and active drop faults right now? Counts into
@@ -147,10 +148,6 @@ private:
     /// Network::add_link has run since (`link_version`).
     sim::Link* link = nullptr;
     std::uint64_t link_version = 0;
-  };
-  struct Pending {
-    Envelope envelope;
-    DeliverFn on_delivered;  ///< empty: deliver to the bound handler
   };
   struct ActiveFault {
     sim::FaultKind kind = sim::FaultKind::kMsgDrop;
@@ -183,9 +180,8 @@ private:
 
   void count_drop(const Envelope& envelope, const char* reason);
   void deliver(std::uint32_t slot);
-  void deliver_envelope(const Envelope& envelope, const DeliverFn& handler);
-  void schedule_delivery(Envelope envelope, DeliverFn on_delivered,
-                         Duration delay);
+  void deliver_envelope(const Envelope& envelope);
+  void schedule_delivery(const Envelope& envelope, Duration delay);
 
   sim::Simulation& sim_;
   sim::Network& network_;
@@ -197,12 +193,13 @@ private:
   std::unordered_map<std::string, EndpointId> ids_;
   /// pairs_[src][dst], indexed by id value; rows grow on demand.
   std::vector<std::vector<PairState>> pairs_;
-  /// Bound handlers, indexed by id value.
-  std::vector<DeliverFn> handlers_;
-  /// In-flight deliveries: a slab whose slots a free list recycles, so a
+  /// Bound handlers, indexed by id value. A deque, so a running handler
+  /// survives an endpoint interned while it runs.
+  std::deque<DeliverFn> handlers_;
+  /// In-flight envelopes: a slab whose slots a free list recycles, so a
   /// scheduled event captures only [this, slot] and fits the simulation's
   /// inline-callback budget.
-  std::vector<Pending> pending_;
+  std::vector<Envelope> pending_;
   std::vector<std::uint32_t> free_pending_;
   std::size_t in_flight_ = 0;
   std::vector<ActiveFault> faults_;

@@ -22,4 +22,16 @@ JobId job_of(const Message& msg) {
       msg);
 }
 
+AgentId agent_of(const Message& msg) {
+  return std::visit(
+      [](const auto& m) -> AgentId {
+        if constexpr (requires { m.agent; }) {
+          return m.agent;
+        } else {
+          return AgentId::none();
+        }
+      },
+      msg);
+}
+
 }  // namespace cg::net

@@ -7,6 +7,8 @@
 // The catalog is deliberately closed (a std::variant, not an interface):
 // adding a message type is an explicit, reviewable act, and the per-type
 // observability handles and fault filters index by the variant alternative.
+// A payload names everything its receiver needs: what a message does is
+// written once, in the handler bound at its destination endpoint.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +28,23 @@ enum class SubmitPhase { kPrepare, kCommit };
 enum class StatusPhase { kStarted, kCompleted };
 
 /// Broker -> gatekeeper: one phase of the two-phase-commit submission of a
-/// grid job (or a glide-in carrier). `job` is the LRMS-visible job id.
+/// grid job (or a glide-in carrier). `job` is the LRMS-visible job id, under
+/// which the request was filed with the gatekeeper.
 struct SubmitJob {
   JobId job;
   SubmitPhase phase = SubmitPhase::kPrepare;
 };
 
-/// Broker -> agent: start a subjob on a glide-in VM. Rides the direct
-/// broker <-> agent channel plus the executable staging transfer.
+/// Broker -> agent: start a subjob on a glide-in VM's interactive slot.
+/// Rides the direct broker <-> agent channel plus the executable staging
+/// transfer. `job` is the subjob's LRMS-visible id; `broker_job` and `sub`
+/// name the broker's job and the attempt's subjob.
 struct DispatchJob {
   JobId job;
   int rank = 0;
+  JobId broker_job{};
+  SubJobId sub{};
+  AgentId agent{};
 };
 
 /// Broker -> gatekeeper: remove a job from the local queue (queued_only) or
@@ -46,15 +54,24 @@ struct CancelJob {
   bool queued_only = false;
 };
 
-/// Broker -> agent: kill a resident job on a VM (user cancellation).
+/// Broker -> agent: kill a resident job on a VM (user cancellation). `job`
+/// is its LRMS-visible id. An interactive slot kills that job; the batch
+/// slot kills whatever runs there.
 struct KillJob {
   JobId job;
+  AgentId agent{};
+  bool interactive_slot = false;
 };
 
-/// Site/agent -> broker: a subjob crossed a lifecycle edge.
+/// Site/agent -> broker: a subjob crossed a lifecycle edge. `job` is the
+/// broker's job, `sub` the attempt's subjob; `agent` and `interactive_slot`
+/// name the VM it ran on (agent none() for a direct placement).
 struct JobStatus {
   JobId job;
   StatusPhase phase = StatusPhase::kStarted;
+  SubJobId sub{};
+  AgentId agent{};
+  bool interactive_slot = false;
 };
 
 /// Agent -> broker: the glide-in bootstrapped and its VMs exist.
@@ -81,10 +98,14 @@ struct LivenessEcho {
 };
 
 /// Broker -> agent: a running resident timed out behind a suspected agent
-/// and is being evicted (best-effort kill on the agent side).
+/// and is being evicted (best-effort kill on the agent side). `job` is the
+/// broker's job; the kill follows KillJob's rule for `lrms_job_id` and the
+/// slot.
 struct EvictNotice {
   JobId job;
   AgentId agent;
+  JobId lrms_job_id{};
+  bool interactive_slot = false;
 };
 
 /// Bulk sandbox transfer riding a link's bandwidth: input staging toward a
@@ -152,5 +173,9 @@ inline constexpr std::size_t kMessageTypeCount =
 /// The job a message concerns, for trace attribution (JobId::none() for
 /// agent-level messages).
 [[nodiscard]] JobId job_of(const Message& msg);
+
+/// The glide-in agent a message names (AgentId::none() when it names none):
+/// how a site's glide-in host finds the receiver of an agent-side message.
+[[nodiscard]] AgentId agent_of(const Message& msg);
 
 }  // namespace cg::net

@@ -58,8 +58,10 @@ private:
 };
 
 /// The supervisor's surroundings: the broker endpoint dispatches
-/// AgentRegister and LivenessEcho to it the way CrossBroker does, and every
-/// agent runs at one site behind one broker <-> site link.
+/// AgentRegister and LivenessEcho to it the way CrossBroker does, the site
+/// endpoint passes each LivenessProbe to the agent it names the way a site's
+/// glide-in host does, and every agent runs at one site behind one
+/// broker <-> site link.
 class Harness {
 public:
   explicit Harness(Duration grace = Duration::zero())
@@ -71,6 +73,14 @@ public:
       } else if (const auto* echo =
                      std::get_if<net::LivenessEcho>(&envelope.payload)) {
         supervisor.on_echo(echo->agent, echo->seq);
+      }
+    });
+    bus.bind(site, [this](const net::Envelope& envelope) {
+      if (const auto* probe =
+              std::get_if<net::LivenessProbe>(&envelope.payload)) {
+        if (glidein::GlideinAgent* agent = agents.find(probe->agent)) {
+          agent->receive(envelope.payload);
+        }
       }
     });
     supervisor.set_observability(&obs);

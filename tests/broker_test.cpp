@@ -508,6 +508,59 @@ TEST_F(BrokerFixture, CancelRunningExclusiveKillsAtSite) {
   EXPECT_EQ(free_total, 6);
 }
 
+TEST_F(BrokerFixture, CancelKillsEveryRankResidentOnOneAgent) {
+  // Both ranks of a shared MPICH-P4 job land on the two interactive VMs of
+  // the agent a long batch job carries. Cancelling the job kills each rank
+  // by its own LRMS id over a KillJob; no rank is mistaken for a direct
+  // placement and sent to the gatekeeper as a CancelJob.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  config.broker.glidein.interactive_slots = 2;
+  GridScenario grid{config};
+  obs::Observability obs;
+  CrossBroker& broker = grid.broker();
+  broker.set_observability(&obs);
+  Outcome batch;
+  (void)broker.submit(parse_job("Executable = \"bg\";"), UserId{1},
+                      lrms::Workload::cpu(3000_s), GridScenario::ui_endpoint(),
+                      watch(batch));
+  grid.sim().run_until(SimTime::from_seconds(120));
+  ASSERT_TRUE(batch.running);
+
+  Outcome inter;
+  const JobId id =
+      broker
+          .submit(parse_job("Executable = \"mpi\"; JobType = {\"interactive\", "
+                            "\"mpich-p4\"}; NodeNumber = 2; "
+                            "MachineAccess = \"shared\";"),
+                  UserId{2}, lrms::Workload::cpu(600_s),
+                  GridScenario::ui_endpoint(), watch(inter))
+          .value();
+  grid.sim().run_until(SimTime::from_seconds(240));
+  ASSERT_TRUE(inter.running) << inter.error_code;
+  const JobRecord* record = broker.record(id);
+  ASSERT_EQ(record->subjobs.size(), 2u);
+  ASSERT_EQ(record->subjobs[0].agent, record->subjobs[1].agent);
+  const AgentId agent_id = *record->subjobs[0].agent;
+  ASSERT_EQ(broker.agents().find(agent_id)->interactive_job_ids().size(), 2u);
+
+  const auto sent = [&](const char* type) {
+    return obs.metrics.counter("net.msg.sent", {{"type", type}}).value();
+  };
+  const std::uint64_t kills_before = sent("KillJob");
+  EXPECT_TRUE(broker.cancel(id));
+  EXPECT_EQ(sent("KillJob") - kills_before, 2u);
+  EXPECT_EQ(sent("CancelJob"), 0u);
+  EXPECT_TRUE(broker.agents().record(agent_id)->interactive_residents.empty());
+
+  // Well before the ranks' 600 s of work would end, the VMs are empty.
+  grid.sim().run_until(SimTime::from_seconds(650));
+  EXPECT_TRUE(broker.agents().find(agent_id)->interactive_job_ids().empty());
+  EXPECT_FALSE(inter.completed);
+  broker.set_observability(nullptr);
+}
+
 TEST_F(BrokerFixture, CancelUnknownJobReturnsFalse) {
   GridScenario grid{default_config()};
   EXPECT_FALSE(grid.broker().cancel(JobId{12345}));

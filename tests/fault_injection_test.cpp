@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <charconv>
 #include <chrono>
 #include <cstdint>
@@ -260,6 +261,98 @@ TEST(FaultInjectionTest, AgentCrashDecisionsAgreeAcrossMatchmakerPaths) {
   const AgentCrashRun run = run_agent_crash_scenario();
   EXPECT_EQ(fnv1a64(run.decisions), 0x2b5a773fa92c81f6ULL)
       << "0x" << std::hex << fnv1a64(run.decisions);
+}
+
+struct DuplicateProbeRun {
+  int completed = 0;
+  std::vector<std::string> failures;  ///< error codes, in submission order
+  std::uint64_t dispatches = 0;       ///< jobs the LRMSes started
+};
+
+/// The control-plane probe: 3 sites x 2 nodes with one agent preloaded on
+/// site 0, and six 60 s CPU jobs (2 batch, 2 shared interactive, 2 exclusive
+/// interactive) submitted 7 s apart from t = 5 s. `duplicated` names one
+/// message type duplicated on every endpoint pair during the first 200 s
+/// (empty: fault-free). Runs to t = 20,000 s.
+DuplicateProbeRun run_duplicate_probe(const std::string& duplicated) {
+  broker::GridScenarioConfig config;
+  config.sites = 3;
+  config.nodes_per_site = 2;
+  obs::Observability obs;  // outlives the grid, whose LRMSes count into it
+  broker::GridScenario grid{config};
+  grid.broker().set_observability(&obs);
+  for (std::size_t i = 0; i < grid.site_count(); ++i) {
+    grid.site(i).scheduler().set_metrics(
+        &obs.metrics, obs::LabelSet{{"site", std::to_string(i)}});
+  }
+  sim::FaultInjector injector{grid.sim(), &grid.network()};
+  injector.register_message_sink(&grid.bus());
+  if (!duplicated.empty()) {
+    sim::FaultPlan plan;
+    plan.duplicate_messages(duplicated, "", "", SimTime::zero(), 200_s);
+    injector.arm(plan);
+  }
+  grid.broker().preload_agent(grid.site(0).id());
+
+  const std::array<const char*, 6> jobs{
+      "Executable = \"sim\";",
+      "Executable = \"sim\";",
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\";",
+      "Executable = \"viz\"; JobType = \"interactive\"; "
+      "MachineAccess = \"shared\";",
+      "Executable = \"shell\"; JobType = \"interactive\"; "
+      "MachineAccess = \"exclusive\";",
+      "Executable = \"shell\"; JobType = \"interactive\"; "
+      "MachineAccess = \"exclusive\";",
+  };
+  std::array<Outcome, 6> outcomes;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    grid.sim().schedule_at(
+        SimTime::from_seconds(5.0 + 7.0 * static_cast<double>(i)), [&, i] {
+          (void)grid.broker().submit(parse_job(jobs[i]),
+                                     UserId{static_cast<std::uint64_t>(i + 1)},
+                                     lrms::Workload::cpu(60_s),
+                                     broker::GridScenario::ui_endpoint(),
+                                     watch(outcomes[i]));
+        });
+  }
+  grid.sim().run_until(SimTime::from_seconds(20'000));
+
+  DuplicateProbeRun run;
+  for (const Outcome& outcome : outcomes) {
+    if (outcome.completed) ++run.completed;
+    if (outcome.failed) run.failures.push_back(outcome.error_code);
+  }
+  run.dispatches = obs.metrics.counter_total("lrms.dispatches");
+  return run;
+}
+
+TEST(FaultInjectionTest, DuplicateProbeBaselineDispatchesEachJobOnce) {
+  const DuplicateProbeRun run = run_duplicate_probe("");
+  EXPECT_EQ(run.completed, 6);
+  EXPECT_TRUE(run.failures.empty());
+  // Three agent carriers (the preloaded one and one per batch job) plus the
+  // two exclusive jobs; the shared jobs start on glide-in VMs.
+  EXPECT_EQ(run.dispatches, 5u);
+}
+
+TEST(FaultInjectionTest, DuplicatedSubmitJobSubmitsEachRequestOnce) {
+  // Each SubmitJob leg arrives twice; the gatekeeper prepares and commits a
+  // filed request once, so no carrier or job reaches an LRMS twice.
+  const DuplicateProbeRun run = run_duplicate_probe("SubmitJob");
+  EXPECT_EQ(run.completed, 6);
+  EXPECT_TRUE(run.failures.empty());
+  EXPECT_EQ(run.dispatches, 5u);
+}
+
+TEST(FaultInjectionTest, DuplicatedStageSandboxSubmitsEachRequestOnce) {
+  // Each inbound sandbox arrives twice; the second copy finds the request
+  // already handed to the LRMS. The outbound copies find the job complete.
+  const DuplicateProbeRun run = run_duplicate_probe("StageSandbox");
+  EXPECT_EQ(run.completed, 6);
+  EXPECT_TRUE(run.failures.empty());
+  EXPECT_EQ(run.dispatches, 5u);
 }
 
 TEST(FaultInjectionTest, NodeCrashDuringExclusiveInteractiveRecovers) {

@@ -564,6 +564,83 @@ TEST_F(GatekeeperFixture, PrepareDetectsFullSite) {
   EXPECT_TRUE(second_rejected);
 }
 
+TEST_F(GatekeeperFixture, FiledRequestActsOncePerPhase) {
+  // Every leg of the exchange arrives twice; each phase of the filed
+  // request still runs once, and the LRMS receives the job once.
+  const EndpointId ui = bus.endpoint("ui");
+  const EndpointId site = gatekeeper.endpoint();
+  int prepared = 0;
+  int committed = 0;
+  int started = 0;
+  GridJobRequest request = make_request(1);
+  request.on_start = [&](NodeId) { ++started; };
+  request.on_prepared = [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    ++prepared;
+    for (int copy = 0; copy < 2; ++copy) {
+      bus.send(ui, site, net::SubmitJob{JobId{1}, net::SubmitPhase::kCommit});
+    }
+    return true;
+  };
+  request.on_committed = [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    ++committed;
+  };
+  gatekeeper.file(std::move(request));
+  // One request per id, and a filed request reports both phases.
+  GridJobRequest twin = make_request(1);
+  twin.on_prepared = [](Status) { return false; };
+  twin.on_committed = [](Status) {};
+  EXPECT_THROW(gatekeeper.file(std::move(twin)), std::logic_error);
+  EXPECT_THROW(gatekeeper.file(make_request(2)), std::invalid_argument);
+  for (int copy = 0; copy < 2; ++copy) {
+    bus.send(ui, site, net::SubmitJob{JobId{1}, net::SubmitPhase::kPrepare});
+  }
+  sim.run();
+  // A late copy of the input sandbox finds the job handed over already.
+  bus.send(ui, site, net::StageSandbox{JobId{1}, 0, /*inbound=*/true});
+  sim.run();
+  EXPECT_EQ(prepared, 1);
+  EXPECT_EQ(committed, 1);
+  EXPECT_EQ(started, 1);
+  EXPECT_EQ(scheduler.running_jobs(), 0);
+}
+
+TEST_F(GatekeeperFixture, RefusedPrepareDropsTheFiledRequest) {
+  const EndpointId site = gatekeeper.endpoint();
+  GridJobRequest request = make_request(1);
+  request.on_prepared = [](Status) { return false; };
+  request.on_committed = [](Status) { FAIL() << "never committed"; };
+  gatekeeper.file(std::move(request));
+  bus.send(bus.endpoint("broker"), site,
+           net::SubmitJob{JobId{1}, net::SubmitPhase::kPrepare});
+  sim.run();
+  // Gone: a commit naming it acts on nothing, and the id may be filed again.
+  bus.send(bus.endpoint("broker"), site,
+           net::SubmitJob{JobId{1}, net::SubmitPhase::kCommit});
+  sim.run();
+  GridJobRequest again = make_request(1);
+  again.on_prepared = [](Status) { return false; };
+  again.on_committed = [](Status) {};
+  EXPECT_NO_THROW(gatekeeper.file(std::move(again)));
+}
+
+TEST_F(GatekeeperFixture, AgentSideMessagesGoToTheGlideinHost) {
+  std::vector<net::MsgType> hosted;
+  gatekeeper.set_glidein_host([&](const net::Envelope& envelope) {
+    hosted.push_back(net::type_of(envelope.payload));
+  });
+  const EndpointId broker = bus.endpoint("broker");
+  const EndpointId site = gatekeeper.endpoint();
+  bus.send(broker, site, net::LivenessProbe{AgentId{1}, 1});
+  bus.send(broker, site, net::KillJob{JobId{3}, AgentId{1}});
+  // The gatekeeper's own messages stay with it.
+  bus.send(broker, site, net::CancelJob{JobId{3}, false});
+  sim.run();
+  EXPECT_EQ(hosted, (std::vector<net::MsgType>{net::MsgType::kLivenessProbe,
+                                               net::MsgType::kKillJob}));
+}
+
 // ------------------------------------------------------------------- site ----
 
 TEST(SiteTest, SnapshotTracksSchedulerState) {

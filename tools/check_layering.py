@@ -13,6 +13,11 @@ Allowed layers:
   * src/stream — the data plane: streaming deliberately models transfers
     on raw links (spool/retry semantics the control bus does not carry)
 
+A second rule keeps each message's effect in its receiver: the gatekeeper's
+prepare/commit/cancel entry points are called from its own bus handler in
+src/lrms, never by a sender reaching into the site (send SubmitJob or
+CancelJob instead).
+
 Usage:
     check_layering.py [repo_root]
 
@@ -39,9 +44,28 @@ RAW_IS_UP = re.compile(r"\.\s*is_up\s*\(")
 # latency is exactly what ControlBus::send() centralizes.
 MANUAL_DELAY = re.compile(r"schedule\s*\([^;]*channel_latency")
 
+# Directories (relative to src/) that may call the gatekeeper's entry points.
+ALLOWED_GATEKEEPER_LAYERS = ("lrms",)
 
-def allowed(rel: pathlib.PurePosixPath) -> bool:
-    return len(rel.parts) >= 2 and rel.parts[1] in ALLOWED_LINK_LAYERS
+# A sender running the gatekeeper's work itself instead of messaging it.
+GATEKEEPER_CALL = re.compile(
+    r"gatekeeper\s*\(\s*\)\s*\.\s*(prepare|commit|cancel)\s*\(")
+
+RULES = (
+    (RAW_LINK, ALLOWED_LINK_LAYERS,
+     "raw Network::link() access (route via ControlBus)"),
+    (RAW_IS_UP, ALLOWED_LINK_LAYERS,
+     "raw is_up() check (use drop_when_down or probe())"),
+    (MANUAL_DELAY, ALLOWED_LINK_LAYERS,
+     "hand-rolled channel-latency schedule (use ControlBus::send options)"),
+    (GATEKEEPER_CALL, ALLOWED_GATEKEEPER_LAYERS,
+     "gatekeeper entry point called by a sender "
+     "(send SubmitJob/CancelJob to its endpoint)"),
+)
+
+
+def layer(rel: pathlib.PurePosixPath) -> str:
+    return rel.parts[1] if len(rel.parts) >= 2 else ""
 
 
 def scan(root: pathlib.Path) -> list[str]:
@@ -54,18 +78,12 @@ def scan(root: pathlib.Path) -> list[str]:
         if path.suffix not in (".hpp", ".cpp"):
             continue
         rel = pathlib.PurePosixPath(path.relative_to(root).as_posix())
-        if allowed(rel):
-            continue
+        rules = [(p, why) for p, layers, why in RULES if layer(rel) not in layers]
         for lineno, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
             stripped = line.split("//")[0]
-            for pattern, why in (
-                (RAW_LINK, "raw Network::link() access (route via ControlBus)"),
-                (RAW_IS_UP, "raw is_up() check (use drop_when_down or probe())"),
-                (MANUAL_DELAY, "hand-rolled channel-latency schedule "
-                               "(use ControlBus::send options)"),
-            ):
+            for pattern, why in rules:
                 if pattern.search(stripped):
                     violations.append(f"{rel}:{lineno}: {why}\n    {line.strip()}")
     return violations
@@ -80,10 +98,12 @@ def main() -> int:
             print("  " + v)
         print(
             f"\n{len(violations)} violation(s). All broker/agent/site "
-            "traffic must flow through net::ControlBus (docs/protocol.md)."
+            "traffic must flow through net::ControlBus, and each message's "
+            "effect lives in its receiver (docs/protocol.md)."
         )
         return 1
     print("[ok]   no raw network access outside src/net (data plane exempt)")
+    print("[ok]   gatekeeper entry points called only from src/lrms")
     return 0
 
 
