@@ -73,25 +73,31 @@ void FairShare::force_update() {
   // Users with running jobs accumulate; idle users decay toward zero.
   // "User priorities are updated for each user whose current priority is
   // different (worse) than the initial priority" — plus active users.
-  std::map<UserId, double> usage;
-  for (const auto& [job, rj] : running_) {
-    usage[rj.user] += rj.af * static_cast<double>(rj.nodes) /
+  for (auto& [id, user] : users_) user.usage = 0.0;
+  for (const RunningJob& rj : running_) {
+    rj.user->usage += rj.af * static_cast<double>(rj.nodes) /
                       static_cast<double>(config_.total_resources);
   }
-  for (const auto& [user, used] : usage) {
-    auto [it, inserted] = priorities_.try_emplace(user, 0.0);
-    it->second = b * it->second + (1.0 - b) * used;
-  }
-  for (auto it = priorities_.begin(); it != priorities_.end();) {
-    if (!usage.contains(it->first)) {
-      it->second *= b;  // pure decay
-      if (it->second < 1e-12) {
-        it = priorities_.erase(it);  // fully restored credits
+  for (auto it = users_.begin(); it != users_.end();) {
+    User& user = it->second;
+    if (user.running > 0) {
+      user.priority = b * user.priority + (1.0 - b) * user.usage;
+      user.charged = true;
+    } else {
+      user.priority *= b;  // pure decay
+      if (user.priority < 1e-12) {
+        it = users_.erase(it);  // fully restored credits
         continue;
       }
     }
     ++it;
   }
+}
+
+std::vector<FairShare::RunningJob>::iterator FairShare::running_at(JobId job) {
+  return std::lower_bound(
+      running_.begin(), running_.end(), job,
+      [](const RunningJob& rj, JobId id) { return rj.job < id; });
 }
 
 void FairShare::job_started(UserId user, JobId job, double af, int nodes) {
@@ -101,28 +107,41 @@ void FairShare::job_started(UserId user, JobId job, double af, int nodes) {
   if (af < 0.0 || nodes < 1) {
     throw std::invalid_argument{"FairShare::job_started: bad af/nodes"};
   }
-  running_.insert_or_assign(job, RunningJob{user, af, nodes});
+  User* entry = &users_[user];
+  ++entry->running;
+  const auto it = running_at(job);
+  if (it != running_.end() && it->job == job) {
+    --it->user->running;
+    *it = RunningJob{job, entry, af, nodes};
+  } else {
+    running_.insert(it, RunningJob{job, entry, af, nodes});
+  }
 }
 
 void FairShare::job_finished(JobId job) {
-  running_.erase(job);
+  const auto it = running_at(job);
+  if (it == running_.end() || it->job != job) return;
+  --it->user->running;
+  running_.erase(it);
 }
 
 void FairShare::set_application_factor(JobId job, double af) {
-  const auto it = running_.find(job);
-  if (it == running_.end()) return;
-  it->second.af = af;
+  const auto it = running_at(job);
+  if (it == running_.end() || it->job != job) return;
+  it->af = af;
 }
 
 double FairShare::priority(UserId user) const {
-  const auto it = priorities_.find(user);
-  return it != priorities_.end() ? it->second : 0.0;
+  const auto it = users_.find(user);
+  return it != users_.end() && it->second.charged ? it->second.priority : 0.0;
 }
 
 double FairShare::instantaneous_usage(UserId user) const {
+  const auto entry = users_.find(user);
+  if (entry == users_.end()) return 0.0;
   double total = 0.0;
-  for (const auto& [job, rj] : running_) {
-    if (rj.user == user) {
+  for (const RunningJob& rj : running_) {
+    if (rj.user == &entry->second) {
       total += rj.af * static_cast<double>(rj.nodes) /
                static_cast<double>(config_.total_resources);
     }
@@ -132,8 +151,10 @@ double FairShare::instantaneous_usage(UserId user) const {
 
 std::vector<UserId> FairShare::users_by_priority() const {
   std::vector<UserId> users;
-  users.reserve(priorities_.size());
-  for (const auto& [user, p] : priorities_) users.push_back(user);
+  users.reserve(users_.size());
+  for (const auto& [user, entry] : users_) {
+    if (entry.charged) users.push_back(user);
+  }
   std::stable_sort(users.begin(), users.end(), [this](UserId a, UserId b) {
     return priority(a) < priority(b);
   });
@@ -143,8 +164,8 @@ std::vector<UserId> FairShare::users_by_priority() const {
 bool FairShare::is_worst(UserId user, double epsilon) const {
   const double p = priority(user);
   if (p <= epsilon) return false;
-  for (const auto& [other, op] : priorities_) {
-    if (other != user && op >= p) return false;
+  for (const auto& [other, entry] : users_) {
+    if (other != user && entry.charged && entry.priority >= p) return false;
   }
   return true;
 }

@@ -79,19 +79,35 @@ public:
   void force_update();
 
 private:
+  /// One entry per user that has a priority or a running job. The entry
+  /// lives in a map node, so the running jobs that name it keep a stable
+  /// pointer across inserts; an update erases only entries no job names.
+  struct User {
+    double priority = 0.0;
+    /// Set by the first update that charges the user: until then priority()
+    /// reads 0 and the rankings leave the user out.
+    bool charged = false;
+    int running = 0;     ///< running jobs that name this entry
+    double usage = 0.0;  ///< the current update's weighted usage
+  };
   struct RunningJob {
-    UserId user;
+    JobId job;
+    User* user;
     double af;
     int nodes;
   };
 
   void schedule_update();
   [[nodiscard]] double beta() const;
+  /// Where `job` is, or would be inserted, in running_.
+  [[nodiscard]] std::vector<RunningJob>::iterator running_at(JobId job);
 
   sim::Simulation& sim_;
   FairShareConfig config_;
-  std::map<UserId, double> priorities_;
-  std::map<JobId, RunningJob> running_;
+  std::map<UserId, User> users_;
+  /// Flat and ordered by JobId: an update sums each user's terms in
+  /// ascending job order, the order a std::map<JobId, ...> walk gave.
+  std::vector<RunningJob> running_;
   bool started_ = false;
   sim::ScopedTimer timer_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "broker/fair_share.hpp"
 
@@ -96,6 +97,27 @@ TEST_F(FairShareFixture, InstantaneousUsageSumsJobs) {
   EXPECT_DOUBLE_EQ(fs.instantaneous_usage(UserId{1}), 0.8);
   fs.job_finished(JobId{2});
   EXPECT_DOUBLE_EQ(fs.instantaneous_usage(UserId{1}), 0.2);
+}
+
+TEST_F(FairShareFixture, UserChargedOnlyFromTheirFirstUpdate) {
+  FairShare fs{sim, config()};
+  fs.job_started(UserId{1}, JobId{2}, 1.0, 2);
+  // Running but not yet charged: no priority and no place in the ranking.
+  EXPECT_TRUE(fs.users_by_priority().empty());
+  fs.force_update();
+  EXPECT_EQ(fs.users_by_priority(), std::vector<UserId>{UserId{1}});
+  // A job started again under another user moves its charge with it; the
+  // first user only decays, and an update forgets a user that ran nothing.
+  fs.job_started(UserId{2}, JobId{2}, 1.0, 2);
+  EXPECT_DOUBLE_EQ(fs.instantaneous_usage(UserId{1}), 0.0);
+  EXPECT_DOUBLE_EQ(fs.instantaneous_usage(UserId{2}), 0.2);
+  const double before = fs.priority(UserId{1});
+  fs.job_started(UserId{3}, JobId{1}, 1.0, 1);
+  fs.job_finished(JobId{1});
+  fs.force_update();
+  EXPECT_NEAR(fs.priority(UserId{1}), before * std::pow(0.5, 0.1), 1e-12);
+  EXPECT_GT(fs.priority(UserId{2}), fs.priority(UserId{1}));
+  EXPECT_EQ(fs.users_by_priority(), (std::vector<UserId>{UserId{1}, UserId{2}}));
 }
 
 TEST_F(FairShareFixture, UsersByPriorityOrdersBestFirst) {
