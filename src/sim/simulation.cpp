@@ -13,6 +13,10 @@ namespace {
 constexpr bool node_less(const auto& a, const auto& b) {
   return a.when_us < b.when_us || (a.when_us == b.when_us && a.seq < b.seq);
 }
+/// Due-buffer order: the packed (in-window offset, seq) key.
+constexpr auto due_less = [](const auto& a, const auto& b) {
+  return a.key < b.key;
+};
 }  // namespace
 
 EventHandle Simulation::schedule(Duration delay, Callback fn) {
@@ -90,6 +94,38 @@ std::uint32_t Simulation::acquire_slot_grow() {
   return idx;
 }
 
+bool Simulation::join_due(std::uint32_t idx) {
+  Slot& s = slots_[idx];
+  const std::int64_t tick = s.when_us >> TimerWheel::kTickShift;
+  if (due_.empty()) {
+    // The current tick's window was drained and fully consumed: an event
+    // for that tick opens the buffer anew.
+    if (tick != now_.count_micros() >> TimerWheel::kTickShift) return false;
+    due_base_us_ = tick << TimerWheel::kTickShift;
+  } else if (tick != due_base_us_ >> TimerWheel::kTickShift) {
+    return false;
+  }
+  const DueNode node{
+      static_cast<std::uint64_t>(s.when_us - due_base_us_) << kDueDeltaShift |
+          s.seq,
+      idx};
+  // Its seq is the newest, so it sorts after every key it ties with: the
+  // unfired tail stays ordered.
+  const auto first = due_.begin() + static_cast<std::ptrdiff_t>(due_head_);
+  const auto pos = std::upper_bound(first, due_.end(), node, due_less);
+  if (due_head_ > 0) {
+    // A fired entry sits in front of the tail: shift the part before the
+    // new place one step into it instead of moving the rest of the window.
+    std::move(first, pos, first - 1);
+    *(pos - 1) = node;
+    --due_head_;
+  } else {
+    due_.insert(pos, node);
+  }
+  s.lane = Lane::kWheel;
+  return true;
+}
+
 void Simulation::heap_push(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.lane = Lane::kHeap;
@@ -164,9 +200,6 @@ void Simulation::drain_wheel_window() {
       },
       [this](std::uint32_t idx) { heap_push(idx); });
   const std::size_t n = due_.size();
-  constexpr auto key_less = [](const DueNode& a, const DueNode& b) {
-    return a.key < b.key;
-  };
   if (n > 48) {
     // Dense windows: two linear passes bucket the entries by their
     // in-window microsecond (the key's top bits), then each bucket needs
@@ -188,11 +221,11 @@ void Simulation::drain_wheel_window() {
     for (std::size_t d = 0; d < kSpan; ++d) {
       if (start[d + 1] - start[d] > 1) {
         std::sort(due_.begin() + start[d], due_.begin() + start[d + 1],
-                  key_less);
+                  due_less);
       }
     }
   } else if (n > 1) {
-    std::sort(due_.begin(), due_.end(), key_less);
+    std::sort(due_.begin(), due_.end(), due_less);
   }
 }
 

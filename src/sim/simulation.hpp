@@ -11,9 +11,12 @@
 //    unlink); windows drain — strictly before anything at or past their
 //    start could fire — into a small sorted "due" buffer that events pop
 //    from, so the common event never touches a comparison heap at all;
+//  * an event scheduled into the window the due buffer holds (a zero or
+//    sub-tick delay from a firing event) joins that buffer at its (when,
+//    seq) place;
 //  * an index-addressable 4-ary min-heap over inline (when, seq) keys picks
-//    up the overflow: deadlines past the wheel horizon and events scheduled
-//    into an already-drained tick;
+//    up the overflow: deadlines past the wheel horizon and the rare event
+//    scheduled into another already-drained tick;
 //  * the merged stream is totally (when, seq)-ordered whatever lane an
 //    event travelled, and cancellation is *true* removal — O(1) unlink
 //    (wheel/due), O(log n) (heap) — via generation-checked handles: no
@@ -188,10 +191,11 @@ private:
   }
 
   /// Files a booked slot into a lane. Every in-horizon deadline rides the
-  /// wheel (O(1) insert/cancel); anything the wheel cannot hold — window
-  /// already drained, or past the horizon — goes to the heap, which is
-  /// always exact. An empty wheel first raises its floor to the current
-  /// tick, so the horizon keeps moving with the clock.
+  /// wheel (O(1) insert/cancel); a deadline in the window the due buffer
+  /// holds joins it; anything else — another drained tick, or past the
+  /// horizon — goes to the heap, which is always exact. An empty wheel
+  /// first raises its floor to the current tick, so the horizon keeps
+  /// moving with the clock.
   void file_event(std::uint32_t idx) {
     Slot& s = slots_[idx];
     if (wheel_.empty()) {
@@ -199,10 +203,15 @@ private:
     }
     if (wheel_.insert(idx, s.when_us, s.seq)) {
       s.lane = Lane::kWheel;
-    } else {
+    } else if (!join_due(idx)) {
       heap_push(idx);
     }
   }
+  /// Files `idx`, which the wheel refused, into the due buffer when its
+  /// tick is the buffer's window, or the current tick while the buffer is
+  /// empty (the wheel refused it, so that tick has drained). False: the
+  /// caller files it into the heap.
+  bool join_due(std::uint32_t idx);
 
   std::uint32_t acquire_slot() {
     if (!free_slots_.empty()) {

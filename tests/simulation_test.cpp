@@ -329,6 +329,70 @@ TEST(SimulationEngineTest, FiringOrderAcrossWheelBoundariesMatchesReference) {
   EXPECT_GE(events[fired.back()].when_us, end_us);
 }
 
+TEST(SimulationEngineTest, SchedulesIntoTheDrainedWindowMatchReference) {
+  // A dense window of one 64 us tick, drained while a far deadline keeps
+  // the wheel's floor past it: every firing event schedules a zero-delay
+  // and a sub-tick successor into that window (the due buffer) and now and
+  // then cancels a pending one, a due-buffer entry included. The firing
+  // order must be the reference sort by (when, seq).
+  struct Event {
+    std::int64_t when_us = 0;
+    std::uint64_t seq = 0;
+    EventHandle handle;
+    bool cancelled = false;
+  };
+  Simulation sim;
+  Rng rng{20061026};
+  std::vector<Event> events;
+  std::vector<std::size_t> fired;
+  constexpr std::int64_t kTickUs = std::int64_t{1} << TimerWheel::kTickShift;
+  const std::int64_t window_us = 4096 * kTickUs;
+
+  std::function<void(std::size_t)> on_fire;
+  const auto schedule_at = [&](std::int64_t when_us) {
+    const std::size_t i = events.size();
+    events.push_back(Event{});
+    events[i].handle = sim.schedule_at(SimTime::micros(when_us),
+                                       [&on_fire, i] { on_fire(i); });
+    events[i].when_us = when_us;
+    events[i].seq = events[i].handle.seq();
+  };
+  on_fire = [&](std::size_t i) {
+    EXPECT_EQ(sim.now().count_micros(), events[i].when_us);
+    fired.push_back(i);
+    if (events.size() > 600) return;
+    const std::int64_t now_us = sim.now().count_micros();
+    const std::int64_t tick_end = (now_us / kTickUs + 1) * kTickUs;
+    schedule_at(now_us);
+    if (now_us + 1 < tick_end) {
+      schedule_at(now_us + rng.uniform_int(1, tick_end - now_us - 1));
+    }
+    if (rng.chance(0.3)) {
+      const std::size_t victim = events.size() - 1 - rng.pick_index(8);
+      if (sim.cancel(events[victim].handle)) events[victim].cancelled = true;
+    }
+  };
+  schedule_at(window_us + 10'000'000);  // keeps the wheel non-empty
+  for (int k = 0; k < 32; ++k) {
+    schedule_at(window_us + rng.uniform_int(0, kTickUs / 2));
+  }
+  sim.run();
+
+  std::vector<std::size_t> reference;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].cancelled) reference.push_back(i);
+  }
+  std::sort(reference.begin(), reference.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(events[a].when_us, events[a].seq) <
+           std::tie(events[b].when_us, events[b].seq);
+  });
+  EXPECT_EQ(fired, reference);
+  EXPECT_GT(events.size(), 600u);
+  EXPECT_GT(std::count_if(events.begin(), events.end(),
+                          [](const Event& e) { return e.cancelled; }),
+            0);
+}
+
 // ------------------------------------------------------- InplaceFunction ---
 
 TEST(InplaceFunctionTest, InvokesStoredLambda) {
