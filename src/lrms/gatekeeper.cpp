@@ -118,7 +118,9 @@ void Gatekeeper::submit_direct(GridJobRequest request, StatusCallback callback) 
   // for the prepare.
   insert(std::move(request), Phase::kPreparing);
   sim_.schedule(config_.gsi_auth_latency, [this, id] {
-    Filed& filed = filed_.at(id);
+    const auto it = filed_.find(id);
+    if (it == filed_.end()) return;  // withdrawn by a CancelJob
+    Filed& filed = it->second;
     const Status auth_ok = check_credentials(filed.request.proxy_chain);
     if (auth_ok.ok()) {
       stage(filed);
@@ -166,6 +168,9 @@ void Gatekeeper::submit_staged(JobId id) {
 }
 
 bool Gatekeeper::cancel(JobId id, bool queued_only) {
+  // A request still filed has not reached the LRMS: withdrawing it stops
+  // every later phase, and its status callbacks never run.
+  if (filed_.erase(id) > 0) return true;
   if (scheduler_.cancel_queued(id)) return true;
   if (queued_only) return false;
   return scheduler_.kill_running(id);

@@ -100,9 +100,10 @@ public:
   /// acceptance.
   void submit_direct(GridJobRequest request, StatusCallback callback);
 
-  /// Serves a CancelJob message: removes the job from the local queue, or —
-  /// unless `queued_only` — kills it wherever it runs. Returns true when the
-  /// job was found in either state.
+  /// Serves a CancelJob message: withdraws the request filed under `id` if
+  /// it has not reached the LRMS yet, else removes the job from the local
+  /// queue, or — unless `queued_only` — kills it wherever it runs. Returns
+  /// true when the job was found in any of these states.
   bool cancel(JobId id, bool queued_only);
 
   /// Hook installed by the broker, which keeps the site's glide-in agents:

@@ -508,6 +508,30 @@ TEST_F(BrokerFixture, CancelRunningExclusiveKillsAtSite) {
   EXPECT_EQ(free_total, 6);
 }
 
+TEST_F(BrokerFixture, CancelDuringInputStagingWithdrawsTheRequest) {
+  // The CancelJob lands while the exclusive job's input sandbox is in
+  // flight: the gatekeeper holds the filed request, the LRMS has nothing
+  // yet. The withdrawn request never reaches the LRMS, so the node stays
+  // free for the grid.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  GridScenario grid{config};
+  Outcome outcome;
+  const JobId id = grid.broker().submit(
+      parse_job("Executable = \"viz\"; JobType = \"interactive\"; "
+                "MachineAccess = \"exclusive\";"),
+      UserId{1}, lrms::Workload::cpu(1000_s), GridScenario::ui_endpoint(),
+      watch(outcome)).value();
+  grid.sim().run_until(SimTime::from_seconds(3.5));
+  ASSERT_EQ(grid.broker().record(id)->state, JobState::kDispatching);
+  EXPECT_TRUE(grid.broker().cancel(id));
+  grid.sim().run_until(SimTime::from_seconds(500));
+  EXPECT_FALSE(outcome.running);
+  EXPECT_EQ(grid.site(0).scheduler().running_jobs(), 0);
+  EXPECT_EQ(grid.site(0).scheduler().free_nodes(), 1);
+}
+
 TEST_F(BrokerFixture, CancelKillsEveryRankResidentOnOneAgent) {
   // Both ranks of a shared MPICH-P4 job land on the two interactive VMs of
   // the agent a long batch job carries. Cancelling the job kills each rank

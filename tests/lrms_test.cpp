@@ -625,6 +625,35 @@ TEST_F(GatekeeperFixture, RefusedPrepareDropsTheFiledRequest) {
   EXPECT_NO_THROW(gatekeeper.file(std::move(again)));
 }
 
+TEST_F(GatekeeperFixture, CancelJobWithdrawsAFiledRequest) {
+  // Withdrawn during its direct submission's authentication, and during a
+  // filed request's input staging: neither reaches the LRMS, and neither
+  // reports a status.
+  const EndpointId broker = bus.endpoint("broker");
+  const EndpointId site = gatekeeper.endpoint();
+  GridJobRequest direct = make_request(1);
+  direct.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
+  gatekeeper.submit_direct(std::move(direct),
+                           [](Status) { FAIL() << "withdrawn job reported"; });
+  bus.send(broker, site, net::CancelJob{JobId{1}, /*queued_only=*/false});
+
+  GridJobRequest filed = make_request(2);
+  filed.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
+  filed.on_prepared = [&](Status) {
+    bus.send(broker, site, net::SubmitJob{JobId{2}, net::SubmitPhase::kCommit});
+    // The commit leg sent the input sandbox: cancel while it travels.
+    bus.send(broker, site, net::CancelJob{JobId{2}, /*queued_only=*/true});
+    return true;
+  };
+  filed.on_committed = [](Status) { FAIL() << "withdrawn job reported"; };
+  gatekeeper.file(std::move(filed));
+  bus.send(broker, site, net::SubmitJob{JobId{2}, net::SubmitPhase::kPrepare});
+  sim.run();
+  EXPECT_EQ(scheduler.running_jobs(), 0);
+  EXPECT_EQ(scheduler.free_nodes(), 1);
+  EXPECT_FALSE(gatekeeper.cancel(JobId{2}, false));
+}
+
 TEST_F(GatekeeperFixture, AgentSideMessagesGoToTheGlideinHost) {
   std::vector<net::MsgType> hosted;
   gatekeeper.set_glidein_host([&](const net::Envelope& envelope) {
