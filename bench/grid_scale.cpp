@@ -80,10 +80,10 @@ struct Pinned {
   std::size_t events;
 };
 constexpr Pinned kPinned[] = {
-    {32, 1449, 392992},
-    {64, 2911, 830264},
-    {128, 5622, 1839831},
-    {256, 11333, 4539586},
+    {32, 1449, 225809},
+    {64, 2911, 498830},
+    {128, 5622, 1198976},
+    {256, 11333, 3223623},
 };
 /// Ceiling on the 32-site row's run-phase allocations per job.
 constexpr double kSmokeAllocsPerJobCeiling = 210.0;

@@ -5,8 +5,6 @@
 // shared mode skips the discovery and selection phases entirely.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,15 +52,13 @@ struct AgentRecord {
   /// Interactive subjobs reserved onto slots but not yet started.
   std::vector<SubJobRef> pending_interactive;
   std::optional<SubJobRef> pending_batch;
-  /// Supervision state, written only by AgentSupervisor: consecutive misses
-  /// per AgentSupervisor::Channel, and whether the agent is currently
-  /// suspected unreachable (placement skips it).
-  std::array<int, 2> missed{};
+  /// Supervision state, written only by AgentSupervisor: consecutive ticks
+  /// without a heartbeat, whether one arrived since the last tick, and
+  /// whether the agent is currently suspected unreachable (placement skips
+  /// it).
+  int missed = 0;
+  bool heard = false;
   bool suspected = false;
-  /// Highest liveness-probe sequence sent / echoed back: probe_seq >
-  /// echo_seq means a probe is outstanding when the next tick fires.
-  std::uint64_t probe_seq = 0;
-  std::uint64_t echo_seq = 0;
   /// When the current suspicion began; guards the grace timer against
   /// suspect -> restore -> suspect races.
   std::optional<SimTime> suspected_since;

@@ -1,29 +1,26 @@
 // AgentSupervisor: how the broker watches the glide-in agents that report
-// to it. Every kSupervisionInterval one daemon probes each registered
-// agent's link (a Heartbeat over the broker <-> site link) and then its
-// event loop (a sequenced LivenessProbe the agent must echo). Both channels
-// share one miss rule: kSupervisionMissLimit consecutive misses on either
-// suspect the agent, which placement then skips. A wedged agent on a healthy
-// link misses only echoes, and is restored only once both channels pass
-// again. The supervisor writes the supervision fields of the agent table and
-// records the trace events, metrics and SiteHealth evidence of supervision;
-// what a decision means for jobs is left to SupervisionDecisions.
+// to it. Every running agent sends a Heartbeat from its event loop once per
+// kSupervisionInterval; the broker listens. One daemon event per tick walks
+// the agent table once: it charges a miss to every registered agent not
+// heard from since the previous tick, then asks each agent to send its next
+// heartbeat (an agent that is wedged, or not running, stays silent).
+// kSupervisionMissLimit consecutive misses suspect the agent, which
+// placement then skips; the first heartbeat that arrives from a suspected
+// agent restores it. A partitioned link and a wedged event loop look the
+// same from the broker: heartbeats stop arriving. The supervisor writes the
+// supervision fields of the agent table and records the trace events,
+// metrics and SiteHealth evidence of supervision; what a decision means for
+// jobs is left to SupervisionDecisions.
 #pragma once
 
-#include <array>
-#include <cstddef>
-#include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <string_view>
+#include <vector>
 
 #include "broker/agent_registry.hpp"
 #include "broker/site_health.hpp"
 #include "obs/observability.hpp"
-
-namespace cg::net {
-class ControlBus;
-}
 
 namespace cg::broker {
 
@@ -36,7 +33,7 @@ public:
   virtual ~SupervisionDecisions() = default;
   /// The agent was just suspected; placement already skips it.
   virtual void on_suspected(AgentRecord& rec) = 0;
-  /// A suspected agent passed both channels again.
+  /// A heartbeat arrived from a suspected agent.
   virtual void on_restored(AgentRecord& rec) = 0;
   /// The agent stayed suspected for the whole running-job grace.
   virtual void on_grace_expired(AgentRecord& rec) = 0;
@@ -44,43 +41,34 @@ public:
 
 class AgentSupervisor {
 public:
-  /// The two ways an agent is watched; indexes AgentRecord::missed.
-  enum Channel : std::size_t { kHeartbeat, kLiveness };
-
-  /// Probes leave from, and echoes return to, the `broker` endpoint; they
-  /// ride the broker <-> agent channel's `channel_latency`. A zero
-  /// `running_job_grace` never expires a suspicion.
-  AgentSupervisor(sim::Simulation& sim, net::ControlBus& bus,
-                  AgentRegistry& agents, SiteHealth& health,
-                  SupervisionDecisions& decisions, EndpointId broker,
-                  Duration channel_latency, Duration running_job_grace)
+  /// A zero `running_job_grace` never expires a suspicion.
+  AgentSupervisor(sim::Simulation& sim, AgentRegistry& agents,
+                  SiteHealth& health, SupervisionDecisions& decisions,
+                  Duration running_job_grace)
       : sim_{sim},
-        bus_{bus},
         agents_{agents},
         health_{health},
         decisions_{decisions},
-        broker_{broker},
-        channel_latency_{channel_latency},
         running_job_grace_{running_job_grace} {}
 
   /// Schedules the supervision daemon's first tick, one interval out.
   void start();
-  /// The agent registered: every later tick visits it until it leaves.
-  void watch(AgentRecord& rec) { rec.supervised = true; }
-  /// A LivenessEcho arrived at the broker endpoint.
-  void on_echo(AgentId agent, std::uint64_t seq);
+  /// The agent registered: registering counts as hearing from it, and every
+  /// later tick visits it until it leaves the table.
+  void watch(AgentRecord& rec);
+  /// A Heartbeat from `agent` arrived at the broker endpoint.
+  void on_heartbeat(AgentId agent);
   /// Trace events and metrics go to `obs` (nullptr detaches).
   void set_observability(obs::Observability* obs);
 
 private:
-  /// One pass of the daemon over the agents registered when it begins, in
-  /// ascending id order: an agent registering during the pass waits for the
-  /// next tick, and a decision may erase entries from the agent table.
-  void pass(Channel channel);
-  /// The one miss rule; a pass resets the channel's count.
-  void note_miss(AgentRecord& rec, Channel channel);
-  void note_pass(AgentRecord& rec, Channel channel);
-  void suspect(AgentRecord& rec, Channel channel);
+  /// One tick: the walk over the agent table, in ascending id order, then
+  /// the suspicions it found, in the same order.
+  void tick();
+  /// Charges one miss; true when it reaches the limit on an agent not yet
+  /// suspected.
+  bool note_miss(AgentRecord& rec);
+  void suspect(AgentRecord& rec);
   void restore(AgentRecord& rec);
   /// Traces "agent <id>" and the pieces, labelled with the site and any
   /// reason; the pieces are appended one by one.
@@ -89,19 +77,20 @@ private:
              const char* reason = nullptr);
 
   sim::Simulation& sim_;
-  net::ControlBus& bus_;
   AgentRegistry& agents_;
   SiteHealth& health_;
   SupervisionDecisions& decisions_;
-  EndpointId broker_;
-  Duration channel_latency_;
   Duration running_job_grace_;
+  /// Agents a tick's walk found at the miss limit; applied after the walk,
+  /// because a decision may create or erase records. Reused across ticks.
+  std::vector<AgentId> to_suspect_;
 
   obs::Observability* obs_ = nullptr;
-  /// Bound in set_observability; per-site miss counters (a map per channel)
-  /// bind on first use. The rare suspicions and restorations count by name.
-  obs::CounterHandle liveness_probes_;
-  std::array<std::map<SiteId, obs::CounterHandle>, 2> misses_;
+  /// Bound in set_observability; the per-site miss counters bind on first
+  /// use.
+  obs::CounterHandle suspected_;
+  obs::CounterHandle restored_;
+  std::map<SiteId, obs::CounterHandle> misses_;
 };
 
 }  // namespace cg::broker

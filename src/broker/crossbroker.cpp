@@ -41,8 +41,7 @@ CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
       fair_share_{sim, config.fair_share},
       agents_{sim},
       site_health_{sim},
-      supervisor_{sim, bus, agents_, site_health_, *this, endpoint_,
-                  config.agent_channel_latency, config.running_job_grace} {
+      supervisor_{sim, agents_, site_health_, *this, config.running_job_grace} {
   fair_share_.start();
   // Suspicion-aware placement: every matchmaking pass consults the health
   // scores, the coarse pass over the index reply included.
@@ -95,8 +94,8 @@ void CrossBroker::handle_bus_message(const net::Envelope& envelope) {
     handle_job_status(*status);
   } else if (const auto* reg = std::get_if<net::AgentRegister>(&msg)) {
     handle_agent_register(reg->agent);
-  } else if (const auto* echo = std::get_if<net::LivenessEcho>(&msg)) {
-    supervisor_.on_echo(echo->agent, echo->seq);
+  } else if (const auto* heartbeat = std::get_if<net::Heartbeat>(&msg)) {
+    supervisor_.on_heartbeat(heartbeat->agent);
   } else if (const auto* sandbox = std::get_if<net::StageSandbox>(&msg)) {
     // The OutputSandbox reached the submitter: the job may now complete
     // (complete_job acts once, like any terminal transition).

@@ -294,7 +294,7 @@ private:
 
   // -- control plane ---------------------------------------------------------
   /// The receiver bound at the broker's endpoint and at every submitter's:
-  /// JobStatus, AgentRegister, LivenessEcho, and the outbound StageSandbox
+  /// JobStatus, AgentRegister, Heartbeat, and the outbound StageSandbox
   /// that lets a job complete.
   void handle_bus_message(const net::Envelope& envelope);
   /// Frees the agent slot a completed subjob held (only the resident the

@@ -1,5 +1,5 @@
 // Suspicion-aware placement: a per-site health score the broker maintains
-// from supervision outcomes (agent suspicions, heartbeat/liveness misses,
+// from supervision outcomes (agent suspicions, missed heartbeats,
 // partition evictions, restorations, clean completions) and the matchmaker
 // consults as a rank penalty plus a hard-exclusion window. The score is a
 // *suspicion* accumulator with exponential time-decay in the spirit of the
@@ -36,11 +36,10 @@ public:
   /// Suspicion halves every half-life with no new evidence
   /// (beta = 0.5^(dt/h)).
   static constexpr Duration kHalfLife = Duration::seconds(600);
-  /// Evidence: an agent suspected on the site (either channel); one missed
-  /// heartbeat or liveness echo (small, so isolated misses only bias
-  /// tie-breaking); a running resident evicted behind a partition (the
-  /// strongest signal the site is bad); rewards per clean job completion
-  /// and per restored agent.
+  /// Evidence: an agent suspected on the site; one missed heartbeat (small,
+  /// so isolated misses only bias tie-breaking); a running resident evicted
+  /// behind a partition (the strongest signal the site is bad); rewards per
+  /// clean job completion and per restored agent.
   static constexpr double kSuspectPenalty = 1.0;
   static constexpr double kMissPenalty = 0.1;
   static constexpr double kEvictionPenalty = 2.0;

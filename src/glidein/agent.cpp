@@ -82,27 +82,20 @@ void GlideinAgent::receive(const net::Message& msg) {
       cancel_slot(SlotType::kBatch);
     }
   };
-  if (const auto* probe = std::get_if<net::LivenessProbe>(&msg)) {
-    deliver_liveness_probe(probe->seq);
-  } else if (const auto* kill_job = std::get_if<net::KillJob>(&msg)) {
+  if (const auto* kill_job = std::get_if<net::KillJob>(&msg)) {
     kill_resident(kill_job->job, kill_job->interactive_slot);
   } else if (const auto* evict = std::get_if<net::EvictNotice>(&msg)) {
     kill_resident(evict->lrms_job_id, evict->interactive_slot);
   }
 }
 
-void GlideinAgent::deliver_liveness_probe(std::uint64_t seq) {
-  // The echo must come out of the agent's event loop: a wedged (or dead)
-  // agent never answers even though the probe arrived.
-  if (state_ != AgentState::kRunning || wedged_) return;
-  if (seq > last_echoed_probe_) last_echoed_probe_ = seq;
-  if (bus_ != nullptr) {
-    net::SendOptions options;
-    options.channel_latency = channel_latency_;
-    options.drop_when_down = true;  // a partitioned link swallows the echo
-    bus_->send(site_endpoint_, broker_endpoint_, net::LivenessEcho{id_, seq},
-               options);
-  }
+void GlideinAgent::send_heartbeat() {
+  if (state_ != AgentState::kRunning || wedged_ || bus_ == nullptr) return;
+  net::SendOptions options;
+  options.channel_latency = channel_latency_;
+  options.drop_when_down = true;  // a partitioned link swallows it
+  bus_->send(site_endpoint_, broker_endpoint_,
+             net::Heartbeat{id_, ++heartbeats_sent_}, options);
 }
 
 void GlideinAgent::set_metrics(obs::MetricsRegistry* metrics,

@@ -92,9 +92,9 @@ public:
 
   /// Wires the agent onto the control-plane bus. Once connected, the agent
   /// announces itself with an AgentRegister message when it reaches
-  /// kRunning, and answers LivenessProbe deliveries with LivenessEcho
-  /// messages over the broker <-> agent channel. The bus must outlive the
-  /// agent (or be disconnected with nullptr).
+  /// kRunning, and sends its Heartbeat messages over the broker <-> agent
+  /// channel. The bus must outlive the agent (or be disconnected with
+  /// nullptr).
   void connect_control_plane(net::ControlBus* bus, EndpointId site_endpoint,
                              EndpointId broker_endpoint,
                              Duration channel_latency);
@@ -103,27 +103,29 @@ public:
   [[nodiscard]] EndpointId site_endpoint() const { return site_endpoint_; }
 
   /// Serves a message addressed to this agent, as passed on by its site's
-  /// glide-in host: a LivenessProbe goes to deliver_liveness_probe, and a
-  /// KillJob or EvictNotice kills the interactive job it names, or
-  /// whatever runs on the batch slot. Other types are ignored.
+  /// glide-in host: a KillJob or EvictNotice kills the interactive job it
+  /// names, or whatever runs on the batch slot. Other types are ignored.
   void receive(const net::Message& msg);
 
-  /// Delivery of a broker LivenessProbe message: the agent's event loop
-  /// processes it and, when connected, sends the LivenessEcho back over the
-  /// bus. A wedged or stopped loop drops it — the probe dies unanswered,
-  /// exactly the supervision signal.
-  void deliver_liveness_probe(std::uint64_t seq);
+  /// One keepalive from the agent's event loop: when connected, a running
+  /// agent sends the next Heartbeat from its site endpoint to the broker.
+  /// An agent that is not running, or is wedged, stays silent — exactly the
+  /// supervision signal. The broker's supervision tick calls this for every
+  /// agent it keeps, so the agents' timers fire in lockstep with the tick
+  /// and cost no event of their own.
+  void send_heartbeat();
 
   /// Fault injection (kAgentWedge): a wedged agent's event loop is stalled —
-  /// it stops echoing liveness probes and refuses new slot starts — while
-  /// its carrier job, node, and link stay healthy and resident jobs keep
+  /// it stops sending heartbeats and refuses new slot starts — while its
+  /// carrier job, node, and link stay healthy and resident jobs keep
   /// executing (they are separate processes; only the control loop is stuck).
   void set_wedged(bool wedged) { wedged_ = wedged; }
   [[nodiscard]] bool wedged() const { return wedged_; }
 
-  /// Highest probe sequence the loop has processed (0 before the first).
-  [[nodiscard]] std::uint64_t last_echoed_probe() const {
-    return last_echoed_probe_;
+  /// Heartbeats the loop has sent (the seq of the last one; 0 before the
+  /// first).
+  [[nodiscard]] std::uint64_t heartbeats_sent() const {
+    return heartbeats_sent_;
   }
 
   /// Attaches a metrics registry (must outlive the agent, or be detached
@@ -196,7 +198,7 @@ private:
   mutable Rng noise_rng_;  ///< execution-noise stream (dilation_for is const)
   AgentState state_ = AgentState::kPending;
   bool wedged_ = false;
-  std::uint64_t last_echoed_probe_ = 0;
+  std::uint64_t heartbeats_sent_ = 0;
   StateObserver observer_;
   JobId carrier_job_id_;
   std::optional<NodeId> node_;

@@ -108,8 +108,7 @@ public:
 
   /// Hook installed by the broker, which keeps the site's glide-in agents:
   /// receives every other message addressed to the site endpoint
-  /// (DispatchJob, KillJob, EvictNotice, LivenessProbe). nullptr
-  /// uninstalls it.
+  /// (DispatchJob, KillJob, EvictNotice). nullptr uninstalls it.
   void set_glidein_host(GlideinHost host) { glidein_host_ = std::move(host); }
 
   /// The site's bus endpoint, interned from the name given at construction.

@@ -232,21 +232,6 @@ void ControlBus::deliver_envelope(const Envelope& envelope) {
   if (handler) handler(envelope);
 }
 
-bool ControlBus::probe(EndpointId src, EndpointId dst, const Message& msg) {
-  const MsgType type = type_of(msg);
-  const auto index = msg.index();
-  sent_[index].inc();
-  const bool up =
-      link(src, dst).is_up(sim_.now()) && !drop_fault_active(type, src, dst);
-  if (up) {
-    delivered_[index].inc();
-  } else {
-    const Envelope envelope{0, src, dst, sim_.now(), msg};
-    count_drop(envelope, "probe");
-  }
-  return up;
-}
-
 std::optional<ControlBus::ActiveFault> ControlBus::resolve_fault(
     const sim::FaultSpec& spec) {
   ActiveFault fault;

@@ -14,7 +14,7 @@
 // message's effect is written once, in its receiver, never in the sender.
 //
 // Endpoints are interned once to dense EndpointIds (endpoint(name), read back
-// with name(id)); every send, probe and binding takes ids, so the per-message
+// with name(id)); every send and binding takes ids, so the per-message
 // path indexes tables instead of comparing strings. Per-directed-pair
 // sequence numbers and cached links, bound handlers, and in-flight
 // envelopes (a slab with a free list) all live in id- or slot-indexed
@@ -118,12 +118,6 @@ public:
   /// bound at `dst`; a message to an unbound endpoint runs nothing.
   bool send(EndpointId src, EndpointId dst, Message msg,
             const SendOptions& options = {});
-
-  /// Synchronous reachability probe: would a message of this type survive
-  /// the partition schedule and active drop faults right now? Counts into
-  /// the same per-type sent/delivered/dropped metrics but delivers nothing.
-  /// This is the bus form of the heartbeat's raw is_up() check.
-  [[nodiscard]] bool probe(EndpointId src, EndpointId dst, const Message& msg);
 
   /// Attaches (or detaches, with nullptr) metrics + tracing. Safe to call
   /// mid-run; handles re-bind.

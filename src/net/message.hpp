@@ -79,20 +79,10 @@ struct AgentRegister {
   AgentId agent;
 };
 
-/// Broker -> site: link-level reachability probe (synchronous round trip).
+/// Agent -> broker: the agent's keepalive, one per supervision tick, sent
+/// from its event loop (a wedged or dead agent sends none). `seq` counts the
+/// agent's heartbeats from 1.
 struct Heartbeat {
-  AgentId agent;
-};
-
-/// Broker -> agent: sequenced application-level liveness probe; must be
-/// answered from the agent's event loop.
-struct LivenessProbe {
-  AgentId agent;
-  std::uint64_t seq = 0;
-};
-
-/// Agent -> broker: the echo of a LivenessProbe.
-struct LivenessEcho {
   AgentId agent;
   std::uint64_t seq = 0;
 };
@@ -118,8 +108,7 @@ struct StageSandbox {
 
 using Message =
     std::variant<SubmitJob, DispatchJob, CancelJob, KillJob, JobStatus,
-                 AgentRegister, Heartbeat, LivenessProbe, LivenessEcho,
-                 EvictNotice, StageSandbox>;
+                 AgentRegister, Heartbeat, EvictNotice, StageSandbox>;
 
 /// Mirror of the variant's alternative order (used to index per-type
 /// observability handles and to name types in fault filters).
@@ -131,8 +120,6 @@ enum class MsgType : std::size_t {
   kJobStatus,
   kAgentRegister,
   kHeartbeat,
-  kLivenessProbe,
-  kLivenessEcho,
   kEvictNotice,
   kStageSandbox,
 };
@@ -153,15 +140,13 @@ inline constexpr std::size_t kMessageTypeCount =
     case MsgType::kJobStatus: return "JobStatus";
     case MsgType::kAgentRegister: return "AgentRegister";
     case MsgType::kHeartbeat: return "Heartbeat";
-    case MsgType::kLivenessProbe: return "LivenessProbe";
-    case MsgType::kLivenessEcho: return "LivenessEcho";
     case MsgType::kEvictNotice: return "EvictNotice";
     case MsgType::kStageSandbox: return "StageSandbox";
   }
   return "unknown";
 }
 
-/// Parses a type name as written in fault plans ("LivenessEcho"). "*" and ""
+/// Parses a type name as written in fault plans ("Heartbeat"). "*" and ""
 /// mean every type and return nullopt from here; unknown names also return
 /// nullopt (callers distinguish via is_wildcard_type).
 [[nodiscard]] std::optional<MsgType> type_from_name(std::string_view name);

@@ -47,8 +47,11 @@ enum class TraceEventKind {
   kAgentSuspected,
   kAgentRestored,
   kAgentDied,
-  kHeartbeatMiss,
-  kLivenessMiss,  ///< sequenced probe not echoed from the agent's event loop
+  kHeartbeatMiss,  ///< a supervision tick heard no heartbeat from an agent
+  /// Recorded by nothing: supervision has one channel and charges its misses
+  /// as kHeartbeatMiss. Kept so that code switching over every kind, such as
+  /// perfbench's layer attribution, still compiles.
+  kLivenessMiss,
   kLinkDown,
   kLinkUp,
   kFrameDropped,

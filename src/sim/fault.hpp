@@ -96,13 +96,13 @@ public:
                         Duration down_for = Duration::zero());
   FaultPlan& crash_agent(std::string target, SimTime at);
   /// Stalls an agent's event loop for the window without touching its link:
-  /// the process stops echoing liveness probes and accepting work while its
+  /// the process stops sending heartbeats and accepting work while its
   /// residents keep running. The canonical "wedged but pingable" failure.
   FaultPlan& wedge_agent(std::string target, SimTime at, Duration duration);
   FaultPlan& fail_spool(std::string target, SimTime at, Duration duration);
 
   // Message-level faults on the control-plane bus. `type` names one message
-  // type from the net catalog ("LivenessEcho", ...) or "*" for all; `a`/`b`
+  // type from the net catalog ("Heartbeat", ...) or "*" for all; `a`/`b`
   // filter by endpoint pair (empty matches any endpoint). The window is
   // [at, at + duration).
   FaultPlan& drop_messages(std::string type, std::string a, std::string b,

@@ -83,7 +83,7 @@ public:
   EventHandle schedule_at(SimTime when, Callback fn);
 
   /// Schedules a *daemon* event: periodic maintenance work (information-
-  /// system publication, heartbeat/liveness ticks, fair-share updates) that
+  /// system publication, supervision ticks, fair-share updates) that
   /// must not keep the simulation alive. run()/run_until() stop once only
   /// daemon events remain.
   EventHandle schedule_daemon(Duration delay, Callback fn);

@@ -1,9 +1,10 @@
 // AgentSupervisor without a broker: a simulation, a network, a control bus
 // and an agent table of running agents, with a recording decision sink in
-// CrossBroker's place. Covers the one miss rule on both channels (a
-// partitioned link misses heartbeats, a wedged agent misses echoes),
-// restoration only once both channels pass, and the running-job grace timer's
-// suspected-since guard across a suspect -> restore -> suspect cycle.
+// CrossBroker's place. Covers the one miss rule (a partitioned link and a
+// wedged agent both stop the heartbeats), restoration by the first
+// heartbeat that arrives, a reordered heartbeat that still lands within its
+// interval, and the running-job grace timer's suspected-since guard across a
+// suspect -> restore -> suspect cycle.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -13,6 +14,7 @@
 #include "broker/agent_supervisor.hpp"
 #include "net/control_bus.hpp"
 #include "obs/observability.hpp"
+#include "sim/fault.hpp"
 #include "sim/network.hpp"
 #include "sim/simulation.hpp"
 
@@ -58,29 +60,18 @@ private:
 };
 
 /// The supervisor's surroundings: the broker endpoint dispatches
-/// AgentRegister and LivenessEcho to it the way CrossBroker does, the site
-/// endpoint passes each LivenessProbe to the agent it names the way a site's
-/// glide-in host does, and every agent runs at one site behind one
-/// broker <-> site link.
+/// AgentRegister and Heartbeat to it the way CrossBroker does, and every
+/// agent runs at one site behind one broker <-> site link.
 class Harness {
 public:
   explicit Harness(Duration grace = Duration::zero())
-      : supervisor{sim, bus, agents, health, sink, broker, kChannelLatency,
-                   grace} {
+      : supervisor{sim, agents, health, sink, grace} {
     bus.bind(broker, [this](const net::Envelope& envelope) {
       if (const auto* reg = std::get_if<net::AgentRegister>(&envelope.payload)) {
         supervisor.watch(*agents.record(reg->agent));
-      } else if (const auto* echo =
-                     std::get_if<net::LivenessEcho>(&envelope.payload)) {
-        supervisor.on_echo(echo->agent, echo->seq);
-      }
-    });
-    bus.bind(site, [this](const net::Envelope& envelope) {
-      if (const auto* probe =
-              std::get_if<net::LivenessProbe>(&envelope.payload)) {
-        if (glidein::GlideinAgent* agent = agents.find(probe->agent)) {
-          agent->receive(envelope.payload);
-        }
+      } else if (const auto* heartbeat =
+                     std::get_if<net::Heartbeat>(&envelope.payload)) {
+        supervisor.on_heartbeat(heartbeat->agent);
       }
     });
     supervisor.set_observability(&obs);
@@ -106,6 +97,15 @@ public:
     return obs.tracer.of_kind(kind);
   }
 
+  /// When each trace event of `kind` was recorded.
+  [[nodiscard]] std::vector<SimTime> times(obs::TraceEventKind kind) const {
+    std::vector<SimTime> out;
+    for (const obs::JobTraceEvent& event : events(kind)) {
+      out.push_back(event.when);
+    }
+    return out;
+  }
+
   sim::Simulation sim;
   sim::Network network{Rng{11}};
   sim::Link& link = network.add_link("broker", "site", sim::LinkSpec::campus());
@@ -119,69 +119,102 @@ public:
   AgentSupervisor supervisor;
 };
 
-TEST(AgentSupervisorTest, PartitionedLinkSuspectsThroughHeartbeats) {
+TEST(AgentSupervisorTest, PartitionedLinkSuspectsAfterThreeMissedHeartbeats) {
   Harness h;
   const AgentId agent = h.deploy().id();
-  // Down from before the first tick: ticks at 10, 20 and 30 s miss.
+  // Registered at 2.5 s, which counts as hearing from it: the 10 s tick
+  // charges nothing. The heartbeats of the 10, 20 and 30 s ticks die in
+  // the partition, so the 20, 30 and 40 s ticks each charge one miss.
   h.partition(5.0, 1000.0);
-  h.sim.run_until(at(35.0));
+  h.sim.run_until(at(45.0));
 
-  const auto misses = h.events(obs::TraceEventKind::kHeartbeatMiss);
-  ASSERT_EQ(misses.size(), static_cast<std::size_t>(kSupervisionMissLimit));
+  EXPECT_EQ(h.times(obs::TraceEventKind::kHeartbeatMiss),
+            (std::vector<SimTime>{at(20.0), at(30.0), at(40.0)}));
   const auto suspected = h.events(obs::TraceEventKind::kAgentSuspected);
   ASSERT_EQ(suspected.size(), 1u);
   EXPECT_EQ(*suspected[0].attrs.find("reason"), "heartbeat");
-  EXPECT_EQ(suspected[0].when, misses.back().when);
   EXPECT_EQ(h.sink.decisions,
-            (std::vector<Decision>{{Decision::kSuspected, agent, at(30.0)}}));
+            (std::vector<Decision>{{Decision::kSuspected, agent, at(40.0)}}));
   EXPECT_TRUE(h.agents.record(agent)->suspected);
+  EXPECT_EQ(h.obs.metrics.counter_total("broker.heartbeat_misses"), 3u);
 }
 
-TEST(AgentSupervisorTest, WedgedAgentOnHealthyLinkSuspectsThroughEchoes) {
+TEST(AgentSupervisorTest, WedgedAgentOnHealthyLinkFallsSilent) {
   Harness h;
   glidein::GlideinAgent& wedged = h.deploy();
   const AgentId agent = wedged.id();
   h.sim.schedule_at(at(5.0), [&] { wedged.set_wedged(true); });
-  // The probe of the 10 s tick goes unanswered: the ticks at 20, 30 and
-  // 40 s each find one outstanding, while every heartbeat passes.
+  // The link stays up, but a wedged event loop sends nothing: the same
+  // three misses as a partition.
   h.sim.run_until(at(45.0));
 
-  EXPECT_TRUE(h.events(obs::TraceEventKind::kHeartbeatMiss).empty());
-  const auto misses = h.events(obs::TraceEventKind::kLivenessMiss);
-  ASSERT_EQ(misses.size(), static_cast<std::size_t>(kSupervisionMissLimit));
-  const auto suspected = h.events(obs::TraceEventKind::kAgentSuspected);
-  ASSERT_EQ(suspected.size(), 1u);
-  EXPECT_EQ(*suspected[0].attrs.find("reason"), "liveness");
-  EXPECT_EQ(suspected[0].when, misses.back().when);
+  EXPECT_EQ(wedged.heartbeats_sent(), 0u);
+  EXPECT_EQ(h.times(obs::TraceEventKind::kHeartbeatMiss),
+            (std::vector<SimTime>{at(20.0), at(30.0), at(40.0)}));
   EXPECT_EQ(h.sink.decisions,
             (std::vector<Decision>{{Decision::kSuspected, agent, at(40.0)}}));
 }
 
-TEST(AgentSupervisorTest, RestoredOnlyOnceBothChannelsPass) {
+TEST(AgentSupervisorTest, FirstHeartbeatAfterTheHealRestoresAndClearsTheMisses) {
+  Harness h;
+  const AgentId id = h.deploy().id();
+  // Down from 5 to 35 s: suspected at 40 s after three missed heartbeats.
+  // The heartbeat of the 40 s tick crosses the healed link and restores the
+  // agent one channel latency later; the 50 and 60 s ticks have heard from
+  // it and charge nothing.
+  h.partition(5.0, 35.0);
+  h.sim.run_until(at(65.0));
+
+  const SimTime heard = at(40.0) + kChannelLatency;
+  EXPECT_EQ(h.sink.decisions,
+            (std::vector<Decision>{{Decision::kSuspected, id, at(40.0)},
+                                   {Decision::kRestored, id, heard}}));
+  EXPECT_EQ(h.times(obs::TraceEventKind::kHeartbeatMiss),
+            (std::vector<SimTime>{at(20.0), at(30.0), at(40.0)}));
+  EXPECT_EQ(h.times(obs::TraceEventKind::kAgentRestored),
+            (std::vector<SimTime>{heard}));
+  EXPECT_FALSE(h.agents.record(id)->suspected);
+  EXPECT_EQ(h.agents.record(id)->missed, 0);
+}
+
+TEST(AgentSupervisorTest, WedgedAgentStaysSuspectedBehindAHealedLink) {
   Harness h;
   glidein::GlideinAgent& agent = h.deploy();
   const AgentId id = agent.id();
-  // Suspected through heartbeats at 30 s. The link heals at 55 s, so from
-  // the 60 s tick on heartbeats pass, but the agent stays wedged until
-  // 75 s: the probes of the 60 and 70 s ticks go unanswered. The 80 s tick
-  // is the first whose heartbeat and probe both pass; its echo is back one
-  // round trip later.
+  // Suspected at 40 s. The link heals at 55 s, but the agent stays wedged
+  // until 75 s and sends nothing; the 80 s tick is the first to find it
+  // running, and its heartbeat restores the agent.
   h.partition(5.0, 55.0);
   h.sim.schedule_at(at(5.0), [&] { agent.set_wedged(true); });
   h.sim.schedule_at(at(75.0), [&] { agent.set_wedged(false); });
-  h.sim.run_until(at(79.0));
+  h.sim.run_until(at(80.0));
   EXPECT_TRUE(h.events(obs::TraceEventKind::kAgentRestored).empty());
   EXPECT_TRUE(h.agents.record(id)->suspected);
 
   h.sim.run_until(at(100.0));
-  const SimTime echoed = at(80.0) + kChannelLatency + kChannelLatency;
+  const SimTime heard = at(80.0) + kChannelLatency;
   EXPECT_EQ(h.sink.decisions,
-            (std::vector<Decision>{{Decision::kSuspected, id, at(30.0)},
-                                   {Decision::kRestored, id, echoed}}));
-  const auto restored = h.events(obs::TraceEventKind::kAgentRestored);
-  ASSERT_EQ(restored.size(), 1u);
-  EXPECT_EQ(restored[0].when, echoed);
+            (std::vector<Decision>{{Decision::kSuspected, id, at(40.0)},
+                                   {Decision::kRestored, id, heard}}));
   EXPECT_FALSE(h.agents.record(id)->suspected);
+}
+
+TEST(AgentSupervisorTest, HeartbeatReorderedWithinItsIntervalChargesNoMiss) {
+  Harness h;
+  const AgentId id = h.deploy().id();
+  sim::FaultInjector injector{h.sim, &h.network};
+  injector.register_message_sink(&h.bus);
+  sim::FaultPlan plan;
+  // Every heartbeat arrives 9.25 s after its tick: late, but before the
+  // next tick looks for it.
+  plan.reorder_messages("Heartbeat", "", "", at(0.0), Duration::seconds(1000),
+                        Duration::seconds(9));
+  injector.arm(plan);
+  h.sim.run_until(at(200.0));
+
+  EXPECT_TRUE(h.events(obs::TraceEventKind::kHeartbeatMiss).empty());
+  EXPECT_TRUE(h.sink.decisions.empty());
+  EXPECT_EQ(h.agents.record(id)->agent->heartbeats_sent(), 20u);
 }
 
 TEST(AgentSupervisorTest, GraceExpiresOnceAtTheSecondSuspicionsDeadline) {
@@ -189,23 +222,24 @@ TEST(AgentSupervisorTest, GraceExpiresOnceAtTheSecondSuspicionsDeadline) {
   Harness h{grace};
   glidein::GlideinAgent& agent = h.deploy();
   const AgentId id = agent.id();
-  // First suspicion through echoes at 40 s (deadline 100 s); the agent is
-  // unwedged at 45 s and restored when the 50 s probe's echo returns. The
-  // link then goes down for good: the second suspicion comes through
-  // heartbeats at 80 s (deadline 140 s). At 100 s the agent is suspected,
-  // but not since the suspicion that armed that timer.
+  // First suspicion of the wedged agent at 40 s (deadline 100 s); it is
+  // unwedged at 45 s and the 50 s tick's heartbeat restores it. The link
+  // then goes down for good: the heartbeats of the 60, 70 and 80 s ticks
+  // are lost, and the second suspicion comes at 90 s (deadline 150 s). At
+  // 100 s the agent is suspected, but not since the suspicion that armed
+  // that timer.
   h.sim.schedule_at(at(5.0), [&] { agent.set_wedged(true); });
   h.sim.schedule_at(at(45.0), [&] { agent.set_wedged(false); });
   h.partition(55.0, 1000.0);
-  h.sim.run_until(at(150.0));
+  h.sim.run_until(at(160.0));
 
-  const SimTime echoed = at(50.0) + kChannelLatency + kChannelLatency;
+  const SimTime heard = at(50.0) + kChannelLatency;
   EXPECT_EQ(h.sink.decisions,
             (std::vector<Decision>{{Decision::kSuspected, id, at(40.0)},
-                                   {Decision::kRestored, id, echoed},
-                                   {Decision::kSuspected, id, at(80.0)},
+                                   {Decision::kRestored, id, heard},
+                                   {Decision::kSuspected, id, at(90.0)},
                                    {Decision::kGraceExpired, id,
-                                    at(80.0) + grace}}));
+                                    at(90.0) + grace}}));
 }
 
 }  // namespace

@@ -753,12 +753,12 @@ TEST_F(BrokerFixture, TraceRecordsResubmissions) {
   EXPECT_GE(obs.tracer.count(obs::TraceEventKind::kResubmitted), 1u);
 }
 
-TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
-  // Each supervision tick probes both channels and must visit each agent
-  // whose AgentRegister arrived before the tick, and no other: an agent is
-  // first probed by the first tick after it registers, and a dismissed
-  // agent is never probed again. Agents are preloaded at staggered times so
-  // they register between ticks; the one that runs a job is dismissed.
+TEST_F(BrokerFixture, SupervisionTicksHearFromExactlyTheRegisteredAgents) {
+  // Each supervision tick asks every agent whose AgentRegister arrived
+  // before the tick, and no other, for one heartbeat: an agent first sends
+  // at the first tick after it registers, and a dismissed agent never sends
+  // again. Agents are preloaded at staggered times so they register between
+  // ticks; the one that runs a job is dismissed.
   const GridScenarioConfig config = default_config();
   const Duration interval = kSupervisionInterval;
   obs::Observability obs;
@@ -768,8 +768,9 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
   const auto heartbeats = [&] {
     return obs.metrics.counter("net.msg.sent", {{"type", "Heartbeat"}}).value();
   };
-  const auto liveness_probes = [&] {
-    return obs.metrics.counter("broker.liveness_probes").value();
+  const auto heartbeats_heard = [&] {
+    return obs.metrics.counter("net.msg.delivered", {{"type", "Heartbeat"}})
+        .value();
   };
   const auto registrations = [&] {
     return obs.metrics.counter("net.msg.delivered", {{"type", "AgentRegister"}})
@@ -803,10 +804,11 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
   for (int k = 1; k <= 15; ++k) {
     const SimTime tick_at = SimTime::zero() + interval * k;
     grid.sim().run_until(tick_at - Duration::micros(1));
-    // Every probe of the earlier ticks has been echoed by now: an agent has
-    // processed exactly one probe per tick since its registration.
+    // Every heartbeat of the earlier ticks has arrived by now: an agent has
+    // sent exactly one per tick since its registration.
+    EXPECT_EQ(heartbeats_heard(), heartbeats()) << "before tick " << k;
     for (const auto& [id, rec] : broker.agents()) {
-      EXPECT_EQ(rec.agent->last_echoed_probe(), ticks_visited[id])
+      EXPECT_EQ(rec.agent->heartbeats_sent(), ticks_visited[id])
           << "agent " << id.value() << " before tick " << k;
     }
     // The tick must visit every registered agent that is still deployed.
@@ -817,11 +819,9 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
       if (broker.agents().find(agents[i]) != nullptr) expected.push_back(agents[i]);
     }
     const std::uint64_t heartbeats_before = heartbeats();
-    const std::uint64_t probes_before = liveness_probes();
     grid.sim().run_until(tick_at);
     ASSERT_EQ(registrations(), registered) << "registration at tick " << k;
     EXPECT_EQ(heartbeats() - heartbeats_before, expected.size()) << "tick " << k;
-    EXPECT_EQ(liveness_probes() - probes_before, expected.size()) << "tick " << k;
     for (const AgentId id : expected) ++ticks_visited[id];
     visited_per_tick.push_back(expected.size());
   }
@@ -839,6 +839,7 @@ TEST_F(BrokerFixture, SupervisionTicksProbeExactlyTheRegisteredAgents) {
         << "no tick visited " << n << " agents";
   }
   EXPECT_EQ(visited_per_tick.back(), 2u);
+  EXPECT_EQ(obs.metrics.counter_total("broker.heartbeat_misses"), 0u);
 }
 
 TEST_F(BrokerFixture, BspWorkloadGatedBySlowestRank) {

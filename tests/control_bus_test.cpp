@@ -102,17 +102,16 @@ TEST_F(ControlBusTest, PerLinkFifoAndMonotonicSeq) {
 }
 
 TEST_F(ControlBusTest, EqualLatencySendsDeliverInSendOrder) {
-  record_at(site_a);
+  record_at(broker);
   SendOptions options;
   options.channel_latency = 100_ms;
   for (int i = 0; i < 4; ++i) {
-    bus.send(broker, site_a, LivenessProbe{AgentId{1}, std::uint64_t(i)},
-             options);
+    bus.send(site_a, broker, Heartbeat{AgentId{1}, std::uint64_t(i)}, options);
   }
   sim.run();
   std::vector<std::uint64_t> order;
   for (const Arrival& a : arrivals) {
-    order.push_back(std::get<LivenessProbe>(a.envelope.payload).seq);
+    order.push_back(std::get<Heartbeat>(a.envelope.payload).seq);
   }
   EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }
@@ -137,12 +136,6 @@ TEST_F(ControlBusTest, PartitionDropParityWithIsUp) {
   // Sends that historically ignored partitions still go through.
   sim.schedule_at(SimTime::from_seconds(16), [&] { try_send(false); });
   sim.schedule_at(SimTime::from_seconds(35), [&] { try_send(true); });
-  sim.schedule_at(SimTime::from_seconds(5), [&] {
-    EXPECT_TRUE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
-  });
-  sim.schedule_at(SimTime::from_seconds(15), [&] {
-    EXPECT_FALSE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
-  });
   sim.run();
   EXPECT_EQ(arrivals.size(), 3u);  // 5 s, 16 s (ignores partition), 35 s
   EXPECT_EQ(refused, 1);           // 15 s with drop_when_down
@@ -219,9 +212,9 @@ TEST_F(ControlBusTest, BoundHandlerReceivesAndUnboundEndpointRunsNothing) {
     seen.push_back(std::string{to_string(type_of(e.payload))});
   });
   bus.send(site_a, broker, AgentRegister{AgentId{3}});
-  bus.send(site_a, broker, LivenessEcho{AgentId{3}, 1});
+  bus.send(site_a, broker, Heartbeat{AgentId{3}, 1});
   sim.run();
-  EXPECT_EQ(seen, (std::vector<std::string>{"AgentRegister", "LivenessEcho"}));
+  EXPECT_EQ(seen, (std::vector<std::string>{"AgentRegister", "Heartbeat"}));
 
   bus.unbind(broker);
   bus.send(site_a, broker, AgentRegister{AgentId{4}});
@@ -233,24 +226,44 @@ TEST_F(ControlBusTest, DropFaultFiltersByTypeAndWindow) {
   sim::FaultInjector injector{sim, &network};
   injector.register_message_sink(&bus);
   sim::FaultPlan plan;
-  plan.drop_messages("LivenessEcho", "", "", SimTime::from_seconds(10), 10_s);
+  plan.drop_messages("Heartbeat", "", "", SimTime::from_seconds(10), 10_s);
   injector.arm(plan);
 
   record_at(broker);
   record_at(site_a);
   const auto send_both = [&] {
-    bus.send(site_a, broker, LivenessEcho{AgentId{1}, 1});
-    bus.send(broker, site_a, LivenessProbe{AgentId{1}, 1});
+    bus.send(site_a, broker, Heartbeat{AgentId{1}, 1});
+    bus.send(broker, site_a, KillJob{JobId{1}, AgentId{1}});
   };
   sim.schedule_at(SimTime::from_seconds(5), send_both);
-  sim.schedule_at(SimTime::from_seconds(15), send_both);  // echo blackholed
+  sim.schedule_at(SimTime::from_seconds(15), send_both);  // heartbeat lost
   sim.schedule_at(SimTime::from_seconds(25), send_both);  // healed
   sim.schedule_at(SimTime::from_seconds(15),
                   [&] { EXPECT_EQ(bus.active_message_faults(), 1u); });
   sim.run();
-  EXPECT_EQ(arrivals_at(broker).size(), 2u);  // echoes
-  EXPECT_EQ(arrivals_at(site_a).size(), 3u);  // probes
+  EXPECT_EQ(arrivals_at(broker).size(), 2u);  // heartbeats
+  EXPECT_EQ(arrivals_at(site_a).size(), 3u);  // kills
   EXPECT_EQ(bus.active_message_faults(), 0u);
+}
+
+TEST_F(ControlBusTest, RetiredTypeNamesArmNothing) {
+  // LivenessProbe and LivenessEcho left the catalog: plans that still name
+  // them arm no fault, and the traffic they meant to hit flows untouched.
+  sim::FaultInjector injector{sim, &network};
+  injector.register_message_sink(&bus);
+  sim::FaultPlan plan;
+  plan.drop_messages("LivenessEcho", "", "", SimTime::from_seconds(0), 10_s);
+  plan.duplicate_messages("LivenessProbe", "", "", SimTime::from_seconds(0),
+                          10_s);
+  injector.arm(plan);
+
+  record_at(broker);
+  sim.schedule_at(SimTime::from_seconds(1), [&] {
+    EXPECT_EQ(bus.active_message_faults(), 0u);
+    bus.send(site_a, broker, Heartbeat{AgentId{1}, 1});
+  });
+  sim.run();
+  EXPECT_EQ(arrivals.size(), 1u);
 }
 
 TEST_F(ControlBusTest, DropFaultFiltersByEndpointPair) {
@@ -316,7 +329,6 @@ TEST_F(ControlBusTest, LinkAddedAfterFirstUseTakesEffect) {
       .failures()
       .add_outage(sim.now(), sim.now() + 10_s);
   EXPECT_FALSE(bus.send(broker, site_a, Heartbeat{AgentId{1}}, options));
-  EXPECT_FALSE(bus.probe(broker, site_a, Heartbeat{AgentId{1}}));
 }
 
 TEST_F(ControlBusTest, DupFaultDeliversTwice) {
@@ -368,30 +380,29 @@ TEST_F(ControlBusTest, MetricsAndTraceEmission) {
   sim::FaultInjector injector{sim, &network};
   injector.register_message_sink(&bus);
   sim::FaultPlan plan;
-  plan.drop_messages("LivenessEcho", "", "", SimTime::from_seconds(0), 10_s);
+  plan.drop_messages("Heartbeat", "", "", SimTime::from_seconds(0), 10_s);
   injector.arm(plan);
 
   SendOptions options;
   options.channel_latency = 250_ms;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    bus.send(broker, site_a, Heartbeat{AgentId{1}}, options);
-    bus.send(site_a, broker, LivenessEcho{AgentId{1}, 1}, options);
+    bus.send(broker, site_a, KillJob{JobId{1}, AgentId{1}}, options);
+    bus.send(site_a, broker, Heartbeat{AgentId{1}, 1}, options);
   });
   sim.run();
 
+  EXPECT_EQ(obs.metrics.counter("net.msg.sent", {{"type", "KillJob"}}).value(),
+            1u);
+  EXPECT_EQ(
+      obs.metrics.counter("net.msg.delivered", {{"type", "KillJob"}}).value(),
+      1u);
   EXPECT_EQ(obs.metrics.counter("net.msg.sent", {{"type", "Heartbeat"}}).value(),
             1u);
   EXPECT_EQ(
-      obs.metrics.counter("net.msg.delivered", {{"type", "Heartbeat"}}).value(),
-      1u);
-  EXPECT_EQ(
-      obs.metrics.counter("net.msg.sent", {{"type", "LivenessEcho"}}).value(),
-      1u);
-  EXPECT_EQ(
-      obs.metrics.counter("net.msg.dropped", {{"type", "LivenessEcho"}}).value(),
+      obs.metrics.counter("net.msg.dropped", {{"type", "Heartbeat"}}).value(),
       1u);
   const obs::Histogram* latency =
-      obs.metrics.find_histogram("net.msg.latency_s", {{"type", "Heartbeat"}});
+      obs.metrics.find_histogram("net.msg.latency_s", {{"type", "KillJob"}});
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 1u);
   EXPECT_NEAR(latency->mean(), 0.25, 1e-9);
@@ -405,7 +416,7 @@ TEST_F(ControlBusTest, MetricsAndTraceEmission) {
 
 TEST_F(ControlBusTest, MessageTypeCatalogRoundTrips) {
   EXPECT_EQ(type_of(Message{SubmitJob{}}), MsgType::kSubmitJob);
-  EXPECT_EQ(type_of(Message{LivenessEcho{}}), MsgType::kLivenessEcho);
+  EXPECT_EQ(type_of(Message{EvictNotice{}}), MsgType::kEvictNotice);
   for (std::size_t i = 0; i < kMessageTypeCount; ++i) {
     const auto type = static_cast<MsgType>(i);
     EXPECT_EQ(type_from_name(to_string(type)), type);

@@ -355,6 +355,16 @@ TEST(FaultInjectionTest, DuplicatedStageSandboxSubmitsEachRequestOnce) {
   EXPECT_EQ(run.dispatches, 5u);
 }
 
+TEST(FaultInjectionTest, DuplicatedHeartbeatChangesNothing) {
+  // Each keepalive arrives twice; hearing from an agent twice in one tick
+  // is hearing from it once, so supervision and every job run as without
+  // the fault.
+  const DuplicateProbeRun run = run_duplicate_probe("Heartbeat");
+  EXPECT_EQ(run.completed, 6);
+  EXPECT_TRUE(run.failures.empty());
+  EXPECT_EQ(run.dispatches, 5u);
+}
+
 TEST(FaultInjectionTest, NodeCrashDuringExclusiveInteractiveRecovers) {
   broker::GridScenarioConfig config;
   config.sites = 2;

@@ -1,7 +1,8 @@
-// Chaos scenario suite for the agent-liveness echo and partition-aware job
-// eviction subsystems: a wedged agent on a healthy link (echoes stop while
-// link heartbeats pass), partitions that heal inside and outside the
-// running-job grace, and spool faults during reliable streaming. Each
+// Chaos scenario suite for agent supervision and partition-aware job
+// eviction: a wedged agent on a healthy link (its heartbeats stop though no
+// message is lost), heartbeats blackholed by a message fault, partitions
+// that heal inside and outside the running-job grace, and spool faults
+// during reliable streaming. Each
 // scenario asserts a full filtered trace-event digest against a golden
 // sequence and byte-identical same-seed typed-trace exports.
 //
@@ -41,8 +42,8 @@ struct ScenarioInfo {
 
 constexpr ScenarioInfo kScenarios[] = {
     {"wedged-agent-healthy-link",
-     "agent event loop stalls while link heartbeats pass; liveness echoes "
-     "miss, the agent is suspected, and its residents are evicted"},
+     "agent event loop stalls on a healthy link; its heartbeats stop, the "
+     "agent is suspected, and its residents are evicted"},
     {"partition-heal-within-grace",
      "broker<->site partition heals before running_job_grace expires; the "
      "agent is restored and nothing is evicted"},
@@ -50,9 +51,9 @@ constexpr ScenarioInfo kScenarios[] = {
      "partition outlives running_job_grace; running residents are evicted "
      "with reason=partition and resubmitted elsewhere"},
     {"liveness-echo-blackhole",
-     "a message fault drops only LivenessEcho on the broker<->site pair; "
-     "heartbeats and probes still flow (zero heartbeat misses), yet the "
-     "silent echo path alone drives suspicion and eviction"},
+     "a message fault drops only Heartbeat on the broker<->site pair while "
+     "the link stays up; the lost keepalives alone drive suspicion and "
+     "eviction"},
     {"spool-fault-during-streaming",
      "worker-node disk fails mid reliable stream; appends are rejected and "
      "retried until the disk heals, losing nothing"},
@@ -130,8 +131,8 @@ struct ScenarioResult {
   std::string digest;  ///< filtered trace-kind sequence (kinds_digest)
   std::string jsonl;   ///< full typed trace export (byte-comparable)
   std::uint64_t heartbeat_misses = 0;
-  std::uint64_t liveness_misses = 0;
   std::uint64_t msg_drops = 0;  ///< net.msg.dropped across all types/reasons
+  std::uint64_t partition_drops = 0;  ///< drops a link outage caused
   std::uint64_t suspected = 0;
   std::uint64_t restored = 0;
   std::uint64_t evictions = 0;
@@ -167,7 +168,7 @@ struct FaultContext {
 
 /// One grid chaos run: a long batch job plus a shared-mode interactive job
 /// riding a glide-in agent, faults injected at t >= 300 s, supervision via
-/// both link heartbeats and liveness echoes, eviction after a 60 s grace.
+/// the agents' heartbeats, eviction after a 60 s grace.
 ScenarioResult run_grid_scenario(
     const char* name,
     const std::function<void(sim::FaultPlan&, const FaultContext&)>& author) {
@@ -210,8 +211,11 @@ ScenarioResult run_grid_scenario(
   result.jsonl = obs.tracer.to_jsonl();
   result.heartbeat_misses =
       obs.metrics.counter_total("broker.heartbeat_misses");
-  result.liveness_misses = obs.metrics.counter_total("broker.liveness_misses");
   result.msg_drops = obs.metrics.counter_total("net.msg.dropped");
+  for (const obs::JobTraceEvent& event :
+       obs.tracer.of_kind(obs::TraceEventKind::kMsgDropped)) {
+    if (event.detail == "partition") ++result.partition_drops;
+  }
   result.suspected = obs.metrics.counter_total("broker.agents_suspected");
   result.restored = obs.metrics.counter_total("broker.agents_restored");
   result.evictions = obs.metrics.counter_total("broker.jobs_evicted");
@@ -243,13 +247,13 @@ ScenarioResult run_wedged_agent() {
 
 TEST(LivenessScenarioTest, WedgedAgentOnHealthyLinkIsSuspectedAndEvicts) {
   const ScenarioResult run = run_wedged_agent();
-  // The link never went down, so not one link heartbeat was missed: only the
-  // application-level echo saw the wedge.
-  EXPECT_EQ(run.heartbeat_misses, 0u);
-  EXPECT_GE(run.liveness_misses, 3u);
+  // The link never went down and not one message was lost: the wedged
+  // event loop simply stopped sending heartbeats.
+  EXPECT_EQ(run.msg_drops, 0u);
+  EXPECT_GE(run.heartbeat_misses, 3u);
   EXPECT_EQ(run.suspected, 1u);
-  // Suspected within (miss_limit + 1) probe intervals of the wedge: the
-  // acceptance bound of the liveness tentpole.
+  // Suspected within (miss_limit + 1) supervision intervals of the wedge:
+  // the acceptance bound of the liveness tentpole.
   ASSERT_TRUE(run.suspected_at.has_value());
   EXPECT_GE(*run.suspected_at, SimTime::from_seconds(300.0));
   EXPECT_LE(*run.suspected_at,
@@ -274,33 +278,31 @@ TEST(LivenessScenarioTest, WedgedAgentScenarioIsByteIdenticalAcrossRuns) {
   EXPECT_FALSE(a.jsonl.empty());
 }
 
-// ------------------------------- scenario: liveness-echo blackhole (kMsgDrop)
+// -------------------------------- scenario: heartbeat blackhole (kMsgDrop)
 
 /// The message-fault twin of the wedge: the agent is perfectly healthy and
-/// echoes every probe, but a kMsgDrop fault blackholes LivenessEcho — and
-/// only LivenessEcho — on the broker<->site pair. Heartbeats and probes
-/// match neither the type nor fail the link, so the echo channel alone
-/// carries the suspicion signal.
-ScenarioResult run_echo_blackhole() {
+/// sends every heartbeat, but a kMsgDrop fault blackholes Heartbeat — and
+/// only Heartbeat — on the broker<->site pair while the link stays up. The
+/// scenario keeps the name it had when supervision also echoed probes.
+ScenarioResult run_heartbeat_blackhole() {
   return run_grid_scenario(
       "liveness-echo-blackhole",
       [](sim::FaultPlan& plan, const FaultContext& ctx) {
-        plan.drop_messages("LivenessEcho", "broker", ctx.inter_site_endpoint(),
+        plan.drop_messages("Heartbeat", "broker", ctx.inter_site_endpoint(),
                            SimTime::from_seconds(300.0),
                            Duration::seconds(200));
       });
 }
 
-TEST(LivenessScenarioTest, EchoBlackholeSuspectsWithoutHeartbeatMisses) {
-  const ScenarioResult run = run_echo_blackhole();
-  // The link never failed and Heartbeat never matched the fault's type
-  // filter: not one heartbeat miss. Every miss came from dropped echoes.
-  EXPECT_EQ(run.heartbeat_misses, 0u);
-  EXPECT_GE(run.liveness_misses, 3u);
-  // The bus counted each blackholed echo (reason=fault) on the shared
+TEST(LivenessScenarioTest, HeartbeatBlackholeSuspectsOnAHealthyLink) {
+  const ScenarioResult run = run_heartbeat_blackhole();
+  // The link never failed: not one message was lost to a partition.
+  EXPECT_EQ(run.partition_drops, 0u);
+  EXPECT_GE(run.heartbeat_misses, 3u);
+  // The bus counted each blackholed heartbeat (reason=fault) on the shared
   // registry — the fault fired through the typed delivery path, not around
-  // it.
-  EXPECT_GE(run.msg_drops, run.liveness_misses);
+  // it — and every miss stands for one of them.
+  EXPECT_GE(run.msg_drops, run.heartbeat_misses);
   EXPECT_EQ(run.suspected, 1u);
   ASSERT_TRUE(run.suspected_at.has_value());
   EXPECT_GE(*run.suspected_at, SimTime::from_seconds(300.0));
@@ -309,7 +311,8 @@ TEST(LivenessScenarioTest, EchoBlackholeSuspectsWithoutHeartbeatMisses) {
                 broker::kSupervisionInterval *
                     (broker::kSupervisionMissLimit + 1));
   // Grace expired behind the blackhole: residents evicted and resubmitted,
-  // and the agent restored once the fault healed and an echo got through.
+  // and the agent restored once the fault healed and a heartbeat got
+  // through.
   ASSERT_TRUE(run.inter_evicted_at.has_value());
   EXPECT_GE(*run.inter_evicted_at, *run.suspected_at + Duration::seconds(60));
   EXPECT_GE(run.evictions, 1u);
@@ -319,9 +322,9 @@ TEST(LivenessScenarioTest, EchoBlackholeSuspectsWithoutHeartbeatMisses) {
   EXPECT_EQ(run.active_leases, 0u);
 }
 
-TEST(LivenessScenarioTest, EchoBlackholeIsByteIdenticalAcrossRuns) {
-  const ScenarioResult a = run_echo_blackhole();
-  const ScenarioResult b = run_echo_blackhole();
+TEST(LivenessScenarioTest, HeartbeatBlackholeIsByteIdenticalAcrossRuns) {
+  const ScenarioResult a = run_heartbeat_blackhole();
+  const ScenarioResult b = run_heartbeat_blackhole();
   EXPECT_EQ(a.jsonl, b.jsonl);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_FALSE(a.jsonl.empty());
@@ -344,6 +347,7 @@ TEST(LivenessScenarioTest, PartitionHealedWithinGraceEvictsNothing) {
   // The partition was long enough to suspect the agent…
   EXPECT_EQ(run.suspected, 1u);
   EXPECT_GE(run.heartbeat_misses, 3u);
+  EXPECT_GE(run.partition_drops, 3u);
   // …but healed before running_job_grace expired, so the armed eviction
   // timer found the agent restored and stood down: nothing was evicted, the
   // resident kept running where it was, and no resubmission happened.
@@ -381,7 +385,7 @@ TEST(LivenessScenarioTest, PartitionPastGraceEvictsAndResubmitsRunningJob) {
   EXPECT_GE(run.evictions, 1u);
   EXPECT_GE(run.inter_resubmissions, 1);
   EXPECT_TRUE(run.inter.completed);
-  // Every healed agent re-registered once echoes made the round trip again.
+  // Every healed agent re-registered once its heartbeats got through again.
   EXPECT_GE(run.restored, 1u);
   EXPECT_EQ(run.restored, run.suspected);
   EXPECT_EQ(run.active_leases, 0u);
@@ -720,66 +724,65 @@ TEST(LivenessScenarioTest, FastModeWedgeDropsFramesVisiblyOnShadow) {
 // Pinned from the first deterministic run (CG_DUMP_DIGESTS=1); the fixed
 // scenario seed (20060915) makes these exact. A change here means the
 // supervision/eviction event sequence changed and must be reviewed.
-// Wedged agent, healthy link: the echo path alone (not one heartbeat_miss)
-// drives suspicion, eviction, resubmission, and eventual restoration.
-constexpr std::string_view kWedgedAgentGolden = R"(liveness_miss
-liveness_miss
-liveness_miss
+// Wedged agent, healthy link: the silent agent's missed heartbeats drive
+// suspicion, eviction, resubmission, and eventual restoration.
+constexpr std::string_view kWedgedAgentGolden = R"(heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 agent_suspected
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 job_evicted(j4)
 resubmitted(j4)
 job_evicted(j1)
 resubmitted(j1)
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 agent_restored
 completed(j4)
 completed(j1)
 )";
 
-// Liveness-echo blackhole: the kMsgDrop message fault reproduces the wedge's
-// signature — echo-only suspicion with zero heartbeat misses — through the
-// typed delivery path. Pinned below after the first deterministic run.
-constexpr std::string_view kEchoBlackholeGolden = R"(liveness_miss
-liveness_miss
-liveness_miss
+// Heartbeat blackhole: the kMsgDrop message fault reproduces the wedge's
+// signature — suspicion with the link up — through the typed delivery path.
+constexpr std::string_view kHeartbeatBlackholeGolden = R"(heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 agent_suspected
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 job_evicted(j4)
 resubmitted(j4)
 job_evicted(j1)
 resubmitted(j1)
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
-liveness_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
+heartbeat_miss
 agent_restored
 completed(j4)
 completed(j1)
@@ -788,13 +791,9 @@ completed(j1)
 // Partition healed inside the grace: suspicion but no job_evicted anywhere.
 constexpr std::string_view kPartitionWithinGraceGolden = R"(heartbeat_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
 agent_suspected
-liveness_miss
 heartbeat_miss
-liveness_miss
-liveness_miss
 agent_restored
 completed(j4)
 completed(j1)
@@ -808,39 +807,24 @@ completed(j1)
 // still-partitioned site (two cycles).
 constexpr std::string_view kPartitionPastGraceGolden = R"(heartbeat_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
 agent_suspected
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 job_evicted(j4)
 resubmitted(j4)
 job_evicted(j1)
 resubmitted(j1)
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
-liveness_miss
 agent_restored
 completed(j4)
 completed(j1)
@@ -851,39 +835,24 @@ completed(j1)
 // post-recovery probe (j13) complete alongside the original pair.
 constexpr std::string_view kSuspectedSiteAvoidanceGolden = R"(heartbeat_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
 agent_suspected
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 job_evicted(j4)
 resubmitted(j4)
 job_evicted(j1)
 resubmitted(j1)
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
 heartbeat_miss
-liveness_miss
-liveness_miss
 agent_restored
 completed(j4)
 completed(j13)
@@ -895,8 +864,8 @@ TEST(LivenessScenarioTest, WedgedAgentTraceDigestMatchesGolden) {
   EXPECT_EQ(run_wedged_agent().digest, kWedgedAgentGolden);
 }
 
-TEST(LivenessScenarioTest, EchoBlackholeTraceDigestMatchesGolden) {
-  EXPECT_EQ(run_echo_blackhole().digest, kEchoBlackholeGolden);
+TEST(LivenessScenarioTest, HeartbeatBlackholeTraceDigestMatchesGolden) {
+  EXPECT_EQ(run_heartbeat_blackhole().digest, kHeartbeatBlackholeGolden);
 }
 
 TEST(LivenessScenarioTest, PartitionWithinGraceTraceDigestMatchesGolden) {

@@ -661,12 +661,12 @@ TEST_F(GatekeeperFixture, AgentSideMessagesGoToTheGlideinHost) {
   });
   const EndpointId broker = bus.endpoint("broker");
   const EndpointId site = gatekeeper.endpoint();
-  bus.send(broker, site, net::LivenessProbe{AgentId{1}, 1});
+  bus.send(broker, site, net::EvictNotice{JobId{2}, AgentId{1}});
   bus.send(broker, site, net::KillJob{JobId{3}, AgentId{1}});
   // The gatekeeper's own messages stay with it.
   bus.send(broker, site, net::CancelJob{JobId{3}, false});
   sim.run();
-  EXPECT_EQ(hosted, (std::vector<net::MsgType>{net::MsgType::kLivenessProbe,
+  EXPECT_EQ(hosted, (std::vector<net::MsgType>{net::MsgType::kEvictNotice,
                                                net::MsgType::kKillJob}));
 }
 

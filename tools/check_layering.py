@@ -18,6 +18,10 @@ prepare/commit/cancel entry points are called from its own bus handler in
 src/lrms, never by a sender reaching into the site (send SubmitJob or
 CancelJob instead).
 
+A third rule keeps supervision honest: a Heartbeat is the agent's own
+keepalive, so only src/glidein builds one; the broker can never fabricate
+an agent's heartbeat.
+
 Usage:
     check_layering.py [repo_root]
 
@@ -37,7 +41,7 @@ ALLOWED_LINK_LAYERS = ("net", "sim", "stream")
 RAW_LINK = re.compile(r"\bnetwork_?(\(\))?\s*\.\s*link\s*\(")
 
 # Raw partition checks: consulting a link's failure schedule by hand
-# instead of SendOptions::drop_when_down / ControlBus::probe.
+# instead of SendOptions::drop_when_down.
 RAW_IS_UP = re.compile(r"\.\s*is_up\s*\(")
 
 # Hand-rolled delivery delays: scheduling a callback after a channel
@@ -51,16 +55,25 @@ ALLOWED_GATEKEEPER_LAYERS = ("lrms",)
 GATEKEEPER_CALL = re.compile(
     r"gatekeeper\s*\(\s*\)\s*\.\s*(prepare|commit|cancel)\s*\(")
 
+# Directories (relative to src/) that may build an agent's keepalive.
+ALLOWED_HEARTBEAT_LAYERS = ("glidein",)
+
+# A Heartbeat built anywhere but the agent that sends it.
+HEARTBEAT_BUILD = re.compile(r"\bnet::Heartbeat\s*\{")
+
 RULES = (
     (RAW_LINK, ALLOWED_LINK_LAYERS,
      "raw Network::link() access (route via ControlBus)"),
     (RAW_IS_UP, ALLOWED_LINK_LAYERS,
-     "raw is_up() check (use drop_when_down or probe())"),
+     "raw is_up() check (use SendOptions::drop_when_down)"),
     (MANUAL_DELAY, ALLOWED_LINK_LAYERS,
      "hand-rolled channel-latency schedule (use ControlBus::send options)"),
     (GATEKEEPER_CALL, ALLOWED_GATEKEEPER_LAYERS,
      "gatekeeper entry point called by a sender "
      "(send SubmitJob/CancelJob to its endpoint)"),
+    (HEARTBEAT_BUILD, ALLOWED_HEARTBEAT_LAYERS,
+     "Heartbeat built outside src/glidein (only the agent sends its "
+     "keepalive)"),
 )
 
 
@@ -104,6 +117,7 @@ def main() -> int:
         return 1
     print("[ok]   no raw network access outside src/net (data plane exempt)")
     print("[ok]   gatekeeper entry points called only from src/lrms")
+    print("[ok]   Heartbeat messages built only in src/glidein")
     return 0
 
 
