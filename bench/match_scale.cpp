@@ -1,6 +1,6 @@
 // Matchmaking scale benchmark: runs a deterministic workload through the
 // broker's discovery and selection path (cached index replies, cached
-// machine views, compiled Requirements/Rank, fused filter+select) with
+// machine views, compiled Requirements/Rank, filter then select) with
 // SiteHealth scoring active and nontrivial throughout, folds every decision
 // into an FNV-1a digest, and reports throughput. Each grid size's digest and
 // matched count are pinned constants, measured when the ClassAd interpreter
@@ -136,15 +136,17 @@ RunResult run(std::size_t n_sites, std::size_t jobs) {
   for (std::size_t j = 0; j < jobs; ++j) {
     const auto desc = make_job(j);
     const int needed = needed_cpus(j);
-    std::optional<Candidate> picked;
+    std::optional<SiteId> picked;
     bool delivered = false;
     is.query_index_matching(
         needed,
         [&, compiled = mm.compile(desc)](
             std::shared_ptr<const infosys::InformationSystem::IndexSnapshot>
                 records) {
-          picked = mm.match_one(*compiled, CandidateSource{*records}, leases,
-                                needed, rng);
+          picked = mm.select(mm.filter_compiled(*compiled,
+                                                CandidateSource{*records},
+                                                leases, needed),
+                             rng);
           delivered = true;
         });
     sim.run_until(sim.now() + Duration::millis(2));
@@ -154,10 +156,10 @@ RunResult run(std::size_t n_sites, std::size_t jobs) {
     }
 
     out.digest = fnv1a(out.digest, static_cast<std::uint64_t>(j));
-    out.digest = fnv1a(out.digest, picked ? picked->site.value() : 0);
+    out.digest = fnv1a(out.digest, picked ? picked->value() : 0);
     if (picked) {
       ++out.matched;
-      if (auto lease = leases.acquire(picked->site, needed, 3600_s)) {
+      if (auto lease = leases.acquire(*picked, needed, 3600_s)) {
         active.push_back(*lease);
       }
       while (active.size() > max_active) {
@@ -170,7 +172,7 @@ RunResult run(std::size_t n_sites, std::size_t jobs) {
     if (j % 4 == 0) {
       health.note_miss(SiteId{1 + (j * 13) % n_sites});
     }
-    if (picked && j % 8 == 3) health.note_completion(picked->site);
+    if (picked && j % 8 == 3) health.note_completion(*picked);
     if (j % 16 == 15) {
       // Republish one site with shifted load: invalidates its cached
       // machine view and every cached index reply.

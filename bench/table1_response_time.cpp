@@ -136,13 +136,13 @@ std::optional<double> run_glogin_submission(const sim::LinkSpec& link,
   lrms::Site& site = grid.site(0);
 
   lrms::GridJobRequest request;
-  request.id = JobId{1000};
-  request.owner = UserId{1};
-  request.workload = lrms::Workload::cpu(60_s);
+  request.job.id = JobId{1000};
+  request.job.owner = UserId{1};
+  request.job.workload = lrms::Workload::cpu(60_s);
   request.stage_bytes = 15u << 20;  // the shell bootstrap payload
   request.submitter_endpoint = "ui";
   std::optional<SimTime> started;
-  request.on_start = [&](NodeId) { started = grid.sim().now(); };
+  request.job.on_start = [&](NodeId) { started = grid.sim().now(); };
 
   const SimTime submitted_at = grid.sim().now();
   site.gatekeeper().submit_direct(std::move(request), [](Status) {});

@@ -5,7 +5,6 @@
 // shared mode skips the discovery and selection phases entirely.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,8 +64,10 @@ struct AgentRecord {
   /// Set when the agent's AgentRegister arrives: from then on every
   /// supervision tick visits it, until it leaves the table.
   bool supervised = false;
-  /// Fired (once) when the agent's AgentRegister message arrives.
-  std::function<void(AgentRecord&)> on_ready;
+  /// The subjob whose dispatch deployed the agent, until its AgentRegister
+  /// arrives (which starts the subjob) or its carrier is refused (which
+  /// resubmits it). A preloaded agent names none.
+  std::optional<SubJobRef> deployed_for;
 
 private:
   SiteId site_;

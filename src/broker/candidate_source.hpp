@@ -1,9 +1,9 @@
 // CandidateSource: a non-owning view unifying the record-container shapes
 // matchmaking scans — owned SiteRecord vectors (fresh per-site queries),
 // shared IndexSnapshot pointer vectors (index replies), and raw-pointer
-// vectors screened from a snapshot. The matchmaker's coarse filter and fused
-// match run over this one view, so site-health consultation and every other
-// per-record policy lives in exactly one implementation instead of a
+// vectors screened from a snapshot. The matchmaker's coarse and fresh
+// filters run over this one view, so site-health consultation and every
+// other per-record policy lives in exactly one implementation instead of a
 // template instantiated per container shape.
 //
 // The view is implicitly constructible from both containers and is only

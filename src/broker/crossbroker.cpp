@@ -15,16 +15,6 @@ namespace cg::broker {
 
 namespace {
 constexpr const char* kLog = "broker";
-
-/// Control-plane exchanges that today happen as direct calls: zero-latency
-/// sends delivered synchronously so the event schedule (and the pinned chaos
-/// goldens) is unchanged, while the exchange still flows through the bus for
-/// sequencing, fault injection, and per-type observability.
-net::SendOptions inline_send() {
-  net::SendOptions options;
-  options.inline_when_immediate = true;
-  return options;
-}
 }  // namespace
 
 CrossBroker::CrossBroker(sim::Simulation& sim, net::ControlBus& bus,
@@ -148,11 +138,23 @@ void CrossBroker::handle_agent_register(AgentId agent_id) {
   AgentRecord* rec = agents_.record(agent_id);
   if (rec == nullptr) return;
   supervisor_.watch(*rec);
-  if (rec->on_ready) {
-    auto ready = std::move(rec->on_ready);
-    rec->on_ready = nullptr;
-    ready(*rec);
+  // A preloaded agent names no subjob: it joins the pool as it is.
+  if (!rec->deployed_for) return;
+  const SubJobRef ref = *rec->deployed_for;
+  rec->deployed_for.reset();
+  if (current_subjob(ref) != nullptr) {
+    // Only the subjob the agent was deployed for starts here, on the slot its
+    // dispatch reserved: a job that reserved a slot since the agent came up
+    // waits for its own DispatchJob.
+    start_job_on_agent(ref, *rec,
+                       /*interactive_slot=*/rec->pending_batch != ref);
+    return;
   }
+  // The job moved past this attempt while the agent bootstrapped: the agent
+  // is dismissed like an idle one that has run a job.
+  rec->drop_reservation(ref);
+  rec->ran_any_job = true;
+  maybe_dismiss_agent(agent_id);
 }
 
 void CrossBroker::enable_security(const gsi::Certificate* trust_anchor,
@@ -264,17 +266,13 @@ bool CrossBroker::cancel(JobId id) {
   if (job == nullptr || is_terminal(job->record.state)) return false;
   log_info(kLog, "cancelling ", id, " (state ", to_string(job->record.state), ")");
 
-  // Terminal-ize first: every in-flight callback (kill observers, commit
-  // acks, agent readiness) checks the state and becomes a no-op.
-  release_leases(*job);
-  fair_share_.job_finished(id);
-  job->record.last_error = make_error("broker.cancelled", "cancelled by user");
-  job->record.state = JobState::kFailed;
-
-  // Out of the broker's own queue.
-  waiting_batch_.erase(
-      std::remove(waiting_batch_.begin(), waiting_batch_.end(), id),
-      waiting_batch_.end());
+  // Out of the broker's own queue before the state change, which writes the
+  // queue-depth gauge.
+  std::erase(waiting_batch_, id);
+  // The job ends like any failure, and before the teardown: every in-flight
+  // callback (kill observers, commit acks, agent registration) then finds it
+  // terminal and changes nothing.
+  fail_job(id, make_error("broker.cancelled", "cancelled by user"));
 
   // Tear down every subjob wherever it is.
   const auto of_job = [id](SubJobRef ref) { return ref.job == id; };
@@ -303,8 +301,7 @@ bool CrossBroker::cancel(JobId id) {
         std::erase_if(rec->interactive_residents, superseded);
         if (std::erase(rec->interactive_residents, ref) > 0) {
           bus_.send(endpoint_, site_dst,
-                    net::KillJob{lrms_id, agent_id, /*interactive_slot=*/true},
-                    inline_send());
+                    net::KillJob{lrms_id, agent_id, /*interactive_slot=*/true});
           // The batch job gets its machine (and application factor) back
           // once the last interactive resident is gone.
           if (rec->batch_resident && rec->interactive_residents.empty()) {
@@ -314,9 +311,9 @@ bool CrossBroker::cancel(JobId id) {
           handled = true;
         }
         if (rec->batch_resident && of_job(*rec->batch_resident)) {
-          bus_.send(endpoint_, site_dst,
-                    net::KillJob{lrms_id, agent_id, /*interactive_slot=*/false},
-                    inline_send());
+          bus_.send(
+              endpoint_, site_dst,
+              net::KillJob{lrms_id, agent_id, /*interactive_slot=*/false});
           rec->batch_resident.reset();
           handled = true;
         }
@@ -327,23 +324,15 @@ bool CrossBroker::cancel(JobId id) {
     if (!handled) {
       // Direct placement: remove from the site's queue or kill on the node.
       bus_.send(endpoint_, site_endpoint(sub.site),
-                net::CancelJob{sub.lrms_job_id, /*queued_only=*/false},
-                inline_send());
+                net::CancelJob{sub.lrms_job_id, /*queued_only=*/false});
     }
-  }
-
-  if (job->callbacks.on_state_change) job->callbacks.on_state_change(job->record);
-  if (job->callbacks.on_failed) {
-    job->callbacks.on_failed(job->record, *job->record.last_error);
   }
   return true;
 }
 
 void CrossBroker::preload_agent(SiteId site) {
   if (!sites_.contains(site)) throw std::invalid_argument{"preload_agent: unknown site"};
-  create_agent_with_carrier(
-      site, [](AgentRecord&) {},
-      [] { log_warn(kLog, "preloaded agent submission failed"); });
+  create_agent_with_carrier(site);
 }
 
 const JobRecord* CrossBroker::record(JobId id) const {
@@ -432,7 +421,6 @@ obs::TraceEventKind trace_kind_for(JobState state) {
     case JobState::kDiscovery: return obs::TraceEventKind::kDiscovery;
     case JobState::kSelection: return obs::TraceEventKind::kSelection;
     case JobState::kDispatching: return obs::TraceEventKind::kDispatched;
-    case JobState::kQueuedLocal: return obs::TraceEventKind::kQueuedLocal;
     case JobState::kQueuedBroker: return obs::TraceEventKind::kQueuedBroker;
     case JobState::kRunning: return obs::TraceEventKind::kRunning;
     case JobState::kCompleted: return obs::TraceEventKind::kCompleted;
@@ -556,32 +544,16 @@ void CrossBroker::continue_selection(JobId id, std::vector<SiteId> coarse) {
       ManagedJob* j = find_job(id);
       if (j == nullptr || is_terminal(j->record.state)) return;
       j->record.timestamps.selection_done = sim_.now();
-      const int cpus = needed_cpus_per_site(j->record.description);
-      const auto& d = j->record.description;
-      const bool shared_interactive =
-          d.is_interactive() && d.machine_access() == jdl::MachineAccess::kShared;
-      if (!shared_interactive && d.flavor() == jdl::JobFlavor::kSequential) {
-        // Sequential, no VM placement possible in place_job: fuse
-        // filter+select in one streaming pass. Shared-mode jobs keep the
-        // two-step form because place_job may cover them with interactive
-        // VMs without ever consulting the candidates (and without consuming
-        // the tie-breaking rng).
-        place_job(id, {},
-                  matchmaker_.match_one(*j->compiled_match,
-                                        CandidateSource{*fresh}, leases_, cpus,
-                                        rng_));
-        return;
-      }
-      place_job(id, matchmaker_.filter_compiled(*j->compiled_match, *fresh,
-                                                leases_, cpus));
+      place_job(id, matchmaker_.filter_compiled(
+                        *j->compiled_match, *fresh, leases_,
+                        needed_cpus_per_site(j->record.description)));
     });
   }
 }
 
 // ------------------------------------------------------------- placement ----
 
-void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
-                            std::optional<Candidate> preselected) {
+void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
   const auto& desc = job->record.description;
@@ -649,13 +621,8 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
     Expected<mpijob::AllocationPlan> plan{sequential_plan};
     if (desc.flavor() == jdl::JobFlavor::kSequential) {
       // Sequential placement honours the job's Rank expression and the
-      // randomized tie-breaking policy via the matchmaker. Outside shared
-      // mode, continue_selection already fused that decision into
-      // `preselected`.
-      const auto site = preselected.has_value()
-                            ? std::optional<SiteId>{preselected->site}
-                            : matchmaker_.select(candidates, rng_);
-      if (site) {
+      // randomized tie-breaking policy via the matchmaker.
+      if (const auto site = matchmaker_.select(candidates, rng_)) {
         sequential_plan.placements.push_back(mpijob::SubJobPlacement{*site, 1});
         plan = sequential_plan;
       } else {
@@ -903,11 +870,12 @@ void CrossBroker::handle_no_resources(JobId id) {
   // every site excluded so no poll could ever match (a livelock after
   // repeated evictions on a small grid).
   job->excluded_sites.clear();
-  set_state(*job, JobState::kQueuedBroker);
+  // Queued before the state change, which writes the queue-depth gauge.
   if (std::find(waiting_batch_.begin(), waiting_batch_.end(), id) ==
       waiting_batch_.end()) {
     waiting_batch_.push_back(id);
   }
+  set_state(*job, JobState::kQueuedBroker);
   if (!queue_poll_armed_) {
     queue_poll_armed_ = true;
     sim_.schedule(config_.broker_queue_poll, [this] { poll_broker_queue(); });
@@ -1002,13 +970,13 @@ void CrossBroker::start_job_on_agent(SubJobRef ref, AgentRecord& rec,
                        started = net::JobStatus{ref.job, net::StatusPhase::kStarted,
                                                 ref.sub, agent_id,
                                                 interactive_slot}] {
-    bus_.send(site, endpoint_, started, inline_send());
+    bus_.send(site, endpoint_, started);
   };
   slot_job.on_complete = [this, site,
                           completed = net::JobStatus{
                               ref.job, net::StatusPhase::kCompleted, ref.sub,
                               agent_id, interactive_slot}] {
-    bus_.send(site, endpoint_, completed, inline_send());
+    bus_.send(site, endpoint_, completed);
   };
 
   Status status = Status::ok_status();
@@ -1054,25 +1022,26 @@ void CrossBroker::dispatch_subjob_exclusive(SubJobRef ref, SiteId site_id) {
   const ManagedJob& job = *find_job(ref.job);
 
   lrms::GridJobRequest request;
-  request.id = sub->lrms_job_id;
-  request.owner = job.record.user;
+  request.job.id = sub->lrms_job_id;
+  request.job.owner = job.record.user;
   request.proxy_chain = chain_for(job.record.user);
-  request.workload = job.record.workload;
+  request.job.workload = job.record.workload;
   request.stage_bytes = config_.executable_bytes;
   request.submitter_endpoint = job.record.submitter_endpoint;
-  request.phase_observer = job.callbacks.phase_observer;
-  if (job.barrier_coordinator) request.barrier_handler = barrier_handler_for(ref);
+  request.job.phase_observer = job.callbacks.phase_observer;
+  if (job.barrier_coordinator) {
+    request.job.barrier_handler = barrier_handler_for(ref);
+  }
   // The LRMS upcalls report to the broker endpoint (handle_job_status).
   const EndpointId site = site_endpoint(site_id);
-  request.on_start = [this, site,
-                      started = net::JobStatus{ref.job, net::StatusPhase::kStarted,
-                                               ref.sub}](NodeId) {
-    bus_.send(site, endpoint_, started, inline_send());
+  const net::JobStatus started{ref.job, net::StatusPhase::kStarted, ref.sub};
+  const net::JobStatus completed{ref.job, net::StatusPhase::kCompleted,
+                                 ref.sub};
+  request.job.on_start = [this, site, started](NodeId) {
+    bus_.send(site, endpoint_, started);
   };
-  request.on_complete = [this, site,
-                         completed = net::JobStatus{
-                             ref.job, net::StatusPhase::kCompleted, ref.sub}] {
-    bus_.send(site, endpoint_, completed, inline_send());
+  request.job.on_complete = [this, site, completed] {
+    bus_.send(site, endpoint_, completed);
   };
 
   // A superseded attempt commits nothing, and its acks change nothing.
@@ -1108,17 +1077,17 @@ void CrossBroker::submit_two_phase(SiteId site_id, lrms::GridJobRequest request)
   // legs ride the bus as SubmitJob messages naming its LRMS id.
   lrms::Gatekeeper& gatekeeper = sites_.at(site_id)->gatekeeper();
   const EndpointId site = gatekeeper.endpoint();
-  const JobId lrms_id = request.id;
+  const JobId lrms_id = request.job.id;
   request.on_prepared = [this, site, lrms_id,
                          accept = std::move(request.on_prepared)](Status prepared) {
     if (!accept(std::move(prepared))) return false;
-    bus_.send(endpoint_, site, net::SubmitJob{lrms_id, net::SubmitPhase::kCommit},
-              inline_send());
+    bus_.send(endpoint_, site,
+              net::SubmitJob{lrms_id, net::SubmitPhase::kCommit});
     return true;
   };
   gatekeeper.file(std::move(request));
-  bus_.send(endpoint_, site, net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare},
-            inline_send());
+  bus_.send(endpoint_, site,
+            net::SubmitJob{lrms_id, net::SubmitPhase::kPrepare});
 }
 
 void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
@@ -1130,8 +1099,7 @@ void CrossBroker::arm_queue_detection(SubJobRef ref, SiteId site_id) {
     const SubJobRecord* sub = current_subjob(ref);
     if (sub == nullptr || sub->started) return;  // superseded, or it did start
     bus_.send(endpoint_, site_endpoint(site_id),
-              net::CancelJob{sub->lrms_job_id, /*queued_only=*/true},
-              inline_send());
+              net::CancelJob{sub->lrms_job_id, /*queued_only=*/true});
     log_info(kLog, ref.job, " was queued at site ", site_id.value(),
              "; resubmitting (on-line scheduling)");
     find_job(ref.job)->excluded_sites.push_back(site_id);
@@ -1144,24 +1112,10 @@ void CrossBroker::dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site_id,
   SubJobRecord* sub = current_subjob(ref);
   if (sub == nullptr) return;
 
-  AgentRecord& rec = create_agent_with_carrier(
-      site_id,
-      [this, ref, interactive_slot](AgentRecord& ready) {
-        if (current_subjob(ref) != nullptr) {
-          start_job_on_agent(ref, ready, interactive_slot);
-          return;
-        }
-        // The job moved past this attempt while the agent bootstrapped: the
-        // agent is dismissed like an idle one that has run a job.
-        ready.drop_reservation(ref);
-        ready.ran_any_job = true;
-        maybe_dismiss_agent(ready.id());
-      },
-      [this, ref, site_id] {
-        if (current_subjob(ref) == nullptr) return;
-        find_job(ref.job)->excluded_sites.push_back(site_id);
-        resubmit_job(ref.job);
-      });
+  // The agent's AgentRegister starts the subjob (handle_agent_register); a
+  // refused carrier resubmits it elsewhere (create_agent_with_carrier).
+  AgentRecord& rec = create_agent_with_carrier(site_id);
+  rec.deployed_for = ref;
   if (interactive_slot) {
     rec.pending_interactive.push_back(ref);
   } else {
@@ -1172,16 +1126,13 @@ void CrossBroker::dispatch_subjob_with_new_agent(SubJobRef ref, SiteId site_id,
 
 // -------------------------------------------------------------- glide-in ----
 
-AgentRecord& CrossBroker::create_agent_with_carrier(
-    SiteId site_id, std::function<void(AgentRecord&)> on_ready,
-    std::function<void()> on_carrier_failed) {
+AgentRecord& CrossBroker::create_agent_with_carrier(SiteId site_id) {
   lrms::Site* site = sites_.at(site_id);
   AgentRecord& rec = agents_.create(site_id, config_.glidein);
   glidein::GlideinAgent& agent = *rec.agent;
   const AgentId agent_id = agent.id();
   const JobId carrier = job_ids_.next();
   agent.set_carrier_job_id(carrier);
-  rec.on_ready = std::move(on_ready);
   tracev(JobId::none(), obs::TraceEventKind::kAgentDeployed,
          "agent " + std::to_string(agent_id.value()) + " -> site " +
              std::to_string(site_id.value()),
@@ -1195,8 +1146,8 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
 
   // Registration rides the bus: when the agent reaches kRunning it announces
   // itself with an AgentRegister message, whose delivery starts supervision
-  // and fires on_ready (handle_agent_register). The observer only needs the
-  // death path.
+  // and the subjob it was deployed for (handle_agent_register). The observer
+  // only needs the death path.
   agent.connect_control_plane(&bus_, site->gatekeeper().endpoint(), endpoint_,
                               config_.agent_channel_latency);
   agent.set_state_observer([this, agent_id](glidein::AgentState state) {
@@ -1206,29 +1157,38 @@ AgentRecord& CrossBroker::create_agent_with_carrier(
   });
 
   lrms::GridJobRequest request;
-  request.id = carrier;
-  request.owner = UserId{};  // the broker itself, not billed to any user
+  request.job.id = carrier;
+  request.job.owner = UserId{};  // the broker itself, not billed to any user
   if (trust_anchor_ != nullptr && !broker_credentials_.empty()) {
     request.proxy_chain = gsi::make_chain(broker_credentials_);
   }
-  request.workload = lrms::Workload::manual();
+  request.job.workload = lrms::Workload::manual();
   request.stage_bytes = config_.glidein.binary_bytes + config_.executable_bytes;
   request.submitter_endpoint = endpoint();
-  request.on_start = [this, agent_id](NodeId node) {
+  request.job.on_start = [this, agent_id](NodeId node) {
     glidein::GlideinAgent* a = agents_.find(agent_id);
     if (a != nullptr) a->on_carrier_started(node);
   };
-  request.on_complete = [this, agent_id] {
+  request.job.on_complete = [this, agent_id] {
     // Manual finish: the agent left the machine voluntarily.
     agents_.remove(agent_id);
   };
 
   // Either leg may refuse the carrier, which then never reaches the LRMS:
-  // the agent leaves the table before the refusal goes back to its job.
-  auto refused = [this, agent_id,
-                  on_carrier_failed = std::move(on_carrier_failed)] {
+  // the agent leaves the table, then the subjob it was deployed for, if its
+  // attempt is current, is resubmitted elsewhere.
+  auto refused = [this, agent_id] {
+    const AgentRecord* refused_rec = agents_.record(agent_id);
+    if (refused_rec == nullptr) return;
+    const std::optional<SubJobRef> deployed_for = refused_rec->deployed_for;
+    const SiteId refused_site = refused_rec->site();
     agents_.remove(agent_id);
-    on_carrier_failed();
+    if (!deployed_for) {
+      log_warn(kLog, "preloaded agent submission failed");
+    } else if (current_subjob(*deployed_for) != nullptr) {
+      find_job(deployed_for->job)->excluded_sites.push_back(refused_site);
+      resubmit_job(deployed_for->job);
+    }
   };
   request.on_prepared = [refused](Status prepared) {
     if (!prepared.ok()) refused();
@@ -1328,8 +1288,7 @@ void CrossBroker::on_grace_expired(AgentRecord& rec) {
         if (sub.agent == agent_id) {
           bus_.send(endpoint_, site_dst,
                     net::EvictNotice{job_id, agent_id, sub.lrms_job_id,
-                                     /*interactive_slot=*/true},
-                    inline_send());
+                                     /*interactive_slot=*/true});
         }
       }
     } else {
@@ -1337,8 +1296,7 @@ void CrossBroker::on_grace_expired(AgentRecord& rec) {
                 net::EvictNotice{job_id, agent_id,
                                  victim != nullptr ? victim->lrms_job_id
                                                    : JobId::none(),
-                                 /*interactive_slot=*/false},
-                inline_send());
+                                 /*interactive_slot=*/false});
     }
     if (victim == nullptr) continue;
     // The strongest health evidence: a running resident lost to a
@@ -1445,7 +1403,6 @@ void CrossBroker::subjob_started(SubJobRef ref) {
   sub->started = true;
   const JobId id = ref.job;
   ManagedJob* job = find_job(id);
-  ++job->subjobs_running;
   tracev(id, obs::TraceEventKind::kStarted,
          "rank " + std::to_string(sub->rank) + " at site " +
              std::to_string(sub->site.value()),
@@ -1453,7 +1410,7 @@ void CrossBroker::subjob_started(SubJobRef ref) {
                        {"rank", std::to_string(sub->rank)}});
 
   // MPICH-G2 startup barrier: the job runs once every subjob has started.
-  if (job->subjobs_running == static_cast<int>(job->record.subjobs.size())) {
+  if (std::ranges::all_of(job->record.subjobs, &SubJobRecord::started)) {
     release_leases(*job);
     set_state(*job, JobState::kRunning);
     job->record.timestamps.running = sim_.now();
@@ -1477,9 +1434,8 @@ void CrossBroker::subjob_completed(SubJobRef ref) {
   SubJobRecord* sub = current_subjob(ref);
   if (sub == nullptr || sub->completed) return;
   sub->completed = true;
-  ManagedJob* job = find_job(ref.job);
-  ++job->subjobs_completed;
-  if (job->subjobs_completed == static_cast<int>(job->record.subjobs.size())) {
+  if (std::ranges::all_of(find_job(ref.job)->record.subjobs,
+                          &SubJobRecord::completed)) {
     complete_job(ref.job);
   }
 }
@@ -1550,11 +1506,12 @@ void CrossBroker::reject_job(JobId id, Error error) {
   if (job->callbacks.on_failed) job->callbacks.on_failed(job->record, error);
 }
 
-void CrossBroker::resubmit_job(JobId id) {
+void CrossBroker::resubmit_job(JobId id, bool rewound) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
   release_leases(*job);
-  if (job->subjobs_running > 0) {
+  if (!rewound &&
+      std::ranges::any_of(job->record.subjobs, &SubJobRecord::started)) {
     // Partial starts cannot be rewound safely; report failure.
     fail_job(id, make_error("broker.partial_failure",
                             "a subjob failed after others had started"));
@@ -1585,18 +1542,14 @@ void CrossBroker::resubmit_job(JobId id) {
   count("broker.resubmissions");
   observe("broker.resubmit_backoff_s", backoff.to_seconds());
   job->record.subjobs.clear();
-  job->subjobs_running = 0;
-  job->subjobs_completed = 0;
   sim_.schedule(backoff, [this, id] { schedule_job(id); });
 }
 
 void CrossBroker::restart_job(JobId id) {
   ManagedJob* job = find_job(id);
   if (job == nullptr || is_terminal(job->record.state)) return;
-  job->subjobs_running = 0;
-  job->subjobs_completed = 0;
   fair_share_.job_finished(id);
-  resubmit_job(id);
+  resubmit_job(id, /*rewound=*/true);
 }
 
 void CrossBroker::release_leases(ManagedJob& job) {

@@ -159,10 +159,11 @@ public:
   /// security is enabled.
   void set_user_credentials(UserId user, std::vector<gsi::Credential> ancestry);
 
-  /// Cancels a job in any non-terminal state: removes it from queues,
-  /// releases its leases and reserved VMs, kills running subjobs, and fires
-  /// on_failed with code "broker.cancelled". Returns false if the job is
-  /// unknown or already terminal.
+  /// Cancels a job in any non-terminal state: removes it from the broker
+  /// queue, fails it with code "broker.cancelled" like any other failure
+  /// (traced, counted in broker.jobs_failed, on_failed fired), then drops
+  /// its reserved VMs and kills its subjobs wherever they are. Returns false
+  /// if the job is unknown or already terminal.
   bool cancel(JobId id);
 
   /// Proactively deploys a glide-in agent on a site (warm pool). The agent
@@ -205,8 +206,6 @@ private:
     std::vector<SiteId> excluded_sites;
     /// Leases held while dispatching (released on start or failure).
     std::vector<LeaseId> held_leases;
-    int subjobs_running = 0;
-    int subjobs_completed = 0;
     bool queue_timer_armed = false;
     bool staging_out = false;  ///< OutputSandbox transfer in progress
     /// Requirements/Rank compiled once per job at its first selection,
@@ -227,11 +226,10 @@ private:
   /// Fresh per-site queries over the coarse survivors, then the final
   /// filter + placement.
   void continue_selection(JobId id, std::vector<SiteId> coarse);
-  /// `preselected` carries the fused filter+select decision for sequential
-  /// jobs outside shared mode; absent, the sequential branch selects from
-  /// `fresh_candidates` itself (shared mode, or no match -> no resources).
-  void place_job(JobId id, std::vector<Candidate> fresh_candidates,
-                 std::optional<Candidate> preselected = std::nullopt);
+  /// Places the job on reservable VMs (shared mode) and, for the rest, on
+  /// sites chosen from `fresh_candidates`: Matchmaker::select picks a
+  /// sequential job's site, mpijob::plan_allocation a parallel job's.
+  void place_job(JobId id, std::vector<Candidate> fresh_candidates);
   /// Reservable VM slots (AgentRecord::reservable_slots) summed over the
   /// agents at `site`, or at every site when absent. Hard-excluded sites
   /// offer none: shared-mode placement follows the same suspicion window
@@ -270,10 +268,13 @@ private:
   void complete_job(JobId id);
   void fail_job(JobId id, Error error);
   void reject_job(JobId id, Error error);
-  void resubmit_job(JobId id);
+  /// Schedules a fresh attempt after backoff, or fails the job when its
+  /// retries are spent. A job some of whose subjobs started fails as a
+  /// partial start, unless the caller `rewound` it: its work is gone.
+  void resubmit_job(JobId id, bool rewound = false);
   /// Resubmits a job whose work is gone (its agent died or was evicted, or
-  /// the site killed it), rewinding its execution bookkeeping first so the
-  /// resubmission starts from scratch instead of failing as partial.
+  /// the site killed it) as rewound, so the resubmission starts from
+  /// scratch instead of failing as partial.
   void restart_job(JobId id);
   void release_leases(ManagedJob& job);
   void poll_broker_queue();
@@ -282,9 +283,9 @@ private:
   [[nodiscard]] lrms::TaskRunner::BarrierFn barrier_handler_for(SubJobRef ref);
 
   // -- glide-in management -------------------------------------------------
-  AgentRecord& create_agent_with_carrier(
-      SiteId site, std::function<void(AgentRecord&)> on_ready,
-      std::function<void()> on_carrier_failed);
+  /// Deploys an agent at `site` and submits its carrier job. The caller
+  /// names the subjob the agent is for (AgentRecord::deployed_for), if any.
+  AgentRecord& create_agent_with_carrier(SiteId site);
   /// Starts `ref` on the agent if it still holds the subjob's reservation:
   /// a duplicated DispatchJob finds it taken by the first copy.
   void start_job_on_agent(SubJobRef ref, AgentRecord& rec, bool interactive_slot);
@@ -354,7 +355,7 @@ private:
     obs::CounterHandle lease_revocations;
     obs::GaugeHandle queue_depth;
     /// Indexed by PlacementKind (the histogram's "placement" label).
-    std::array<obs::HistogramHandle, 5> match_latency;
+    std::array<obs::HistogramHandle, 4> match_latency;
   };
 
   obs::Observability* obs_ = nullptr;

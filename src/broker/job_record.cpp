@@ -8,7 +8,6 @@ std::string to_string(JobState state) {
     case JobState::kDiscovery: return "discovery";
     case JobState::kSelection: return "selection";
     case JobState::kDispatching: return "dispatching";
-    case JobState::kQueuedLocal: return "queued-local";
     case JobState::kQueuedBroker: return "queued-broker";
     case JobState::kRunning: return "running";
     case JobState::kCompleted: return "completed";
@@ -29,7 +28,6 @@ std::string to_string(PlacementKind kind) {
     case PlacementKind::kIdleMachine: return "idle-machine";
     case PlacementKind::kInteractiveVm: return "interactive-vm";
     case PlacementKind::kNewAgent: return "new-agent";
-    case PlacementKind::kLocalQueue: return "local-queue";
   }
   return "?";
 }

@@ -21,7 +21,6 @@ enum class JobState {
   kDiscovery,    ///< querying the information system index
   kSelection,    ///< contacting candidate sites for fresh state
   kDispatching,  ///< submitting to a gatekeeper or glide-in agent
-  kQueuedLocal,  ///< sitting in a site's LRMS queue (batch path)
   kQueuedBroker, ///< waiting inside the broker for a free machine
   kRunning,
   kCompleted,
@@ -38,7 +37,6 @@ enum class PlacementKind {
   kIdleMachine,     ///< interactive exclusive / direct placement
   kInteractiveVm,   ///< glide-in interactive-vm (shared mode)
   kNewAgent,        ///< agent + job submitted together
-  kLocalQueue,      ///< batch job queued at a site
 };
 
 [[nodiscard]] std::string to_string(PlacementKind kind);

@@ -38,9 +38,8 @@ std::vector<Candidate> Matchmaker::filter(
 }
 
 std::vector<Candidate> Matchmaker::filter_compiled(
-    const jdl::CompiledMatch& compiled,
-    const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
-    int needed_cpus) const {
+    const jdl::CompiledMatch& compiled, CandidateSource records,
+    const LeaseManager& leases, int needed_cpus) const {
   std::vector<Candidate> out;
   if (compiled.never_matches()) {
     note_scan("fresh", 0, 0, 0);
@@ -50,7 +49,8 @@ std::vector<Candidate> Matchmaker::filter_compiled(
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t excluded = 0;
-  for (const auto& record : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const infosys::SiteRecord& record = records[i];
     const int effective =
         record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
     if (effective < needed_cpus) continue;
@@ -106,58 +106,6 @@ std::shared_ptr<const jdl::CompiledMatch> Matchmaker::compile(
       jdl::CompiledMatch::compile(job.ad(), infosys::machine_slot_layout()));
 }
 
-std::optional<Candidate> Matchmaker::match_one(
-    const jdl::CompiledMatch& compiled, CandidateSource records,
-    const LeaseManager& leases, int needed_cpus, Rng& rng) const {
-  // Streaming equivalent of filter()+select(): candidates are examined in
-  // record order; `ties` holds, in encounter order, exactly those whose
-  // rank ties the running best. Because the tie window is monotone in the
-  // running best (rank_tie_margin < 1), pruning on each best-raise leaves
-  // the same tie set select() would compute from the full candidate vector.
-  std::vector<Candidate> ties;
-  if (compiled.never_matches()) {
-    note_scan("fresh", 0, 0, 0);
-    return std::nullopt;
-  }
-  double best = 0.0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t excluded = 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const infosys::SiteRecord& record = records[i];
-    const int effective =
-        record.dynamic_info.free_cpus - leases.leased_cpus(record.static_info.id);
-    if (effective < needed_cpus) continue;
-    if (health_excluded(record.static_info.id, excluded)) continue;
-
-    record.cache_primed() ? ++hits : ++misses;
-    const auto ctx = slot_context(record.machine_view(), effective);
-    if (!compiled.matches(ctx)) continue;
-
-    const double rank = (compiled.has_rank() ? compiled.rank(ctx)
-                                             : static_cast<double>(effective)) -
-                        health_penalty(record.static_info.id);
-    Candidate c;
-    c.site = record.static_info.id;
-    c.effective_free_cpus = effective;
-    c.rank = rank;
-    if (ties.empty() || rank > best) {
-      best = rank;
-      std::erase_if(ties, [&](const Candidate& t) { return !is_tie(best, t.rank); });
-      ties.push_back(c);
-    } else if (is_tie(best, rank)) {
-      ties.push_back(c);
-    }
-  }
-  note_scan("fresh", records.size(), hits, misses, excluded, !ties.empty());
-  if (ties.empty()) return std::nullopt;
-  // Same rng consumption as select(): exactly one pick for a non-empty
-  // candidate set when randomized tie-breaking is on.
-  const Candidate& chosen =
-      config_.randomize_ties ? ties[rng.pick_index(ties.size())] : ties.front();
-  return chosen;
-}
-
 std::optional<SiteId> Matchmaker::select(const std::vector<Candidate>& candidates,
                                          Rng& rng) const {
   if (candidates.empty()) return std::nullopt;
@@ -167,13 +115,18 @@ std::optional<SiteId> Matchmaker::select(const std::vector<Candidate>& candidate
                          return a.rank < b.rank;
                        })
           ->rank;
-  std::vector<const Candidate*> ties;
-  for (const auto& c : candidates) {
-    if (is_tie(best, c.rank)) ties.push_back(&c);
+  const auto tied = [&](const Candidate& c) { return is_tie(best, c.rank); };
+  // Count the ties, draw one index among them, then walk to it: the pick
+  // and the rng draw of a materialized tie list, without building one.
+  std::size_t pick = 0;
+  if (config_.randomize_ties) {
+    pick = rng.pick_index(
+        static_cast<std::size_t>(std::ranges::count_if(candidates, tied)));
   }
-  const Candidate* chosen =
-      config_.randomize_ties ? ties[rng.pick_index(ties.size())] : ties.front();
-  return chosen->site;
+  for (const Candidate& c : candidates) {
+    if (tied(c) && pick-- == 0) return c.site;
+  }
+  return std::nullopt;  // unreachable: the best candidate ties itself
 }
 
 bool Matchmaker::is_tie(double best, double rank) const {

@@ -41,8 +41,7 @@ struct Candidate {
 
 struct MatchmakerConfig {
   /// Ranks within this relative margin of the best are "ties" eligible for
-  /// randomized selection. Must be < 1 (the fused streaming select relies
-  /// on the tie window being monotone in the running best).
+  /// randomized selection.
   double rank_tie_margin = 1e-9;
   /// When false, the first tied candidate wins deterministically (the
   /// baseline the randomized-selection ablation compares against).
@@ -61,11 +60,11 @@ public:
       const LeaseManager& leases, int needed_cpus) const;
 
   /// filter() against an already-compiled job (avoids recompiling per
-  /// scheduling attempt).
+  /// scheduling attempt). Scans any CandidateSource: the broker's fresh
+  /// per-site replies and index snapshots alike.
   [[nodiscard]] std::vector<Candidate> filter_compiled(
-      const jdl::CompiledMatch& compiled,
-      const std::vector<infosys::SiteRecord>& records, const LeaseManager& leases,
-      int needed_cpus) const;
+      const jdl::CompiledMatch& compiled, CandidateSource records,
+      const LeaseManager& leases, int needed_cpus) const;
 
   /// The coarse (discovery-time) pass: which sites survive Requirements +
   /// capacity. Rank is not evaluated — the broker only needs the site list
@@ -80,16 +79,10 @@ public:
   [[nodiscard]] std::shared_ptr<const jdl::CompiledMatch> compile(
       const jdl::JobDescription& job) const;
 
-  /// Fused filter+select in one streaming pass: tracks the running best
-  /// rank and the tie set instead of materializing every candidate.
-  /// Consumes the rng exactly as filter()+select() would (one pick when at
-  /// least one candidate survives and randomize_ties is on), so the two
-  /// forms stay in rng lockstep.
-  [[nodiscard]] std::optional<Candidate> match_one(
-      const jdl::CompiledMatch& compiled, CandidateSource records,
-      const LeaseManager& leases, int needed_cpus, Rng& rng) const;
-
-  /// Picks one site from non-empty candidates: best rank, random among ties.
+  /// Picks one site from the candidates: best rank, random among ties (in
+  /// candidate order). Draws one pick_index when at least one candidate
+  /// survives and randomize_ties is on, and nothing otherwise; allocates
+  /// nothing. Empty candidates give no site.
   [[nodiscard]] std::optional<SiteId> select(const std::vector<Candidate>& candidates,
                                              Rng& rng) const;
 

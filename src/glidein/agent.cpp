@@ -131,13 +131,11 @@ void GlideinAgent::set_state(AgentState state) {
   state_ = state;
   if (observer_) observer_(state_);
   // Bootstrapped: announce the agent (and its fresh VMs) to the broker. The
-  // registration is a local rendezvous on the already-open channel, so it is
-  // delivered inline — same instant the state observer used to fire.
+  // registration is a local rendezvous on the already-open channel: a
+  // zero-delay send, delivered inline — same instant the state observer
+  // used to fire.
   if (state == AgentState::kRunning && bus_ != nullptr) {
-    net::SendOptions options;
-    options.inline_when_immediate = true;
-    bus_->send(site_endpoint_, broker_endpoint_, net::AgentRegister{id_},
-               options);
+    bus_->send(site_endpoint_, broker_endpoint_, net::AgentRegister{id_});
   }
 }
 

@@ -67,7 +67,7 @@ void Gatekeeper::insert(GridJobRequest request, Phase phase) {
   if (!request.on_committed) {
     throw std::invalid_argument{"Gatekeeper: request without on_committed"};
   }
-  const JobId id = request.id;
+  const JobId id = request.job.id;
   if (!filed_.try_emplace(id, Filed{std::move(request), phase}).second) {
     throw std::logic_error{"Gatekeeper: request filed twice"};
   }
@@ -112,7 +112,7 @@ void Gatekeeper::prepared(JobId id, Status status) {
 }
 
 void Gatekeeper::submit_direct(GridJobRequest request, StatusCallback callback) {
-  const JobId id = request.id;
+  const JobId id = request.job.id;
   request.on_committed = std::move(callback);
   // Filed as preparing: no SubmitJob acts on it; the auth below stands in
   // for the prepare.
@@ -141,7 +141,8 @@ void Gatekeeper::stage(Filed& filed) {
   options.processing_latency = config_.jobmanager_latency;
   options.payload_bytes = request.stage_bytes;
   const EndpointId submitter = bus_.endpoint(request.submitter_endpoint);
-  const net::StageSandbox msg{request.id, request.stage_bytes, /*inbound=*/true};
+  const net::StageSandbox msg{request.job.id, request.stage_bytes,
+                              /*inbound=*/true};
   bus_.send(submitter, endpoint_, msg, options);
 }
 
@@ -150,16 +151,7 @@ void Gatekeeper::submit_staged(JobId id) {
   if (it == filed_.end() || it->second.phase != Phase::kStaging) return;
   GridJobRequest request = std::move(it->second.request);
   filed_.erase(it);
-  LocalJob job;
-  job.id = request.id;
-  job.owner = request.owner;
-  job.workload = std::move(request.workload);
-  job.on_start = std::move(request.on_start);
-  job.on_complete = std::move(request.on_complete);
-  job.phase_observer = std::move(request.phase_observer);
-  job.dilation = std::move(request.dilation);
-  job.barrier_handler = std::move(request.barrier_handler);
-  if (scheduler_.submit(std::move(job))) {
+  if (scheduler_.submit(std::move(request.job))) {
     request.on_committed(Status::ok_status());
   } else {
     request.on_committed(

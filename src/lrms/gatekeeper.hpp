@@ -39,23 +39,20 @@ struct GatekeeperConfig {
   Duration prepare_overhead = Duration::millis(400);
 };
 
-/// A job submission as it crosses the site boundary.
+/// A job submission as it crosses the site boundary: the local job the LRMS
+/// receives once the submission is staged, and what only the grid leg
+/// needs.
 struct GridJobRequest {
-  JobId id;
-  UserId owner;
+  /// Handed whole to the LRMS; its id is the LRMS id the request is filed
+  /// under.
+  LocalJob job;
   /// GSI proxy chain presented at the gatekeeper (leaf first). Required
   /// when the gatekeeper has a trust anchor configured.
   std::optional<gsi::CertificateChain> proxy_chain;
-  Workload workload;
   /// Input sandbox bytes staged from the submitter before execution.
   std::size_t stage_bytes = 0;
   /// Network endpoint of the submitting machine (for the staging link).
   std::string submitter_endpoint;
-  std::function<void(NodeId)> on_start;
-  std::function<void()> on_complete;
-  TaskRunner::PhaseObserver phase_observer;
-  TaskRunner::DilationFn dilation;
-  TaskRunner::BarrierFn barrier_handler;
   /// The two-phase-commit results of a filed request. on_prepared returns
   /// whether the submitter goes on to commit; on_committed reports queue
   /// acceptance (not job start).

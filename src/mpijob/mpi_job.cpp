@@ -102,10 +102,10 @@ void RuntimeBarrierCoordinator::arrived(int rank, int barrier_index) {
   }
 }
 
-StartupBarrier::StartupBarrier(int expected, ReadyFn on_ready)
-    : expected_{expected}, on_ready_{std::move(on_ready)} {
+StartupBarrier::StartupBarrier(int expected, ReadyFn ready)
+    : expected_{expected}, ready_{std::move(ready)} {
   if (expected < 1) throw std::invalid_argument{"barrier expects >= 1"};
-  if (!on_ready_) throw std::invalid_argument{"barrier needs a callback"};
+  if (!ready_) throw std::invalid_argument{"barrier needs a callback"};
 }
 
 void StartupBarrier::arrive() {
@@ -114,7 +114,7 @@ void StartupBarrier::arrive() {
   ++arrived_;
   if (arrived_ == expected_ && !fired_) {
     fired_ = true;
-    on_ready_();
+    ready_();
   }
 }
 

@@ -74,9 +74,9 @@ class StartupBarrier {
 public:
   using ReadyFn = std::function<void()>;
 
-  StartupBarrier(int expected, ReadyFn on_ready);
+  StartupBarrier(int expected, ReadyFn ready);
 
-  /// A subjob reports in. Fires on_ready exactly once, when the last arrives.
+  /// A subjob reports in. Fires `ready` exactly once, when the last arrives.
   void arrive();
 
   /// A subjob failed to start; the barrier can never complete.
@@ -92,7 +92,7 @@ private:
   int arrived_ = 0;
   bool failed_ = false;
   bool fired_ = false;
-  ReadyFn on_ready_;
+  ReadyFn ready_;
 };
 
 }  // namespace cg::mpijob

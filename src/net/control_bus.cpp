@@ -176,8 +176,7 @@ bool ControlBus::send(EndpointId src, EndpointId dst, Message msg,
 
   const bool duplicate = dup_fault_active(type, src, dst);
 
-  if (options.inline_when_immediate && delay.count_micros() == 0 &&
-      !duplicate) {
+  if (delay.count_micros() == 0 && !duplicate) {
     delivered_[index].inc();
     latency_[index].observe(0.0);
     deliver_envelope(envelope);

@@ -20,8 +20,12 @@
 // envelopes (a slab with a free list) all live in id- or slot-indexed
 // tables. Traces still print endpoint names.
 //
+// A send whose modelled delay is zero, and that is not duplicated, is
+// delivered inline — the receiver runs before send() returns, the bus
+// equivalent of a direct call. Every other delivery is scheduled.
+//
 // Determinism contract: the bus schedules exactly one simulation event per
-// (non-inline) delivery and consumes link RNG only for sends that carry
+// scheduled delivery and consumes link RNG only for sends that carry
 // payload bytes — a refactor from direct schedule() calls onto the bus is
 // event-for-event identical, which is what keeps the pinned chaos-scenario
 // golden digests unchanged. A pair's link is resolved through
@@ -82,10 +86,6 @@ struct SendOptions {
   /// message if the link is down (today's is_up() semantics). Sends that
   /// historically ignored partitions leave this false.
   bool drop_when_down = false;
-  /// Deliver synchronously (no scheduled event) when the modelled latency
-  /// is zero — the bus equivalent of a direct method call. Paths that
-  /// historically scheduled a zero-delay event leave this false.
-  bool inline_when_immediate = false;
 };
 
 /// The bus. One instance per simulated grid; every control-plane component
@@ -115,7 +115,9 @@ public:
   /// Sends a message. Returns false when the message was dropped at send
   /// time (partition with drop_when_down, or an active kMsgDrop fault).
   /// Each delivered copy (a kMsgDup fault delivers two) runs the handler
-  /// bound at `dst`; a message to an unbound endpoint runs nothing.
+  /// bound at `dst`; a message to an unbound endpoint runs nothing. A
+  /// zero-delay send that is not duplicated runs the handler before
+  /// returning.
   bool send(EndpointId src, EndpointId dst, Message msg,
             const SendOptions& options = {});
 

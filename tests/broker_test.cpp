@@ -462,6 +462,50 @@ TEST_F(BrokerFixture, CancelQueuedBatchJob) {
   EXPECT_FALSE(outcome.completed);
 }
 
+TEST_F(BrokerFixture, CancelledQueuedJobFailsLikeAnyFailure) {
+  // The queue-depth gauge reads the broker queue as it is, and a cancel
+  // ends the job through the failure path: traced and counted as failed.
+  GridScenarioConfig config = default_config();
+  config.sites = 1;
+  config.nodes_per_site = 1;
+  obs::Observability obs;
+  GridScenario grid{config};
+  grid.broker().set_observability(&obs);
+  grid.saturate_with_local_batch(3600_s, UserId{9});
+  grid.sim().run_until(SimTime::from_seconds(30));
+
+  Outcome outcome;
+  const JobId id = grid.broker().submit(
+      parse_job("Executable = \"sim\";"), UserId{1}, lrms::Workload::cpu(20_s),
+      GridScenario::ui_endpoint(), watch(outcome)).value();
+  grid.sim().run_until(SimTime::from_seconds(120));
+  ASSERT_EQ(grid.broker().record(id)->state, JobState::kQueuedBroker);
+  const obs::Gauge* depth = obs.metrics.find_gauge("broker.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(grid.broker().broker_queue_length(), 1u);
+  EXPECT_EQ(depth->value(), 1.0);
+
+  EXPECT_TRUE(grid.broker().cancel(id));
+  EXPECT_EQ(grid.broker().broker_queue_length(), 0u);
+  EXPECT_EQ(depth->value(), 0.0);
+  EXPECT_EQ(outcome.states.back(), JobState::kFailed);
+  EXPECT_EQ(outcome.error_code, "broker.cancelled");
+
+  const auto mine = obs.tracer.for_job(id);
+  ASSERT_FALSE(mine.empty());
+  EXPECT_EQ(mine.back().kind, obs::TraceEventKind::kFailed);
+  EXPECT_EQ(std::ranges::count_if(mine,
+                                  [](const auto& event) {
+                                    return event.kind ==
+                                           obs::TraceEventKind::kFailed;
+                                  }),
+            1);
+  const obs::Counter* failed = obs.metrics.find_counter(
+      "broker.jobs_failed", obs::LabelSet{{"code", "broker.cancelled"}});
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->value(), 1u);
+}
+
 TEST_F(BrokerFixture, CancelRunningInteractiveOnVmRestoresBatch) {
   GridScenario grid{default_config()};
   Outcome batch;

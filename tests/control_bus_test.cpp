@@ -156,22 +156,26 @@ TEST_F(ControlBusTest, LatencyModelSumsChannelProcessingAndTransfer) {
   EXPECT_NEAR(arrivals[0].at.to_seconds(), 3.25, 0.02);
 }
 
-TEST_F(ControlBusTest, InlineWhenImmediateDeliversSynchronously) {
+TEST_F(ControlBusTest, ZeroDelaySendDeliversBeforeSendReturns) {
   record_at(site_a);
-  SendOptions inline_options;
-  inline_options.inline_when_immediate = true;
-  bus.send(broker, site_a, KillJob{JobId{9}}, inline_options);
+  bus.send(broker, site_a, KillJob{JobId{9}});
   // Before sim.run(): no event was scheduled.
   ASSERT_EQ(arrivals.size(), 1u);
   EXPECT_EQ(std::get<KillJob>(arrivals[0].envelope.payload).job, JobId{9});
   EXPECT_EQ(bus.in_flight(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
 
-  // Without the flag, a zero-latency send still schedules one event.
-  bus.send(broker, site_a, KillJob{JobId{10}});
-  EXPECT_EQ(arrivals.size(), 1u);
+TEST_F(ControlBusTest, DelayedSendIsScheduled) {
+  record_at(site_a);
+  SendOptions options;
+  options.channel_latency = 1_ms;
+  bus.send(broker, site_a, KillJob{JobId{10}}, options);
+  EXPECT_TRUE(arrivals.empty());
   EXPECT_EQ(bus.in_flight(), 1u);
   sim.run();
-  EXPECT_EQ(arrivals.size(), 2u);
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_EQ(arrivals[0].at, SimTime::zero() + 1_ms);
 }
 
 TEST_F(ControlBusTest, EachEndpointHasOneReceiver) {
@@ -339,12 +343,12 @@ TEST_F(ControlBusTest, DupFaultDeliversTwice) {
   injector.arm(plan);
 
   record_at(site_a);
-  SendOptions inline_options;
-  inline_options.inline_when_immediate = true;
   sim.schedule_at(SimTime::from_seconds(1), [&] {
-    // A duplicate never takes the inline path: both copies are scheduled.
-    bus.send(broker, site_a, Heartbeat{AgentId{1}}, inline_options);
+    // A duplicate is never delivered inline, even at zero delay: both
+    // copies are scheduled.
+    bus.send(broker, site_a, Heartbeat{AgentId{1}});
     EXPECT_TRUE(arrivals.empty());
+    EXPECT_EQ(bus.in_flight(), 2u);
   });
   sim.run();
   // The receiver runs once per copy; both carry the one send's sequence

@@ -491,9 +491,9 @@ protected:
 
   GridJobRequest make_request(std::uint64_t id) {
     GridJobRequest r;
-    r.id = JobId{id};
-    r.owner = UserId{1};
-    r.workload = Workload::cpu(1_s);
+    r.job.id = JobId{id};
+    r.job.owner = UserId{1};
+    r.job.workload = Workload::cpu(1_s);
     r.submitter_endpoint = "ui";
     return r;
   }
@@ -518,7 +518,7 @@ TEST_F(GatekeeperFixture, PrepareCostsAuthPlusOverhead) {
 TEST_F(GatekeeperFixture, DirectSubmissionSkipsPrepareOverhead) {
   GridJobRequest request = make_request(1);
   SimTime started;
-  request.on_start = [&](NodeId) { started = sim.now(); };
+  request.job.on_start = [&](NodeId) { started = sim.now(); };
   gatekeeper.submit_direct(std::move(request), [](Status s) {
     EXPECT_TRUE(s.ok());
   });
@@ -531,7 +531,7 @@ TEST_F(GatekeeperFixture, StagingPaysLinkTransfer) {
   GridJobRequest request = make_request(1);
   request.stage_bytes = 12'500'000;  // 1 s on the 100 Mb/s campus link
   SimTime started;
-  request.on_start = [&](NodeId) { started = sim.now(); };
+  request.job.on_start = [&](NodeId) { started = sim.now(); };
   gatekeeper.submit_direct(std::move(request), [](Status) {});
   sim.run();
   EXPECT_NEAR(started.to_seconds(), 4.01, 0.02);
@@ -573,7 +573,7 @@ TEST_F(GatekeeperFixture, FiledRequestActsOncePerPhase) {
   int committed = 0;
   int started = 0;
   GridJobRequest request = make_request(1);
-  request.on_start = [&](NodeId) { ++started; };
+  request.job.on_start = [&](NodeId) { ++started; };
   request.on_prepared = [&](Status s) {
     EXPECT_TRUE(s.ok());
     ++prepared;
@@ -632,13 +632,13 @@ TEST_F(GatekeeperFixture, CancelJobWithdrawsAFiledRequest) {
   const EndpointId broker = bus.endpoint("broker");
   const EndpointId site = gatekeeper.endpoint();
   GridJobRequest direct = make_request(1);
-  direct.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
+  direct.job.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
   gatekeeper.submit_direct(std::move(direct),
                            [](Status) { FAIL() << "withdrawn job reported"; });
   bus.send(broker, site, net::CancelJob{JobId{1}, /*queued_only=*/false});
 
   GridJobRequest filed = make_request(2);
-  filed.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
+  filed.job.on_start = [](NodeId) { FAIL() << "withdrawn job started"; };
   filed.on_prepared = [&](Status) {
     bus.send(broker, site, net::SubmitJob{JobId{2}, net::SubmitPhase::kCommit});
     // The commit leg sent the input sandbox: cancel while it travels.

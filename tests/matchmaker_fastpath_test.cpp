@@ -175,7 +175,9 @@ TEST(FastPathParityTest, FilterMatchesLegacyCandidateForCandidate) {
   }
 }
 
-TEST(FastPathParityTest, MatchOneEqualsFilterPlusSelectInRngLockstep) {
+TEST(FastPathParityTest, CompiledSelectEqualsInterpretedSelectInRngLockstep) {
+  // The broker's one selection path, select(filter_compiled(...)), picks
+  // the site the interpreter's candidates give, with the same rng draws.
   sim::Simulation sim;
   LeaseManager leases{sim};
   const Matchmaker matchmaker;
@@ -185,19 +187,17 @@ TEST(FastPathParityTest, MatchOneEqualsFilterPlusSelectInRngLockstep) {
       for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
         const auto job = make_job(tmpl);
         Rng oracle_rng{seed};
-        Rng fused_rng{seed};
-        const auto candidates =
-            interpreted_candidates(job, records, leases, needed);
-        const auto expect = matchmaker.select(candidates, oracle_rng);
+        Rng compiled_rng{seed};
+        const auto expect = matchmaker.select(
+            interpreted_candidates(job, records, leases, needed), oracle_rng);
         const auto compiled = matchmaker.compile(job);
-        const auto got = matchmaker.match_one(
-            *compiled, CandidateSource{records}, leases, needed, fused_rng);
-        ASSERT_EQ(got.has_value(), expect.has_value()) << tmpl;
-        if (expect) {
-          EXPECT_EQ(got->site, *expect) << tmpl;
-        }
-        // Both forms must have consumed the exact same number of draws.
-        EXPECT_EQ(fused_rng.next_u64(), oracle_rng.next_u64()) << tmpl;
+        const auto got = matchmaker.select(
+            matchmaker.filter_compiled(*compiled, CandidateSource{records},
+                                       leases, needed),
+            compiled_rng);
+        EXPECT_EQ(got, expect) << tmpl;
+        // Both must have consumed the exact same number of draws.
+        EXPECT_EQ(compiled_rng.next_u64(), oracle_rng.next_u64()) << tmpl;
       }
     }
   }

@@ -128,9 +128,9 @@ protected:
                              const std::vector<infosys::SiteRecord>& records) {
     Rng rng{42};
     const auto compiled = matchmaker.compile(job);
-    const auto chosen =
-        matchmaker.match_one(*compiled, CandidateSource{records}, leases, 1, rng);
-    return chosen ? std::optional<SiteId>{chosen->site} : std::nullopt;
+    const auto candidates = matchmaker.filter_compiled(
+        *compiled, CandidateSource{records}, leases, 1);
+    return matchmaker.select(candidates, rng);
   }
 };
 

@@ -22,6 +22,11 @@ A third rule keeps supervision honest: a Heartbeat is the agent's own
 keepalive, so only src/glidein builds one; the broker can never fabricate
 an agent's heartbeat.
 
+A fourth rule gives a job's lifecycle state one writer: src/ assigns a job
+record's state in exactly one place, CrossBroker::set_state, which traces
+the transition, refreshes the queue-depth gauge and runs the job's
+on_state_change. An assignment anywhere else skips all three.
+
 Usage:
     check_layering.py [repo_root]
 
@@ -61,6 +66,16 @@ ALLOWED_HEARTBEAT_LAYERS = ("glidein",)
 # A Heartbeat built anywhere but the agent that sends it.
 HEARTBEAT_BUILD = re.compile(r"\bnet::Heartbeat\s*\{")
 
+# A job record's state assigned (not compared).
+STATE_WRITE = re.compile(r"\brecord\s*(\.|->)\s*state\s*=(?!=)")
+
+# The one function that may assign it.
+STATE_WRITER = "CrossBroker::set_state"
+
+# The first line of a function definition: unindented, naming the function
+# (qualified when it is a member) just before its parameter list.
+DEFINITION = re.compile(r"^(?![#/}\s])[^;]*?\b([A-Za-z_]\w*(?:::\w+)*)\s*\(")
+
 RULES = (
     (RAW_LINK, ALLOWED_LINK_LAYERS,
      "raw Network::link() access (route via ControlBus)"),
@@ -83,6 +98,7 @@ def layer(rel: pathlib.PurePosixPath) -> str:
 
 def scan(root: pathlib.Path) -> list[str]:
     violations = []
+    state_writers = []
     src = root / "src"
     if not src.is_dir():
         print(f"error: {src} is not a directory", file=sys.stderr)
@@ -92,13 +108,29 @@ def scan(root: pathlib.Path) -> list[str]:
             continue
         rel = pathlib.PurePosixPath(path.relative_to(root).as_posix())
         rules = [(p, why) for p, layers, why in RULES if layer(rel) not in layers]
+        function = None  # the definition the current line sits in
         for lineno, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
             stripped = line.split("//")[0]
+            definition = DEFINITION.match(stripped)
+            if definition:
+                function = definition.group(1)
             for pattern, why in rules:
                 if pattern.search(stripped):
                     violations.append(f"{rel}:{lineno}: {why}\n    {line.strip()}")
+            if STATE_WRITE.search(stripped):
+                if function == STATE_WRITER:
+                    state_writers.append(f"{rel}:{lineno}")
+                else:
+                    violations.append(
+                        f"{rel}:{lineno}: job state assigned outside "
+                        f"{STATE_WRITER} (end the job through it)\n"
+                        f"    {line.strip()}")
+    if len(state_writers) != 1:
+        violations.append(
+            f"{STATE_WRITER} assigns a job's state {len(state_writers)} "
+            f"times, expected once: {', '.join(state_writers) or 'none found'}")
     return violations
 
 
@@ -111,13 +143,15 @@ def main() -> int:
             print("  " + v)
         print(
             f"\n{len(violations)} violation(s). All broker/agent/site "
-            "traffic must flow through net::ControlBus, and each message's "
-            "effect lives in its receiver (docs/protocol.md)."
+            "traffic must flow through net::ControlBus, each message's "
+            "effect lives in its receiver (docs/protocol.md), and a job's "
+            "state changes only in CrossBroker::set_state."
         )
         return 1
     print("[ok]   no raw network access outside src/net (data plane exempt)")
     print("[ok]   gatekeeper entry points called only from src/lrms")
     print("[ok]   Heartbeat messages built only in src/glidein")
+    print(f"[ok]   job state assigned only in {STATE_WRITER}")
     return 0
 
 
