@@ -434,6 +434,8 @@ obs::TraceEventKind trace_kind_for(JobState state) {
 void CrossBroker::set_state(ManagedJob& job, JobState state) {
   if (job.record.state == state) return;
   job.record.state = state;
+  // A finished job selects no more sites; its match program goes with it.
+  if (is_terminal(state)) job.compiled_match.reset();
   tracev(job.record.id, trace_kind_for(state), to_string(state));
   metrics_.queue_depth.set(static_cast<double>(waiting_batch_.size()));
   if (job.callbacks.on_state_change) job.callbacks.on_state_change(job.record);

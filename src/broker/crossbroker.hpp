@@ -209,7 +209,8 @@ private:
     bool queue_timer_armed = false;
     bool staging_out = false;  ///< OutputSandbox transfer in progress
     /// Requirements/Rank compiled once per job at its first selection,
-    /// reused across scheduling attempts and resubmissions.
+    /// reused across scheduling attempts and resubmissions, and dropped
+    /// when the job ends (set_state).
     std::shared_ptr<const jdl::CompiledMatch> compiled_match;
     /// Runtime barrier coordination for BSP workloads (multi-rank only).
     std::unique_ptr<mpijob::RuntimeBarrierCoordinator> barrier_coordinator;

@@ -146,19 +146,37 @@ void append_json_attrs(std::string& out, const LabelSet& attrs) {
   out += '}';
 }
 
+/// Appends one event's JSON line, newline included.
+void append_jsonl(std::string& out, const JobTraceEvent& e) {
+  out += "{\"ts_us\":";
+  out += std::to_string(e.when.count_micros());
+  out += ",\"job\":";
+  out += std::to_string(e.job.value());
+  out += ",\"kind\":\"";
+  out += to_string(e.kind);
+  out += "\",\"detail\":\"";
+  out += json_escape(e.detail);
+  out += "\",\"attrs\":";
+  append_json_attrs(out, e.attrs);
+  out += "}\n";
+}
+
 }  // namespace
 
 std::string JobTracer::to_jsonl() const {
-  std::string out;
+  // Measure, then write into one allocation of exactly that size. A string
+  // grown by doubling holds its old and new buffers at each growth: at the
+  // last one, up to three times the export, when the trace is largest.
+  std::string line;
+  std::size_t bytes = 0;
   for (const auto& e : events_) {
-    out += "{\"ts_us\":" + std::to_string(e.when.count_micros());
-    out += ",\"job\":" + std::to_string(e.job.value());
-    out += ",\"kind\":\"";
-    out += to_string(e.kind);
-    out += "\",\"detail\":\"" + json_escape(e.detail) + "\",\"attrs\":";
-    append_json_attrs(out, e.attrs);
-    out += "}\n";
+    line.clear();
+    append_jsonl(line, e);
+    bytes += line.size();
   }
+  std::string out;
+  out.reserve(bytes);
+  for (const auto& e : events_) append_jsonl(out, e);
   return out;
 }
 

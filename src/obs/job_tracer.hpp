@@ -9,6 +9,12 @@
 // Determinism contract: events are appended in simulation order and exports
 // contain nothing but virtual time and recorded fields, so two same-seed
 // runs produce byte-identical exports.
+//
+// Memory: the tracer keeps every event of the run, so an event costs its
+// detail string plus one heap block for its attributes (a flat LabelSet),
+// and the JSON-lines export is one exactly-sized string. At the end of a
+// long run the trace and its export are the largest things alive
+// (docs/performance.md, "Peak memory").
 #pragma once
 
 #include <cstdint>
@@ -109,6 +115,9 @@ public:
 
   /// One JSON object per line:
   ///   {"ts_us":1234,"job":7,"kind":"resubmitted","detail":"...","attrs":{...}}
+  /// The export is measured first and written into one allocation of
+  /// exactly its size (capacity() == size()), so at no point does it hold
+  /// the trace's bytes twice.
   [[nodiscard]] std::string to_jsonl() const;
 
   /// Chrome trace_event JSON (load in chrome://tracing or ui.perfetto.dev).

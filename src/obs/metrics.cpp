@@ -10,18 +10,23 @@ namespace cg::obs {
 
 // ------------------------------------------------------------- LabelSet ----
 
-LabelSet::LabelSet(
-    std::initializer_list<std::pair<std::string, std::string>> labels) {
-  for (const auto& [k, v] : labels) labels_.insert_or_assign(k, v);
+LabelSet::LabelSet(std::initializer_list<Entry> labels) {
+  labels_.reserve(labels.size());
+  for (const auto& [k, v] : labels) set(k, v);
 }
 
 void LabelSet::set(std::string key, std::string value) {
-  labels_.insert_or_assign(std::move(key), std::move(value));
+  const auto it = std::ranges::lower_bound(labels_, key, {}, &Entry::first);
+  if (it != labels_.end() && it->first == key) {
+    it->second = std::move(value);
+  } else {
+    labels_.emplace(it, std::move(key), std::move(value));
+  }
 }
 
 const std::string* LabelSet::find(const std::string& key) const {
-  const auto it = labels_.find(key);
-  return it != labels_.end() ? &it->second : nullptr;
+  const auto it = std::ranges::lower_bound(labels_, key, {}, &Entry::first);
+  return it != labels_.end() && it->first == key ? &it->second : nullptr;
 }
 
 std::string LabelSet::to_string() const {

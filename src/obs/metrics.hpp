@@ -28,26 +28,35 @@ namespace cg::obs {
 
 /// Ordered label set ("site" -> "3", "user" -> "7"). Ordering makes label
 /// permutations equivalent and exports deterministic.
+///
+/// The labels sit in one key-sorted vector, so a set of n labels is one heap
+/// block (none when empty), not n tree nodes: every trace event carries one,
+/// and the tracer holds every event of the run. A later set() may move the
+/// entries, so a pointer from find() is valid only until the set changes.
 class LabelSet {
 public:
-  LabelSet() = default;
-  LabelSet(std::initializer_list<std::pair<std::string, std::string>> labels);
+  using Entry = std::pair<std::string, std::string>;
 
+  LabelSet() = default;
+  /// A key given twice keeps its last value.
+  LabelSet(std::initializer_list<Entry> labels);
+
+  /// Adds the label, or overwrites the value of an existing key.
   void set(std::string key, std::string value);
   [[nodiscard]] const std::string* find(const std::string& key) const;
   [[nodiscard]] bool empty() const { return labels_.empty(); }
   [[nodiscard]] std::size_t size() const { return labels_.size(); }
-  [[nodiscard]] const std::map<std::string, std::string>& entries() const {
-    return labels_;
-  }
+  /// The labels in ascending key order.
+  [[nodiscard]] const std::vector<Entry>& entries() const { return labels_; }
 
   /// Canonical rendering: {a="x",b="y"} — empty string for no labels.
   [[nodiscard]] std::string to_string() const;
 
+  /// Lexicographic over the sorted entries: the order a key-sorted map gives.
   auto operator<=>(const LabelSet&) const = default;
 
 private:
-  std::map<std::string, std::string> labels_;
+  std::vector<Entry> labels_;  ///< ascending by key; keys unique
 };
 
 /// Monotonically increasing count of events (submissions, revocations,

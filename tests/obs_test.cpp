@@ -6,6 +6,7 @@
 // the recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,34 @@ TEST(LabelSetTest, OrderingIsCanonical) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.to_string(), "{site=\"1\",user=\"7\"}");
   EXPECT_TRUE(LabelSet{}.to_string().empty());
+
+  // A key given twice keeps its last value; set() overwrites.
+  LabelSet c{{"user", "1"}, {"site", "2"}, {"user", "3"}};
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.to_string(), "{site=\"2\",user=\"3\"}");
+  c.set("site", "9");
+  c.set("agent", "4");
+  EXPECT_EQ(c.size(), 3u);
+  ASSERT_NE(c.find("site"), nullptr);
+  EXPECT_EQ(*c.find("site"), "9");
+  EXPECT_EQ(c.find("zone"), nullptr);
+  EXPECT_EQ(c.find("a"), nullptr);
+  EXPECT_EQ(LabelSet{}.find("site"), nullptr);
+
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : c.entries()) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::string>{"agent", "site", "user"}));
+
+  // Lexicographic over the sorted labels, as a key-sorted map compares.
+  const LabelSet a1{{"a", "1"}};
+  const LabelSet a1b2{{"b", "2"}, {"a", "1"}};
+  const LabelSet a2{{"a", "2"}};
+  const LabelSet b0{{"b", "0"}};
+  EXPECT_LT(LabelSet{}, a1);
+  EXPECT_LT(a1, a1b2);
+  EXPECT_LT(a1b2, a2);
+  EXPECT_LT(a2, b0);
+  EXPECT_GT(b0, a1);
 }
 
 TEST(HistogramTest, MomentsAreExact) {
@@ -199,9 +228,24 @@ TEST(JobTracerTest, ExportsAreWellFormed) {
   JobTracer tracer;
   tracer.record(SimTime::from_seconds(1), JobId{1}, TraceEventKind::kSubmitted,
                 "a \"quoted\" detail", {{"user", "u\\1"}});
-  const std::string jsonl = tracer.to_jsonl();
+  std::string jsonl = tracer.to_jsonl();
   EXPECT_NE(jsonl.find("\"kind\":\"submitted\""), std::string::npos);
   EXPECT_NE(jsonl.find("\\\"quoted\\\""), std::string::npos);
+  EXPECT_EQ(jsonl,
+            "{\"ts_us\":1000000,\"job\":1,\"kind\":\"submitted\","
+            "\"detail\":\"a \\\"quoted\\\" detail\",\"attrs\":{\"user\":\"u\\\\1\"}}\n");
+
+  // The JSON-lines export is measured before it is written: one allocation
+  // of exactly its size, never a doubled buffer.
+  for (int i = 0; i < 300; ++i) {
+    tracer.record(SimTime::from_seconds(2 + i), JobId{static_cast<std::uint64_t>(i)},
+                  TraceEventKind::kStarted, "rank " + std::to_string(i % 4),
+                  {{"site", std::to_string(i % 7)}, {"agent", std::to_string(i)}});
+  }
+  jsonl = tracer.to_jsonl();
+  EXPECT_EQ(jsonl.capacity(), jsonl.size());
+  EXPECT_EQ(static_cast<std::size_t>(std::count(jsonl.begin(), jsonl.end(), '\n')),
+            tracer.events().size());
   const std::string chrome = tracer.to_chrome_trace();
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\""), std::string::npos);
