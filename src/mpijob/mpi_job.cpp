@@ -102,24 +102,4 @@ void RuntimeBarrierCoordinator::arrived(int rank, int barrier_index) {
   }
 }
 
-StartupBarrier::StartupBarrier(int expected, ReadyFn ready)
-    : expected_{expected}, ready_{std::move(ready)} {
-  if (expected < 1) throw std::invalid_argument{"barrier expects >= 1"};
-  if (!ready_) throw std::invalid_argument{"barrier needs a callback"};
-}
-
-void StartupBarrier::arrive() {
-  if (failed_) return;
-  if (arrived_ >= expected_) throw std::logic_error{"barrier over-arrival"};
-  ++arrived_;
-  if (arrived_ == expected_ && !fired_) {
-    fired_ = true;
-    ready_();
-  }
-}
-
-void StartupBarrier::fail() {
-  failed_ = true;
-}
-
 }  // namespace cg::mpijob

@@ -1,8 +1,10 @@
 // Simulated MPI job structure. The paper supports two parallel flavors:
 // MPICH-P4 (all processes inside one site, one Console Agent) and MPICH-G2
 // (subjobs co-allocated across sites, one Console Agent per subjob). This
-// module plans allocations and coordinates the cross-site startup barrier;
-// message-passing semantics are out of scope (the paper measures none).
+// module plans allocations and coordinates the runtime barriers of BSP
+// workloads. The MPICH-G2 start-up barrier is the broker's: a job runs once
+// every subjob of its attempt has started (CrossBroker::subjob_started).
+// Message-passing semantics are out of scope (the paper measures none).
 #pragma once
 
 #include <functional>
@@ -66,33 +68,6 @@ private:
   int completed_ = 0;
   std::map<int, int> arrivals_;  ///< barrier index -> count
   ReleaseAllFn release_all_;
-};
-
-/// Cross-site startup barrier: an MPICH-G2 job is running only once every
-/// subjob has started on its worker node (MPICH-G2's DUROC-style barrier).
-class StartupBarrier {
-public:
-  using ReadyFn = std::function<void()>;
-
-  StartupBarrier(int expected, ReadyFn ready);
-
-  /// A subjob reports in. Fires `ready` exactly once, when the last arrives.
-  void arrive();
-
-  /// A subjob failed to start; the barrier can never complete.
-  void fail();
-
-  [[nodiscard]] int arrived() const { return arrived_; }
-  [[nodiscard]] int expected() const { return expected_; }
-  [[nodiscard]] bool complete() const { return arrived_ == expected_; }
-  [[nodiscard]] bool failed() const { return failed_; }
-
-private:
-  int expected_;
-  int arrived_ = 0;
-  bool failed_ = false;
-  bool fired_ = false;
-  ReadyFn ready_;
 };
 
 }  // namespace cg::mpijob

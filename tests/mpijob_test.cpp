@@ -88,29 +88,6 @@ TEST(PlanTest, InvalidProcessCount) {
   EXPECT_FALSE(plan_allocation(jdl::JobFlavor::kSequential, 0, {}).has_value());
 }
 
-TEST(BarrierTest, FiresExactlyOnceWhenAllArrive) {
-  int fired = 0;
-  StartupBarrier barrier{3, [&] { ++fired; }};
-  barrier.arrive();
-  barrier.arrive();
-  EXPECT_EQ(fired, 0);
-  EXPECT_FALSE(barrier.complete());
-  barrier.arrive();
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(barrier.complete());
-  EXPECT_THROW(barrier.arrive(), std::logic_error);
-}
-
-TEST(BarrierTest, FailBlocksCompletion) {
-  int fired = 0;
-  StartupBarrier barrier{2, [&] { ++fired; }};
-  barrier.arrive();
-  barrier.fail();
-  barrier.arrive();  // ignored after failure
-  EXPECT_EQ(fired, 0);
-  EXPECT_TRUE(barrier.failed());
-}
-
 TEST(RuntimeBarrierTest, ReleasesWhenAllRanksArrive) {
   std::vector<int> released;
   RuntimeBarrierCoordinator coord{3, [&](int index) { released.push_back(index); }};
@@ -155,11 +132,6 @@ TEST(WorkloadBspTest, Shape) {
   EXPECT_EQ(w.total_cpu().to_seconds(), 10.0);
   EXPECT_THROW(cg::lrms::Workload::bulk_synchronous(0, cg::Duration::seconds(1)),
                std::invalid_argument);
-}
-
-TEST(BarrierTest, Validation) {
-  EXPECT_THROW(StartupBarrier(0, [] {}), std::invalid_argument);
-  EXPECT_THROW(StartupBarrier(1, nullptr), std::invalid_argument);
 }
 
 }  // namespace
