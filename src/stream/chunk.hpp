@@ -4,9 +4,10 @@
 // the flushed segment — that travels through ReliableChannel / SimChannel
 // delivery callbacks to the ConsoleShadow without the payload ever being
 // copied. A slab returns to the pool's free list when the last reference to
-// any segment in it drops, so the steady-state output path performs zero heap
-// allocations and a console's footprint follows the lines in flight, not the
-// lines written (see docs/performance.md, "The streaming path").
+// any segment in it drops, and a writer left as a slab's only holder rewinds
+// it, so the steady-state output path performs zero heap allocations and a
+// console's footprint follows the lines in flight, not the lines written (see
+// docs/performance.md, "The streaming path").
 //
 // Single-threaded by design: chunks and refs belong to the simulation side
 // (everything runs on one Simulation loop). The real OS-level agents in
@@ -31,7 +32,7 @@ namespace detail {
 struct ChunkHeader {
   ChunkPool* pool;
   std::uint32_t refs;
-  std::uint32_t write_pos;  ///< bytes written so far (writer-owned)
+  std::uint32_t write_pos;  ///< end of the written bytes (writer-owned)
   std::uint32_t capacity;   ///< payload bytes following this header
 
   [[nodiscard]] char* data() { return reinterpret_cast<char*>(this + 1); }

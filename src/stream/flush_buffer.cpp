@@ -73,7 +73,13 @@ void FlushBuffer::append(std::string_view data) {
 }
 
 void FlushBuffer::make_room(std::size_t bytes) {
-  if (chunk_ != nullptr && chunk_->capacity - chunk_->write_pos >= bytes) return;
+  if (chunk_ != nullptr) {
+    // Nothing buffered and no flushed segment still referenced: the writer
+    // is the slab's only holder, so the next segment starts at its front
+    // again, on bytes that are still in cache.
+    if (buffered_ == 0 && chunk_->refs == 1) chunk_->write_pos = 0;
+    if (chunk_->capacity - chunk_->write_pos >= bytes) return;
+  }
   // The open segment would overflow the chunk: move it whole into a fresh
   // one. A pool slab holds it if the grown segment fits one; otherwise a
   // one-off chunk of the full capacity does, and it never moves again

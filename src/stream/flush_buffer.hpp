@@ -10,7 +10,10 @@
 // and every flush hands out a ChunkRef view of the flushed segment instead of
 // a freshly allocated string, so the steady-state flush path never touches
 // the heap. Segments pack back to back: each one opens at the chunk's write
-// position, so a page-sized slab carries many short lines.
+// position, so a page-sized slab carries many short lines. When nothing is
+// buffered and no flushed segment is still referenced, the write position
+// rewinds to the slab's front: a buffer whose lines are consumed as fast as
+// they flush writes every line into the same cache-warm bytes of one slab.
 #pragma once
 
 #include <array>
@@ -81,7 +84,8 @@ private:
   /// its last `buffered_` written bytes are appended-but-unflushed. A segment
   /// never spans chunks — an append that would overflow the chunk first moves
   /// the open segment whole into a fresh one (make_room), so every flush is
-  /// one contiguous ChunkRef.
+  /// one contiguous ChunkRef. An append that finds the writer the chunk's
+  /// only holder and nothing buffered rewinds write_pos to 0 first.
   detail::ChunkHeader* chunk_ = nullptr;
   std::size_t buffered_ = 0;
   std::size_t flushes_ = 0;

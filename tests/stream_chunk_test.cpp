@@ -3,6 +3,7 @@
 // "The streaming path").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -223,6 +224,59 @@ TEST(ChunkFlushTest, SegmentLargerThanASlabUsesOneOneOffChunk) {
   EXPECT_EQ(pool.allocated_chunks(), 1u);
   EXPECT_EQ(pool.free_chunks(), 1u);
   EXPECT_EQ(pool.oversize_allocations(), 1u);
+}
+
+TEST(ChunkFlushTest, IdleBufferRewindsItsSlab) {
+  // Every line is consumed as it flushes, so when the next one is appended
+  // the writer holds the slab alone and starts it again at the front.
+  sim::Simulation sim;
+  ChunkPool pool{4096};
+  FlushBufferConfig config;
+  config.capacity = 256;
+  config.pool = &pool;
+  std::vector<const char*> starts;
+  std::size_t bad_lines = 0;
+  const std::string line = std::string(41, 'x') + "\n";
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    if (data.view() != line) ++bad_lines;
+                    starts.push_back(data.data());
+                  }}};
+  for (int i = 0; i < 500; ++i) buf.append(line);
+  ASSERT_EQ(starts.size(), 500u);
+  EXPECT_EQ(bad_lines, 0u);
+  EXPECT_EQ(std::count(starts.begin(), starts.end(), starts.front()), 500);
+  EXPECT_EQ(pool.allocated_chunks(), 1u);
+  EXPECT_EQ(pool.high_water_in_use(), 1u);
+}
+
+TEST(ChunkFlushTest, InFlightSegmentIsNeverOverwritten) {
+  // A flushed line still referenced keeps its bytes: later appends pack
+  // behind it (and move to a fresh slab), never over it.
+  sim::Simulation sim;
+  ChunkPool pool{128};
+  FlushBufferConfig config;
+  config.capacity = 128;
+  config.pool = &pool;
+  std::vector<ChunkRef> kept;
+  std::size_t seen = 0;
+  FlushBuffer buf{sim, config,
+                  FlushBuffer::FlushFn{[&](ChunkRef data) {
+                    if (seen++ == 0) kept.push_back(std::move(data));
+                  }}};
+  const std::string first = "first line, kept in flight\n";
+  buf.append(first);
+  ASSERT_EQ(kept.size(), 1u);
+  const char* const at = kept[0].data();
+  for (int i = 0; i < 50; ++i) {
+    buf.append("later line number " + std::to_string(i) + "\n");
+    EXPECT_EQ(kept[0].view(), first);
+  }
+  EXPECT_EQ(seen, 51u);
+  EXPECT_EQ(kept[0].data(), at);
+  EXPECT_EQ(kept[0].view(), first);
+  // The kept line pins its slab; the writer holds the one it went on in.
+  EXPECT_EQ(pool.in_use_chunks(), 2u);
 }
 
 TEST(ChunkFlushTest, ConsoleBurstPacksIntoAFewSlabs) {
