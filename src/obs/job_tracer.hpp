@@ -10,11 +10,10 @@
 // contain nothing but virtual time and recorded fields, so two same-seed
 // runs produce byte-identical exports.
 //
-// Memory: the tracer keeps every event of the run, so an event costs its
-// detail string plus one heap block for its attributes (a flat LabelSet),
-// and the JSON-lines export is one exactly-sized string. At the end of a
-// long run the trace and its export are the largest things alive
-// (docs/performance.md, "Peak memory").
+// Memory: the tracer keeps every event of the run, and at the end of a long
+// run the trace and its export are the largest things alive. So an event's
+// attributes are one heap block (a flat LabelSet), and the JSON-lines export
+// is sized before it is written (docs/performance.md, "Peak memory").
 #pragma once
 
 #include <cstdint>

@@ -84,8 +84,7 @@ private:
   /// its last `buffered_` written bytes are appended-but-unflushed. A segment
   /// never spans chunks — an append that would overflow the chunk first moves
   /// the open segment whole into a fresh one (make_room), so every flush is
-  /// one contiguous ChunkRef. An append that finds the writer the chunk's
-  /// only holder and nothing buffered rewinds write_pos to 0 first.
+  /// one contiguous ChunkRef.
   detail::ChunkHeader* chunk_ = nullptr;
   std::size_t buffered_ = 0;
   std::size_t flushes_ = 0;
